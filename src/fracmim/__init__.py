@@ -12,7 +12,10 @@ provides three independent capabilities that check one another:
   (:mod:`fracmim.inversion`),
 
 plus experiment descriptors/tables (:mod:`fracmim.experiments`), file
-formats (:mod:`fracmim.io`), and a CLI (``fracmim``).
+formats (:mod:`fracmim.io`), and a CLI (``fracmim``).  This namespace
+holds the user API; the building blocks behind it (scheme constants,
+the block system, transform coefficients, the LM step, ...) stay
+importable from their own modules.
 """
 
 from .errors import (
@@ -28,66 +31,30 @@ from .errors import (
 )
 from .experiments import (
     BUILTIN_EXPERIMENTS,
-    ExperimentRow,
     ExperimentSpec,
     ExperimentTable,
     builtin_experiment,
     run_experiment,
 )
 from .io import (
+    config_document,
     load_config,
     parse_config,
     read_csv,
     read_observation,
-    write_csv,
-    write_experiment_table,
-    write_inversion_report,
     write_observation,
-    write_reference_csv,
-    write_solution_csv,
 )
 from .inversion import (
     InversionConfig,
     InversionResult,
-    IterationRecord,
     ReplicateSummary,
     add_noise,
-    homotopy_kappa,
     invert_orders,
-    lm_step,
     run_replicates,
-    sensitivity_jacobian,
 )
-from .laplace import (
-    ContourQuadrature,
-    LaplaceCoefficients,
-    bound_constant,
-    coeff_b,
-    invert_at,
-    invert_transform,
-    invert_with_error,
-    laplace_coefficients,
-    laplace_profile,
-    real_s_profile,
-)
-from .model import (
-    GridSpec,
-    ModelParams,
-    ObservationSeries,
-    SolutionGrid,
-    l1_bracket,
-    l1_power_table,
-    psi_weight,
-    validate_params,
-)
-from .solver import (
-    BlockSystem,
-    SchemeConstants,
-    assemble_block_system,
-    extract_observation,
-    scheme_constants,
-    solve_forward,
-)
+from .laplace import ContourQuadrature, invert_at, invert_with_error
+from .model import GridSpec, ModelParams, ObservationSeries, SolutionGrid
+from .solver import extract_observation, solve_forward
 
 __version__ = "0.1.0"
 
@@ -105,51 +72,27 @@ __all__ = [
     "GridSpec",
     "SolutionGrid",
     "ObservationSeries",
-    "validate_params",
-    "l1_bracket",
-    "psi_weight",
-    "l1_power_table",
-    "SchemeConstants",
-    "BlockSystem",
-    "scheme_constants",
-    "assemble_block_system",
     "solve_forward",
     "extract_observation",
-    "LaplaceCoefficients",
     "ContourQuadrature",
-    "coeff_b",
-    "laplace_coefficients",
-    "laplace_profile",
-    "bound_constant",
-    "invert_transform",
     "invert_at",
     "invert_with_error",
-    "real_s_profile",
     "InversionConfig",
-    "IterationRecord",
     "InversionResult",
     "ReplicateSummary",
     "add_noise",
-    "homotopy_kappa",
-    "sensitivity_jacobian",
-    "lm_step",
     "invert_orders",
     "run_replicates",
     "ExperimentSpec",
-    "ExperimentRow",
     "ExperimentTable",
     "BUILTIN_EXPERIMENTS",
     "builtin_experiment",
     "run_experiment",
-    "parse_config",
     "load_config",
-    "write_csv",
+    "parse_config",
+    "config_document",
     "read_csv",
-    "write_solution_csv",
-    "write_observation",
     "read_observation",
-    "write_reference_csv",
-    "write_inversion_report",
-    "write_experiment_table",
+    "write_observation",
     "__version__",
 ]

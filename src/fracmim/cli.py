@@ -23,7 +23,6 @@ from .errors import NumericalError, QuadratureError, ValidationError
 from .experiments import ExperimentSpec, builtin_experiment, run_experiment
 from .inversion import _replicate_seeds, add_noise, invert_orders
 from .laplace import invert_with_error
-from .model import ModelParams
 from .solver import extract_observation, solve_forward
 
 __all__ = ["main"]
@@ -93,12 +92,6 @@ def _out_dir(args, spec: ExperimentSpec | None = None) -> Path:
     if not os.access(out, os.W_OK):
         raise PermissionError(f"output directory {out} is not writable")
     return out
-
-
-def _params_dict(p: ModelParams) -> dict:
-    d = {k: getattr(p, k) for k in ("P", "R1", "R2", "beta", "omega", "mu", "alpha", "gamma")}
-    d["lambda"] = p.lam
-    return d
 
 
 def cmd_forward(args) -> int:
@@ -191,18 +184,8 @@ def cmd_experiment(args) -> int:
 
     base = f"table_{spec.name}"
     fio.write_experiment_table(out / f"{base}.csv", out / f"{base}.md", table)
-    sidecar = {
-        "name": spec.name,
-        "seed": spec.seed,
-        "params": _params_dict(spec.params),
-        "grid": {"m": spec.grid.m, "n": spec.grid.n, "T": spec.grid.T},
-        "x0": spec.x0,
-        "noise_levels": list(spec.noise_levels),
-        "replicates": spec.replicates,
-        "z0": list(spec.inversion.z0),
-    }
     (out / f"{base}.json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
+        json.dumps(fio.config_document(spec), indent=2) + "\n", encoding="utf-8"
     )
     if not args.quiet:
         print(table.to_markdown(), end="")

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigError, ValidationError
-from .inversion import InversionConfig, ReplicateSummary, run_replicates
+from .inversion import InversionConfig, ReplicateSummary, _noise_key, run_replicates
 from .laplace import ContourQuadrature
 from .model import GridSpec, ModelParams, validate_params
 from .solver import extract_observation, solve_forward
 
 __all__ = [
     "ExperimentSpec",
-    "ExperimentRow",
     "ExperimentTable",
     "builtin_experiment",
     "BUILTIN_EXPERIMENTS",
@@ -68,6 +67,14 @@ class ExperimentSpec:
             raise ConfigError("x0 must lie strictly inside (0,1)")
         if any(d < 0 or not math.isfinite(d) for d in self.noise_levels):
             raise ConfigError("noise_levels must be finite and nonnegative")
+        keyed: dict[int, float] = {}
+        for d in self.noise_levels:
+            other = keyed.setdefault(_noise_key(d), d)
+            if other != d:
+                raise ConfigError(
+                    f"noise levels {other:g} and {d:g} round to the same multiple "
+                    "of 1e-9 and would share one seed stream"
+                )
         if not (isinstance(self.replicates, int) and self.replicates >= 1):
             raise ConfigError("replicates must be an integer >= 1")
         if not isinstance(self.seed, int):
@@ -112,36 +119,16 @@ def builtin_experiment(name: str) -> ExperimentSpec:
         ) from None
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
-    """One noise level's aggregate: the paper-style table row."""
-
-    delta: float
-    replicates: int
-    failures: int
-    z_mean: tuple[float, float] | None
-    rel_error_mean: float | None
-    iterations_mean: float | None
-
-    @classmethod
-    def from_summary(cls, s: ReplicateSummary) -> "ExperimentRow":
-        return cls(
-            delta=s.delta,
-            replicates=s.replicates,
-            failures=s.failures,
-            z_mean=s.z_mean,
-            rel_error_mean=s.rel_error_mean,
-            iterations_mean=s.iterations_mean,
-        )
-
-
 @dataclass
 class ExperimentTable:
-    """Noise-sweep results for one experiment, printable as markdown."""
+    """Noise-sweep results for one experiment, printable as markdown.
+
+    Each row is the :class:`ReplicateSummary` of one noise level.
+    """
 
     name: str
     z_exact: tuple[float, float]
-    rows: list[ExperimentRow] = field(default_factory=list)
+    rows: list[ReplicateSummary] = field(default_factory=list)
 
     def to_markdown(self) -> str:
         lines = [
@@ -180,10 +167,9 @@ def run_experiment(
     )
     for delta in spec.noise_levels:
         reps = 1 if delta == 0 else spec.replicates
-        summary = run_replicates(spec, reps, delta, clean=clean)
-        table.rows.append(ExperimentRow.from_summary(summary))
+        row = run_replicates(spec, reps, delta, clean=clean)
+        table.rows.append(row)
         if progress is not None:
-            row = table.rows[-1]
             err = "--" if row.rel_error_mean is None else f"{row.rel_error_mean:.2e}"
             progress(
                 f"{spec.name}: delta={delta:g} done "

@@ -118,8 +118,8 @@ def add_noise(clean: ObservationSeries, delta: float, seed: int) -> ObservationS
     The draw is independent per sample and fully determined by ``seed``;
     the noise level and seed are recorded on the returned series.
     """
-    if delta < 0:
-        raise ValidationError("noise level delta must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValidationError("noise level delta must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-1.0, 1.0, size=len(clean))
     return ObservationSeries(
@@ -330,10 +330,15 @@ class ReplicateSummary:
         return self.replicates - self.failures
 
 
+def _noise_key(delta: float) -> int:
+    """The noise level's entry in its seed stream: delta in units of 1e-9."""
+    return int(round(delta * 1e9))
+
+
 def _replicate_seeds(base_seed: int, delta: float, replicates: int) -> list[int]:
     # One deterministic child stream per (base seed, noise level) pair so
     # noise levels do not share perturbations and reruns are bit-stable.
-    ss = np.random.SeedSequence([int(base_seed), int(round(delta * 1e9))])
+    ss = np.random.SeedSequence([int(base_seed), _noise_key(delta)])
     return [int(s) for s in ss.generate_state(replicates)]
 
 

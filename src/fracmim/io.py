@@ -1,14 +1,16 @@
-"""Config parsing and file formats (JSON configs, CSV artifacts).
+"""Config documents and file formats (JSON configs, CSV artifacts).
 
 One JSON document describes an experiment; physical parameters are
 always explicit while grid and algorithm knobs fall back to the package
-defaults.  Every CSV artifact has a mandatory header, 17-significant-
+defaults.  :func:`parse_config` reads that document and
+:func:`config_document` writes it.  Every CSV artifact has a mandatory header, 17-significant-
 digit decimal fields, and bare "\\n" line endings, so emitted files
 round-trip through :func:`read_csv` bit-cleanly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -17,21 +19,14 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .experiments import (
-    DEFAULT_GRID,
-    DEFAULT_NOISE_LEVELS,
-    DEFAULT_REPLICATES,
-    DEFAULT_SEED,
-    DEFAULT_X0,
-    ExperimentSpec,
-    ExperimentTable,
-)
+from .experiments import DEFAULT_GRID, ExperimentSpec, ExperimentTable
 from .inversion import InversionConfig, InversionResult
 from .laplace import ContourQuadrature
-from .model import GridSpec, ModelParams, ObservationSeries, SolutionGrid
+from .model import ModelParams, ObservationSeries, SolutionGrid, _is_number
 
 __all__ = [
     "parse_config",
+    "config_document",
     "load_config",
     "write_csv",
     "read_csv",
@@ -51,7 +46,12 @@ def _fmt(v: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config documents
+
+# (ModelParams field, JSON key): the model's lambda keeps its JSON spelling.
+_PARAM_KEYS = tuple(
+    (f.name, "lambda" if f.name == "lam" else f.name) for f in dataclasses.fields(ModelParams)
+)
 
 
 def _section(doc: dict, key: str, required: bool = False) -> dict:
@@ -59,22 +59,20 @@ def _section(doc: dict, key: str, required: bool = False) -> dict:
         if required:
             raise ConfigError(f'missing required section "{key}"')
         return {}
-    sec = doc[key]
+    sec = doc.pop(key)
     if not isinstance(sec, dict):
         raise ConfigError(f'section "{key}" must be a JSON object')
-    return sec
+    return dict(sec)
 
 
-def _take(sec: dict, section: str, key: str, kind, default=..., required_msg=None):
+def _take(sec: dict, section: str, key: str, kind):
     if key not in sec:
-        if default is ...:
-            raise ConfigError(
-                required_msg or f'missing required field "{key}" in "{section}"'
-            )
-        return default
+        raise ConfigError(f'missing required field "{key}" in "{section}"')
     v = sec.pop(key)
+    if kind is tuple:
+        return _pair(v, section, key)
     if kind is float:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not _is_number(v):
             raise ConfigError(f'field "{key}" in "{section}" must be a number')
         return float(v)
     if kind is int:
@@ -92,13 +90,24 @@ def _no_leftovers(sec: dict, section: str) -> None:
 
 
 def _pair(v, section: str, key: str) -> tuple[float, float]:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-    ):
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
         raise ConfigError(f'field "{key}" in "{section}" must be a pair of numbers')
     return float(v[0]), float(v[1])
+
+
+def _fill(defaults, doc: dict, section: str):
+    """``defaults`` with the fields that the optional section sets.
+
+    Each field's JSON type follows the type of its default value.
+    """
+    sec = _section(doc, section)
+    changes = {
+        f.name: _take(sec, section, f.name, type(getattr(defaults, f.name)))
+        for f in dataclasses.fields(defaults)
+        if f.name in sec
+    }
+    _no_leftovers(sec, section)
+    return dataclasses.replace(defaults, **changes)
 
 
 def parse_config(doc: dict, name: str = "custom") -> ExperimentSpec:
@@ -108,67 +117,38 @@ def parse_config(doc: dict, name: str = "custom") -> ExperimentSpec:
     value (the model's lambda is the JSON key "lambda"); "grid", "x0",
     "noise_levels", "replicates", "seed", "inversion", "quadrature",
     "reference_points", "exact_orders", "out_dir" and "name" are
-    optional.  Unknown keys anywhere are rejected by name, so typos
-    cannot silently fall back to defaults.
+    optional, and what they leave out keeps the defaults of
+    :class:`ExperimentSpec`, :class:`InversionConfig` and
+    :class:`ContourQuadrature`.  Unknown keys anywhere are rejected by
+    name, so typos cannot silently fall back to defaults.
+    :func:`config_document` is the inverse.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     doc = dict(doc)
 
-    psec = dict(_section(doc, "params", required=True))
-    doc.pop("params")
-    kwargs = {}
-    for field_name, key in [
-        ("P", "P"), ("R1", "R1"), ("R2", "R2"), ("beta", "beta"),
-        ("omega", "omega"), ("lam", "lambda"), ("mu", "mu"),
-        ("alpha", "alpha"), ("gamma", "gamma"),
-    ]:
-        kwargs[field_name] = _take(
-            psec, "params", key, float,
-            required_msg=f'missing required field "{key}" in "params"',
-        )
+    psec = _section(doc, "params", required=True)
+    params = ModelParams(
+        **{field: _take(psec, "params", key, float) for field, key in _PARAM_KEYS}
+    )
     _no_leftovers(psec, "params")
-    params = ModelParams(**kwargs)
+    kwargs: dict[str, Any] = {
+        "params": params,
+        "grid": _fill(DEFAULT_GRID, doc, "grid"),
+        "inversion": _fill(InversionConfig(), doc, "inversion"),
+        "quadrature": _fill(ContourQuadrature(), doc, "quadrature"),
+    }
 
-    gsec = dict(_section(doc, "grid"))
-    doc.pop("grid", None)
-    grid = GridSpec(
-        m=_take(gsec, "grid", "m", int, DEFAULT_GRID.m),
-        n=_take(gsec, "grid", "n", int, DEFAULT_GRID.n),
-        T=_take(gsec, "grid", "T", float, DEFAULT_GRID.T),
-    )
-    _no_leftovers(gsec, "grid")
-
-    isec = dict(_section(doc, "inversion"))
-    doc.pop("inversion", None)
-    z0 = isec.pop("z0", None)
-    inversion = InversionConfig(
-        z0=_pair(z0, "inversion", "z0") if z0 is not None else (0.0, 0.0),
-        j0=_take(isec, "inversion", "j0", int, 5),
-        sigma=_take(isec, "inversion", "sigma", float, 0.9),
-        max_iter=_take(isec, "inversion", "max_iter", int, 100),
-        step_tol=_take(isec, "inversion", "step_tol", float, 1e-8),
-        jacobian_step=_take(isec, "inversion", "jacobian_step", float, 1e-3),
-        clamp_margin=_take(isec, "inversion", "clamp_margin", float, 0.01),
-    )
-    _no_leftovers(isec, "inversion")
-
-    qsec = dict(_section(doc, "quadrature"))
-    doc.pop("quadrature", None)
-    quadrature = ContourQuadrature(
-        nodes=_take(qsec, "quadrature", "nodes", int, 24),
-        tolerance=_take(qsec, "quadrature", "tolerance", float, 1e-6),
-    )
-    _no_leftovers(qsec, "quadrature")
-
-    x0 = _take(doc, "config", "x0", float, DEFAULT_X0)
-    levels = doc.pop("noise_levels", list(DEFAULT_NOISE_LEVELS))
-    if not isinstance(levels, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in levels
-    ):
-        raise ConfigError('field "noise_levels" must be a list of numbers')
-    replicates = _take(doc, "config", "replicates", int, DEFAULT_REPLICATES)
-    seed = _take(doc, "config", "seed", int, DEFAULT_SEED)
+    if "x0" in doc:
+        kwargs["x0"] = _take(doc, "config", "x0", float)
+    if "noise_levels" in doc:
+        levels = doc.pop("noise_levels")
+        if not isinstance(levels, list) or not all(map(_is_number, levels)):
+            raise ConfigError('field "noise_levels" must be a list of numbers')
+        kwargs["noise_levels"] = tuple(float(v) for v in levels)
+    for key in ("replicates", "seed"):
+        if key in doc:
+            kwargs[key] = _take(doc, "config", key, int)
     out_dir = doc.pop("out_dir", None)
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError('field "out_dir" must be a string path')
@@ -188,19 +168,40 @@ def parse_config(doc: dict, name: str = "custom") -> ExperimentSpec:
 
     _no_leftovers(doc, "config")
     return ExperimentSpec(
-        params=params,
         name=spec_name,
-        grid=grid,
-        x0=x0,
-        noise_levels=tuple(float(v) for v in levels),
-        replicates=replicates,
-        inversion=inversion,
-        quadrature=quadrature,
-        seed=seed,
         reference_points=reference_points,
         exact_orders=exact_orders,
         out_dir=out_dir,
+        **kwargs,
     )
+
+
+def _fields_document(obj) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(obj).items()}
+
+
+def config_document(spec: ExperimentSpec) -> dict:
+    """The JSON document of ``spec``, defaults included.
+
+    The inverse of :func:`parse_config`, with the same keys, sections
+    and "lambda" spelling: ``parse_config(config_document(spec)) == spec``.
+    The ``table_<name>.json`` sidecar of ``fracmim experiment`` is this
+    document, so it reloads with ``fracmim experiment --config``.
+    """
+    return {
+        "name": spec.name,
+        "params": {key: getattr(spec.params, field) for field, key in _PARAM_KEYS},
+        "grid": _fields_document(spec.grid),
+        "x0": spec.x0,
+        "noise_levels": list(spec.noise_levels),
+        "replicates": spec.replicates,
+        "seed": spec.seed,
+        "inversion": _fields_document(spec.inversion),
+        "quadrature": _fields_document(spec.quadrature),
+        "reference_points": [list(pt) for pt in spec.reference_points],
+        "exact_orders": None if spec.exact_orders is None else list(spec.exact_orders),
+        "out_dir": spec.out_dir,
+    }
 
 
 def load_config(path: str | Path) -> ExperimentSpec:

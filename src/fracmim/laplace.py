@@ -5,8 +5,7 @@ boundary value problem in x whose solution is a combination of two
 exponentials.  This module evaluates that closed form (safely, without
 overflowing exponentials), inverts it back to the time domain with a
 deformed-contour (Talbot-type) quadrature with node-doubling error
-control, and exposes a real-s evaluation path used by the order
-sensitivity checks.
+control.
 
 Everything here is independent of the finite-difference solver; the two
 routes are compared against each other by the acceptance suite and must
@@ -31,11 +30,9 @@ __all__ = [
     "coeff_b",
     "laplace_coefficients",
     "laplace_profile",
-    "bound_constant",
     "invert_transform",
     "invert_at",
     "invert_with_error",
-    "real_s_profile",
 ]
 
 # Node-doubling stops here: the leading contour weight grows like
@@ -153,29 +150,6 @@ def laplace_profile(x: float, s: complex, p: ModelParams) -> tuple[complex, comp
     return u1, u2
 
 
-def bound_constant(
-    p: ModelParams,
-    sample: np.ndarray,
-    x_grid: np.ndarray | None = None,
-) -> float:
-    """Largest |s|*|u1_hat(x,s)| over a frequency sample and an x grid.
-
-    A finite value across growing samples witnesses the 1/|s| decay of
-    the transform; at x=0 the product is exactly 1.
-    """
-    sample = np.atleast_1d(np.asarray(sample, dtype=complex))
-    if sample.size == 0:
-        raise ValidationError("sample of frequencies must be nonempty")
-    if x_grid is None:
-        x_grid = np.linspace(0.0, 1.0, 21)
-    best = 0.0
-    for s in sample:
-        for x in np.atleast_1d(x_grid):
-            u1, _ = laplace_profile(float(x), complex(s), p)
-            best = max(best, abs(s) * abs(u1))
-    return best
-
-
 @dataclass(frozen=True)
 class ContourQuadrature:
     """Deformed-contour inversion settings.
@@ -284,25 +258,3 @@ def invert_at(
     """Time-domain concentrations (u1, u2) at (x, t) from the closed form."""
     u1, u2, _ = invert_with_error(x, t, p, q)
     return u1, u2
-
-
-def real_s_profile(
-    x0: float,
-    s: float,
-    orders: tuple[float, float],
-    p_base: ModelParams,
-) -> float:
-    """Transformed mobile concentration at a real frequency, as a real number.
-
-    Shares the complex evaluation path of :func:`laplace_profile` (no
-    separate real algebra), with the orders supplied explicitly because
-    the order-recovery analysis varies them while everything else stays
-    fixed.  On the positive real axis the value is real and lies in
-    [0, 1/s]; at fixed gamma it decreases in alpha for large s, and
-    symmetrically in gamma at fixed alpha.
-    """
-    if not (isinstance(s, (int, float)) and s > 0):
-        raise ValidationError("s must be a positive real frequency")
-    p = p_base.with_orders(*orders)
-    u1, _ = laplace_profile(x0, complex(s), p)
-    return u1.real

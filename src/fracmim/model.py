@@ -5,7 +5,7 @@ unit interval through first-order mass transfer, with Caputo time
 derivatives of order ``alpha`` (mobile) and ``gamma`` (immobile), both in
 (0, 1).  This module holds the value objects shared across the package
 (parameter set, space-time grid, solution container, point observations)
-and the elementary weight functions of the L1 discretization of the
+and the power table from which the solver builds the L1 weights of the
 Caputo derivative.
 
 All types are immutable after construction and all functions are pure, so
@@ -28,8 +28,6 @@ __all__ = [
     "SolutionGrid",
     "ObservationSeries",
     "validate_params",
-    "l1_bracket",
-    "psi_weight",
     "l1_power_table",
 ]
 
@@ -73,6 +71,11 @@ class ModelParams:
         return dataclasses.replace(self, alpha=float(alpha), gamma=float(gamma))
 
 
+def _is_number(v) -> bool:
+    # bool is an int subclass; a flag passed where a number belongs is an error.
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 # Admissibility checks, in reporting order.  Each entry is
 # (predicate on ModelParams, message for the first violated bound).
 _ADMISSIBILITY = [
@@ -107,7 +110,7 @@ def validate_params(p: ModelParams) -> ModelParams:
     """
     for field in dataclasses.fields(p):
         v = getattr(p, field.name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        if not (_is_number(v) and math.isfinite(v)):
             raise ParameterError(f"{field.name} must be a finite number")
     for check, message in _ADMISSIBILITY:
         if not check(p):
@@ -128,11 +131,11 @@ class GridSpec:
     T: float
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 3):
+        if not (isinstance(self.m, int) and not isinstance(self.m, bool) and self.m >= 3):
             raise GridError("m must be an integer >= 3")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
             raise GridError("n must be an integer >= 1")
-        if not (isinstance(self.T, (int, float)) and math.isfinite(self.T) and self.T > 0):
+        if not (_is_number(self.T) and math.isfinite(self.T) and self.T > 0):
             raise GridError("T must be a positive finite number")
 
     @property
@@ -232,44 +235,11 @@ class ObservationSeries:
             raise ValidationError("times must be strictly increasing and positive")
         if not np.all(np.isfinite(values)):
             raise ValidationError("observation values must be finite")
-        if self.noise_level < 0:
-            raise ValidationError("noise_level must be nonnegative")
+        if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise ValidationError("noise_level must be finite and nonnegative")
 
     def __len__(self) -> int:
         return self.times.size
-
-
-def _frac_pow(base: float, expo: float) -> float:
-    # 0^0 is taken as 0: the L1 weights extend continuously to order 1,
-    # where the bracket at j=k must stay exactly 1.
-    if base == 0.0:
-        return 0.0
-    return float(base) ** expo
-
-
-def l1_bracket(order: float, k: int, j: int) -> float:
-    """History weight (k+1-j)^(1-order) - (k-j)^(1-order) of the L1 scheme.
-
-    Strictly positive for order in (0, 1); exactly 1 at j = k for every
-    order in (0, 1].
-    """
-    if not 0 <= j <= k:
-        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
-    e = 1.0 - order
-    return _frac_pow(k + 1 - j, e) - _frac_pow(k - j, e)
-
-
-def psi_weight(order: float, k: int, j: int) -> float:
-    """Second-difference weight 2(k+1-j)^e - (k-j)^e - (k-j+2)^e, e = 1-order.
-
-    This is the coefficient multiplying the level-j solution when the L1
-    history sum is rearranged into per-level form.  Nonnegative for order
-    in (0, 1) by concavity of t^e.
-    """
-    if k < 2 or not 1 <= j <= k - 1:
-        raise ValueError(f"need k >= 2 and 1 <= j <= k-1, got j={j}, k={k}")
-    e = 1.0 - order
-    return 2.0 * _frac_pow(k + 1 - j, e) - _frac_pow(k - j, e) - _frac_pow(k - j + 2, e)
 
 
 def l1_power_table(order: float, n: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .model import (
     ModelParams,
     ObservationSeries,
     SolutionGrid,
+    _is_number,
     l1_power_table,
     validate_params,
 )
@@ -170,7 +171,7 @@ def _validate_for_solve(params: ModelParams) -> None:
     # the cross-checks), so the order bounds are relaxed to (0, 1] here.
     for name in ("alpha", "gamma"):
         v = getattr(params, name)
-        if not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
+        if not (_is_number(v) and 0.0 < v <= 1.0):
             raise ParameterError(f"{name} must lie in (0,1]")
     validate_params(params.with_orders(0.5, 0.5))
 

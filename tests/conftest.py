@@ -1,9 +1,11 @@
-"""Shared fixtures: benchmark parameter sets, grids, and random draws."""
+"""Shared fixtures: benchmark parameter sets, grids, random draws, and
+probes of the transform built on :func:`fracmim.laplace.laplace_profile`."""
 
 import numpy as np
 import pytest
 
-from fracmim import GridSpec, ModelParams
+from fracmim import GridSpec, ModelParams, ValidationError
+from fracmim.laplace import laplace_profile
 
 # Benchmark parameter set with alpha=0.8, gamma=0.25 (the standard
 # high-dispersion configuration all cross-checks run on).
@@ -41,3 +43,48 @@ def admissible_draw(rng: np.random.Generator) -> ModelParams:
         alpha=rng.uniform(0.05, 0.95),
         gamma=rng.uniform(0.05, 0.95),
     )
+
+
+def bound_constant(
+    p: ModelParams,
+    sample: np.ndarray,
+    x_grid: np.ndarray | None = None,
+) -> float:
+    """Largest |s|*|u1_hat(x,s)| over a frequency sample and an x grid.
+
+    A finite value across growing samples witnesses the 1/|s| decay of
+    the transform; at x=0 the product is exactly 1.
+    """
+    sample = np.atleast_1d(np.asarray(sample, dtype=complex))
+    if sample.size == 0:
+        raise ValidationError("sample of frequencies must be nonempty")
+    if x_grid is None:
+        x_grid = np.linspace(0.0, 1.0, 21)
+    best = 0.0
+    for s in sample:
+        for x in np.atleast_1d(x_grid):
+            u1, _ = laplace_profile(float(x), complex(s), p)
+            best = max(best, abs(s) * abs(u1))
+    return best
+
+
+def real_s_profile(
+    x0: float,
+    s: float,
+    orders: tuple[float, float],
+    p_base: ModelParams,
+) -> float:
+    """Transformed mobile concentration at a real frequency, as a real number.
+
+    Shares the complex evaluation path of ``laplace_profile`` (no
+    separate real algebra), with the orders supplied explicitly because
+    the order-recovery analysis varies them while everything else stays
+    fixed.  On the positive real axis the value is real and lies in
+    [0, 1/s]; at fixed gamma it decreases in alpha for large s, and
+    symmetrically in gamma at fixed alpha.
+    """
+    if not (isinstance(s, (int, float)) and s > 0):
+        raise ValidationError("s must be a positive real frequency")
+    p = p_base.with_orders(*orders)
+    u1, _ = laplace_profile(x0, complex(s), p)
+    return u1.real

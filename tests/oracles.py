@@ -8,7 +8,10 @@ functions is a genuine two-route check:
   two-zone transport system, assembled row by row from the PDE;
 * the Mittag-Leffler function by direct series summation;
 * a tridiagonal-free dense evaluation of the marching matrix from its
-  printed block pattern, used to cross-check the vectorized assembly.
+  printed block pattern, used to cross-check the vectorized assembly;
+* the L1 history weight and its second-difference (per-level) form,
+  one scalar power at a time, against the solver's vectorized power
+  table.
 """
 
 from __future__ import annotations
@@ -119,3 +122,36 @@ def dense_block_matrix(A, B, D, E, F, r1, m):
     M12[q - 1, q - 1] = -D
     M21[q - 1, q - 1] = -E
     return np.block([[M11, M12], [M21, M22]])
+
+
+def _frac_pow(base: float, expo: float) -> float:
+    # 0^0 is taken as 0: the L1 weights extend continuously to order 1,
+    # where the bracket at j=k must stay exactly 1.
+    if base == 0.0:
+        return 0.0
+    return float(base) ** expo
+
+
+def l1_bracket(order: float, k: int, j: int) -> float:
+    """History weight (k+1-j)^(1-order) - (k-j)^(1-order) of the L1 scheme.
+
+    Strictly positive for order in (0, 1); exactly 1 at j = k for every
+    order in (0, 1].
+    """
+    if not 0 <= j <= k:
+        raise ValueError(f"need 0 <= j <= k, got j={j}, k={k}")
+    e = 1.0 - order
+    return _frac_pow(k + 1 - j, e) - _frac_pow(k - j, e)
+
+
+def psi_weight(order: float, k: int, j: int) -> float:
+    """Second-difference weight 2(k+1-j)^e - (k-j)^e - (k-j+2)^e, e = 1-order.
+
+    This is the coefficient multiplying the level-j solution when the L1
+    history sum is rearranged into per-level form.  Nonnegative for order
+    in (0, 1) by concavity of t^e.
+    """
+    if k < 2 or not 1 <= j <= k - 1:
+        raise ValueError(f"need k >= 2 and 1 <= j <= k-1, got j={j}, k={k}")
+    e = 1.0 - order
+    return 2.0 * _frac_pow(k + 1 - j, e) - _frac_pow(k - j, e) - _frac_pow(k - j + 2, e)

@@ -13,22 +13,16 @@ import pytest
 
 from fracmim import (
     GridSpec,
-    assemble_block_system,
     builtin_experiment,
     extract_observation,
     invert_at,
-    invert_transform,
-    l1_bracket,
-    laplace_coefficients,
-    laplace_profile,
-    psi_weight,
-    real_s_profile,
     run_experiment,
-    scheme_constants,
     solve_forward,
 )
-from conftest import admissible_draw
-from oracles import backward_euler_classical, mittag_leffler
+from fracmim.laplace import invert_transform, laplace_coefficients, laplace_profile
+from fracmim.solver import assemble_block_system, scheme_constants
+from conftest import admissible_draw, real_s_profile
+from oracles import backward_euler_classical, l1_bracket, mittag_leffler, psi_weight
 
 NOISY_LEVELS = (0.05, 0.01, 0.001, 0.0001)
 

@@ -172,10 +172,21 @@ def test_experiment_from_config(tmp_path, config_path, capsys):
     assert sidecar["name"] == "demo" and sidecar["seed"] == 1234
     assert sidecar["params"]["lambda"] == 0.05
     assert sidecar["grid"] == {"m": 8, "n": 20, "T": 10.0}
-    assert sidecar["z0"] == [0.5, 0.5]
+    assert sidecar["inversion"]["z0"] == [0.5, 0.5]
     captured = capsys.readouterr()
     assert "delta=0.01 done" in captured.err
     assert "| noise level |" in captured.out
+
+
+def test_experiment_sidecar_reruns_the_table(tmp_path, config_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert _run("experiment", "--config", config_path, "--out", first,
+                "--seed", 7, "--quiet") == 0
+    # the sidecar records the seed that was used, not the config's
+    assert _run("experiment", "--config", first / "table_demo.json",
+                "--out", second, "--quiet") == 0
+    for name in ("table_demo.csv", "table_demo.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_experiment_unknown_id(capsys):

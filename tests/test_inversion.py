@@ -20,14 +20,16 @@ from fracmim import (
     add_noise,
     builtin_experiment,
     extract_observation,
-    homotopy_kappa,
     invert_orders,
-    lm_step,
     run_replicates,
-    sensitivity_jacobian,
     solve_forward,
 )
-from fracmim.inversion import _replicate_seeds
+from fracmim.inversion import (
+    _replicate_seeds,
+    homotopy_kappa,
+    lm_step,
+    sensitivity_jacobian,
+)
 
 
 def _clean_series(params, grid, x0=0.5):
@@ -124,8 +126,9 @@ def test_add_noise_zero_level_identity(bench_params, tiny_grid):
 
 def test_add_noise_rejects_negative(bench_params, tiny_grid):
     clean = _clean_series(bench_params, tiny_grid)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        add_noise(clean, -0.01, seed=0)
+    for delta in (-0.01, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            add_noise(clean, delta, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +299,13 @@ def test_replicate_seeds_vary_with_level():
     assert len(a) == len(set(a)) == 5
     assert set(a).isdisjoint(b)
     assert a == _replicate_seeds(1234, 0.05, 5)
+
+
+def test_spec_rejects_levels_sharing_a_seed_stream():
+    # Levels are keyed to the nanounit, so 4e-10 would replay delta = 0's seeds.
+    assert _replicate_seeds(1, 4e-10, 3) == _replicate_seeds(1, 0.0, 3)
+    base = builtin_experiment("ex51")
+    with pytest.raises(ConfigError, match="share one seed stream"):
+        dataclasses.replace(base, noise_levels=(0.01, 4e-10, 0.0))
+    # a level alone on its key, or the same level twice, is accepted
+    dataclasses.replace(base, noise_levels=(4e-10, 0.01, 0.01))

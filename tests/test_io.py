@@ -6,34 +6,39 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracmim import (
     ConfigError,
+    ContourQuadrature,
+    ExperimentSpec,
+    ExperimentTable,
     GridSpec,
     InversionConfig,
     InversionResult,
-    IterationRecord,
     ModelParams,
     ObservationSeries,
+    ReplicateSummary,
     ValidationError,
     load_config,
     parse_config,
     read_csv,
     read_observation,
     solve_forward,
-    write_csv,
-    write_inversion_report,
     write_observation,
+)
+from fracmim.experiments import DEFAULT_GRID, DEFAULT_NOISE_LEVELS
+from fracmim.inversion import IterationRecord, _noise_key
+from fracmim.io import (
+    config_document,
+    write_csv,
+    write_experiment_table,
+    write_inversion_report,
     write_reference_csv,
     write_solution_csv,
 )
-from fracmim.experiments import (
-    DEFAULT_GRID,
-    DEFAULT_NOISE_LEVELS,
-    ExperimentRow,
-    ExperimentTable,
-)
-from fracmim.io import write_experiment_table
+from conftest import admissible_draw
 
 PARAMS_DOC = {
     "P": 5.0, "R1": 2.0, "R2": 2.0, "beta": 0.5, "omega": 1.5,
@@ -90,6 +95,42 @@ def test_parse_config_full_round_trip():
     assert spec.reference_points == ((0.5, 10.0), (0.25, 50.0))
     assert spec.exact_orders == (0.8, 0.25)
     assert spec.out_dir == "results"
+
+
+def _unit(lo=0.0, hi=1.0, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+_pairs = st.tuples(_unit(-2.0, 2.0), _unit(-2.0, 2.0))
+
+_specs = st.builds(
+    ExperimentSpec,
+    params=st.integers(0, 2**32 - 1).map(lambda s: admissible_draw(np.random.default_rng(s))),
+    name=st.text(min_size=1, max_size=8),
+    grid=st.builds(GridSpec, m=st.integers(3, 500), n=st.integers(1, 5000),
+                   T=_unit(1e-3, 1e4)),
+    x0=_unit(exclude_min=True, exclude_max=True),
+    noise_levels=st.lists(_unit(), max_size=5, unique_by=_noise_key).map(tuple),
+    replicates=st.integers(1, 50),
+    inversion=st.builds(
+        InversionConfig, z0=_pairs, j0=st.integers(1, 20), sigma=_unit(1e-3, 10.0),
+        max_iter=st.integers(1, 500), step_tol=_unit(1e-14, 1e-2),
+        jacobian_step=_unit(1e-6, 0.1), clamp_margin=_unit(1e-4, 0.19),
+    ),
+    quadrature=st.builds(ContourQuadrature, nodes=st.integers(8, 64),
+                         tolerance=_unit(1e-12, 1e-2)),
+    seed=st.integers(0, 2**31),
+    reference_points=st.lists(_pairs, max_size=3).map(tuple),
+    exact_orders=st.none() | st.tuples(_unit(0.01, 0.99), _unit(0.01, 0.99)),
+    out_dir=st.none() | st.text(max_size=8),
+)
+
+
+@given(_specs)
+def test_config_document_round_trips(spec):
+    doc = config_document(spec)
+    assert json.loads(json.dumps(doc)) == doc  # plain JSON values only
+    assert parse_config(doc) == spec
 
 
 @pytest.mark.parametrize(
@@ -297,11 +338,11 @@ def test_experiment_table_files(tmp_path):
         name="demo",
         z_exact=(0.8, 0.25),
         rows=[
-            ExperimentRow(delta=0.05, replicates=10, failures=1,
-                          z_mean=(0.81, 0.24), rel_error_mean=0.03,
-                          iterations_mean=14.5),
-            ExperimentRow(delta=0.01, replicates=10, failures=10,
-                          z_mean=None, rel_error_mean=None, iterations_mean=None),
+            ReplicateSummary(delta=0.05, replicates=10, failures=1,
+                             z_mean=(0.81, 0.24), rel_error_mean=0.03,
+                             iterations_mean=14.5),
+            ReplicateSummary(delta=0.01, replicates=10, failures=10,
+                             z_mean=None, rel_error_mean=None, iterations_mean=None),
         ],
     )
     csv_path = tmp_path / "table.csv"

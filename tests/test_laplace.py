@@ -19,16 +19,16 @@ from fracmim import (
     ModelParams,
     QuadratureError,
     ValidationError,
-    bound_constant,
-    coeff_b,
     invert_at,
-    invert_transform,
     invert_with_error,
+)
+from fracmim.laplace import (
+    coeff_b,
+    invert_transform,
     laplace_coefficients,
     laplace_profile,
-    real_s_profile,
 )
-from conftest import BENCH_PARAMS, admissible_draw
+from conftest import BENCH_PARAMS, admissible_draw, bound_constant, real_s_profile
 
 
 def _frequency_draw(rng: np.random.Generator) -> complex:

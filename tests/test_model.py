@@ -22,12 +22,10 @@ from fracmim import (
     SolutionGrid,
     ValidationError,
     GridError,
-    l1_bracket,
-    l1_power_table,
-    psi_weight,
-    validate_params,
 )
+from fracmim.model import l1_power_table, validate_params
 from conftest import BENCH_PARAMS, admissible_draw
+from oracles import l1_bracket, psi_weight
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +50,8 @@ def test_benchmark_params_are_valid(bench_params):
         ("omega", 0.0, "omega must be positive"),
         ("lam", 0.0, "lam must be positive"),
         ("mu", -1.0, "mu must be positive"),
+        ("P", True, "P must be a finite number"),
+        ("omega", True, "omega must be a finite number"),
     ],
 )
 def test_validate_params_names_first_violated_bound(field, value, message):
@@ -193,6 +193,8 @@ def test_grid_steps_and_nodes():
         (dict(m=4, n=0, T=1.0), "n must be an integer >= 1"),
         (dict(m=4, n=5, T=0.0), "T must be a positive finite number"),
         (dict(m=4, n=5, T=math.inf), "T must be a positive finite number"),
+        (dict(m=40, n=True, T=100.0), "n must be an integer >= 1"),
+        (dict(m=4, n=5, T=True), "T must be a positive finite number"),
     ],
 )
 def test_grid_validation(kwargs, message):
@@ -235,6 +237,9 @@ def test_observation_series_validation():
         ObservationSeries(x0=0.5, times=[1.0, 2.0], values=[0.1])
     with pytest.raises(ValidationError, match="nonnegative"):
         ObservationSeries(x0=0.5, times=[1.0], values=[0.1], noise_level=-0.1)
+    for level in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            ObservationSeries(x0=0.5, times=[1.0], values=[0.1], noise_level=level)
     obs = ObservationSeries(x0=0.5, times=[1.0, 2.0, 3.0], values=[0.1, 0.2, 0.3])
     assert len(obs) == 3 and obs.noise_level == 0.0 and obs.seed is None
 

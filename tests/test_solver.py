@@ -22,16 +22,13 @@ from fracmim import (
     ModelParams,
     ParameterError,
     SolverError,
-    assemble_block_system,
     extract_observation,
     invert_at,
-    l1_bracket,
-    psi_weight,
-    scheme_constants,
     solve_forward,
 )
+from fracmim.solver import assemble_block_system, scheme_constants
 from conftest import BENCH_PARAMS, admissible_draw
-from oracles import backward_euler_classical, dense_block_matrix
+from oracles import backward_euler_classical, dense_block_matrix, l1_bracket, psi_weight
 
 # Hand-sized grid: h = 0.1, tau = 0.5.
 COARSE_GRID = GridSpec(m=10, n=200, T=100.0)
@@ -180,10 +177,14 @@ def test_zero_inlet_gives_zero_solution(bench_params, tiny_grid):
 
 def test_order_bounds_relaxed_to_closed_one(bench_params, tiny_grid):
     solve_forward(bench_params.with_orders(1.0, 1.0), tiny_grid)  # allowed
-    with pytest.raises(ParameterError, match=re.escape("alpha must lie in (0,1]")):
-        solve_forward(bench_params.with_orders(1.1, 0.5), tiny_grid)
-    with pytest.raises(ParameterError, match=re.escape("gamma must lie in (0,1]")):
-        solve_forward(bench_params.with_orders(0.5, 0.0), tiny_grid)
+    for alpha, gamma, message in [
+        (1.1, 0.5, "alpha must lie in (0,1]"),
+        (0.5, 0.0, "gamma must lie in (0,1]"),
+        (True, 0.5, "alpha must lie in (0,1]"),
+    ]:
+        bad = dataclasses.replace(bench_params, alpha=alpha, gamma=gamma)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            solve_forward(bad, tiny_grid)
 
 
 def test_inlet_must_be_finite(bench_params, tiny_grid):
