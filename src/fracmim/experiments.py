@@ -16,7 +16,7 @@ from typing import Callable
 from .errors import ConfigError, ValidationError
 from .inversion import InversionConfig, ReplicateSummary, _noise_key, run_replicates
 from .laplace import ContourQuadrature
-from .model import GridSpec, ModelParams, validate_params
+from .model import GridSpec, ModelParams, _is_integer, _is_number, validate_params
 from .solver import extract_observation, solve_forward
 
 __all__ = [
@@ -63,9 +63,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         validate_params(self.params)
-        if not 0.0 < self.x0 < 1.0:
+        if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):
             raise ConfigError("x0 must lie strictly inside (0,1)")
-        if any(d < 0 or not math.isfinite(d) for d in self.noise_levels):
+        if not all(_is_number(d) and math.isfinite(d) and d >= 0 for d in self.noise_levels):
             raise ConfigError("noise_levels must be finite and nonnegative")
         keyed: dict[int, float] = {}
         for d in self.noise_levels:
@@ -75,10 +75,14 @@ class ExperimentSpec:
                     f"noise levels {other:g} and {d:g} round to the same multiple "
                     "of 1e-9 and would share one seed stream"
                 )
-        if not (isinstance(self.replicates, int) and self.replicates >= 1):
+        if not (_is_integer(self.replicates) and self.replicates >= 1):
             raise ConfigError("replicates must be an integer >= 1")
-        if not isinstance(self.seed, int):
+        if not _is_integer(self.seed):
             raise ConfigError("seed must be an integer")
+        exact = [] if self.exact_orders is None else [self.exact_orders]
+        pairs = [*self.reference_points, *exact]
+        if not all(len(pt) == 2 and all(map(_is_number, pt)) for pt in pairs):
+            raise ConfigError("reference_points and exact_orders must hold pairs of numbers")
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
         return replace(self, seed=int(seed))

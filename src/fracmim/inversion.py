@@ -4,23 +4,23 @@ Given a time series of the mobile concentration at one interior point,
 the pair z = (alpha, gamma) is recovered by a homotopy-regularized
 Levenberg-Marquardt iteration: a sigmoid weight kappa(j) blends the
 regularized normal equations from an identity-dominated first phase into
-plain Gauss-Newton as the iteration count grows.  Sensitivities come
-from central differences of full forward solves, and iterates are
-clamped to a closed sub-square of the admissible order set because the
-forward problem degenerates on its boundary.
+plain Gauss-Newton as the iteration count grows.  Sensitivities are the
+exact derivatives of the discrete march, taken by a complex step in each
+order, and iterates are clamped to a closed sub-square of the admissible
+order set because the forward problem degenerates on its boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
-from .model import GridSpec, ModelParams, ObservationSeries
-from .solver import extract_observation, solve_forward
+from .model import GridSpec, ModelParams, ObservationSeries, SolutionGrid, _is_integer, _is_number
+from .solver import _march, _validate_for_solve, extract_observation, solve_forward
 
 __all__ = [
     "InversionConfig",
@@ -52,8 +52,6 @@ class InversionConfig:
         Iteration cap.
     step_tol : float
         Stop when the update norm falls to or below this.
-    jacobian_step : float
-        Central-difference step for the order sensitivities.
     clamp_margin : float
         Distance eps kept from the order-set boundary; iterates live in
         [eps, 1-eps]^2.
@@ -64,23 +62,20 @@ class InversionConfig:
     sigma: float = 0.9
     max_iter: int = 100
     step_tol: float = 1e-8
-    jacobian_step: float = 1e-3
     clamp_margin: float = 0.01
 
     def __post_init__(self):
-        if not (isinstance(self.j0, int) and self.j0 >= 1):
+        if not (_is_integer(self.j0) and self.j0 >= 1):
             raise ConfigError("j0 must be an integer >= 1")
-        if not self.sigma > 0:
+        if not (_is_number(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+        if not (_is_integer(self.max_iter) and self.max_iter >= 1):
             raise ConfigError("max_iter must be an integer >= 1")
-        if not self.step_tol > 0:
+        if not (_is_number(self.step_tol) and self.step_tol > 0):
             raise ConfigError("step_tol must be positive")
-        if not 0.0 < self.jacobian_step <= 0.1:
-            raise ConfigError("jacobian_step must lie in (0, 0.1]")
-        if not 0.0 < self.clamp_margin < 0.2:
+        if not (_is_number(self.clamp_margin) and 0.0 < self.clamp_margin < 0.2):
             raise ConfigError("clamp_margin must lie in (0, 0.2)")
-        if len(self.z0) != 2 or not all(math.isfinite(v) for v in self.z0):
+        if len(self.z0) != 2 or not all(_is_number(v) and math.isfinite(v) for v in self.z0):
             raise ConfigError("z0 must be a finite pair (alpha0, gamma0)")
 
 
@@ -138,19 +133,10 @@ def homotopy_kappa(j: int, j0: int, sigma: float) -> float:
     return float(expit(-sigma * (j - j0)))
 
 
-def _clamp(z: np.ndarray, margin: float) -> np.ndarray:
-    return np.clip(z, margin, 1.0 - margin)
-
-
-def _observe(
-    z: np.ndarray,
-    p_base: ModelParams,
-    g: GridSpec,
-    times: np.ndarray,
-    x0: float,
-) -> np.ndarray:
-    p = p_base.with_orders(float(z[0]), float(z[1]))
-    return extract_observation(solve_forward(p, g), x0, times).values
+# Complex-step size.  Im u(z + ih e_k) / h differs from the derivative
+# by O(h^2) and involves no difference of nearby values, so no
+# cancellation limits how small h can be and there is nothing to tune.
+_COMPLEX_STEP = 1e-30
 
 
 def sensitivity_jacobian(
@@ -159,34 +145,21 @@ def sensitivity_jacobian(
     g: GridSpec,
     obs_times: np.ndarray,
     x0: float,
-    h_fd: float,
-    clamp_margin: float = 0.01,
 ) -> np.ndarray:
     """Order sensitivities of the observed series, one column per order.
 
-    Column i holds the central difference of the forward-solved series
-    with respect to order i.  Perturbed points are clamped to the
-    admissible square first and the difference is divided by the actual
-    spread, so the stencil degrades gracefully to one-sided at a clamped
-    corner; it never steps outside the set the solver accepts.
+    Column k is d u1(x0, t) / d z_k of the discrete march, exact to
+    double precision: Im u1(x0, t; z + i*h*e_k) / h from one complex
+    march per order, h = 1e-30.  An order outside the solver's order
+    set (0, 1] raises ParameterError; the step never leaves that set.
     """
-    z = np.asarray(z, dtype=float)
-    obs_times = np.asarray(obs_times, dtype=float)
-    G = np.empty((obs_times.size, 2))
-    for i in range(2):
-        step = np.zeros(2)
-        step[i] = h_fd
-        z_plus = _clamp(z + step, clamp_margin)
-        z_minus = _clamp(z - step, clamp_margin)
-        spread = z_plus[i] - z_minus[i]
-        if spread <= 0:
-            raise InversionError(
-                f"cannot difference order {i}: clamped perturbations coincide at {z[i]!r}"
-            )
-        G[:, i] = (
-            _observe(z_plus, p_base, g, obs_times, x0)
-            - _observe(z_minus, p_base, g, obs_times, x0)
-        ) / spread
+    base = p_base.with_orders(*z)
+    _validate_for_solve(base)
+    G = np.empty((len(obs_times), 2))
+    for k, name in enumerate(("alpha", "gamma")):
+        sol = _march(replace(base, **{name: complex(getattr(base, name), _COMPLEX_STEP)}), g)
+        tangent = SolutionGrid(u1=sol.u1.imag, u2=sol.u2.imag, grid=g)
+        G[:, k] = extract_observation(tangent, x0, obs_times).values / _COMPLEX_STEP
     return G
 
 
@@ -238,7 +211,7 @@ def invert_orders(
 
     Each iteration solves the forward problem at the current iterate,
     forms the residual against the observations, builds the sensitivity
-    matrix by central differences (four extra solves), and applies the
+    matrix by complex steps (two complex marches), and applies the
     homotopy-weighted update, clamping the result to the admissible
     square.  Stops on a small update norm (``converged``), on three
     consecutive residual-norm rises once the homotopy weight is spent
@@ -251,7 +224,8 @@ def invert_orders(
         exception for post-mortem inspection.
     """
     cfg = cfg or InversionConfig()
-    z = _clamp(np.asarray(cfg.z0, dtype=float), cfg.clamp_margin)
+    lo, hi = cfg.clamp_margin, 1.0 - cfg.clamp_margin
+    z = np.clip(np.asarray(cfg.z0, dtype=float), lo, hi)
     history: list[IterationRecord] = []
     rises = 0
     prev_norm = math.inf
@@ -259,8 +233,8 @@ def invert_orders(
     converged = False
 
     for j in range(cfg.max_iter):
-        xi = _observe(z, p_base, g, obs.times, obs.x0)
-        residual = obs.values - xi
+        sol = solve_forward(p_base.with_orders(*z), g)
+        residual = obs.values - extract_observation(sol, obs.x0, obs.times).values
         if not np.all(np.isfinite(residual)):
             raise InversionError(
                 f"non-finite residual at iteration {j} (z={tuple(z)!r})",
@@ -268,12 +242,10 @@ def invert_orders(
             )
         res_norm = float(np.linalg.norm(residual))
         kappa = homotopy_kappa(j, cfg.j0, cfg.sigma)
-        G = sensitivity_jacobian(
-            tuple(z), p_base, g, obs.times, obs.x0, cfg.jacobian_step, cfg.clamp_margin
-        )
+        G = sensitivity_jacobian(tuple(z), p_base, g, obs.times, obs.x0)
         dz = lm_step(G, residual, kappa)
         step_norm = float(np.linalg.norm(dz))
-        z = _clamp(z + dz, cfg.clamp_margin)
+        z = np.clip(z + dz, lo, hi)
         history.append(
             IterationRecord(
                 z=(float(z[0]), float(z[1])),

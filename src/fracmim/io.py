@@ -22,7 +22,7 @@ from .errors import ConfigError, ValidationError
 from .experiments import DEFAULT_GRID, ExperimentSpec, ExperimentTable
 from .inversion import InversionConfig, InversionResult
 from .laplace import ContourQuadrature
-from .model import ModelParams, ObservationSeries, SolutionGrid, _is_number
+from .model import ModelParams, ObservationSeries, SolutionGrid, _is_integer, _is_number
 
 __all__ = [
     "parse_config",
@@ -76,7 +76,7 @@ def _take(sec: dict, section: str, key: str, kind):
             raise ConfigError(f'field "{key}" in "{section}" must be a number')
         return float(v)
     if kind is int:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_integer(v):
             raise ConfigError(f'field "{key}" in "{section}" must be an integer')
         return v
     return v
@@ -349,17 +349,14 @@ def write_reference_csv(
     write_csv(path, ["x", "t", "u1_ref", "u2_ref", "est_rel_err"], rows)
 
 
-def _history_dicts(result: InversionResult) -> list[dict]:
-    return [
-        {
-            "alpha": rec.z[0],
-            "gamma": rec.z[1],
-            "kappa": rec.kappa,
-            "residual_norm": rec.residual_norm,
-            "step_norm": rec.step_norm,
-        }
-        for rec in result.history
-    ]
+# Iteration-history columns, shared by the JSON report and the CSV trace.
+_HISTORY_FIELDS = {
+    "alpha": lambda rec: rec.z[0],
+    "gamma": lambda rec: rec.z[1],
+    "kappa": lambda rec: rec.kappa,
+    "residual_norm": lambda rec: rec.residual_norm,
+    "step_norm": lambda rec: rec.step_norm,
+}
 
 
 def write_inversion_report(
@@ -374,7 +371,10 @@ def write_inversion_report(
         "iterations": result.iterations,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
-        "history": _history_dicts(result),
+        "history": [
+            {key: value(rec) for key, value in _HISTORY_FIELDS.items()}
+            for rec in result.history
+        ],
     }
     if result.rel_error is not None:
         report["rel_error"] = result.rel_error
@@ -382,9 +382,9 @@ def write_inversion_report(
     if trace_path is not None:
         write_csv(
             trace_path,
-            ["iteration", "alpha", "gamma", "kappa", "residual_norm", "step_norm"],
+            ["iteration", *_HISTORY_FIELDS],
             (
-                (j, rec.z[0], rec.z[1], rec.kappa, rec.residual_norm, rec.step_norm)
+                (j, *(value(rec) for value in _HISTORY_FIELDS.values()))
                 for j, rec in enumerate(result.history)
             ),
         )

@@ -157,15 +157,16 @@ class ContourQuadrature:
     ``nodes`` is the base node count M; the contour scale is r =
     2M/(5t), the standard choice for this contour family.  Convergence
     is declared when doubling the node count moves the result by at most
-    ``tolerance`` in relative terms.
+    ``tolerance`` in relative terms.  The first doubling already
+    evaluates 2M nodes, so M is at most half the 64-node cap.
     """
 
     nodes: int = 24
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not (isinstance(self.nodes, int) and self.nodes >= 8):
-            raise ValidationError("quadrature nodes must be an integer >= 8")
+        if not (isinstance(self.nodes, int) and 8 <= self.nodes <= _MAX_NODES // 2):
+            raise ValidationError(f"quadrature nodes must be an integer in [8, {_MAX_NODES // 2}]")
         if not (0.0 < self.tolerance <= 1e-2):
             raise ValidationError("quadrature tolerance must lie in (0, 1e-2]")
 

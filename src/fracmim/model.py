@@ -76,6 +76,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_integer(v) -> bool:
+    return _is_number(v) and isinstance(v, int)
+
+
 # Admissibility checks, in reporting order.  Each entry is
 # (predicate on ModelParams, message for the first violated bound).
 _ADMISSIBILITY = [
@@ -131,9 +135,9 @@ class GridSpec:
     T: float
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and not isinstance(self.m, bool) and self.m >= 3):
+        if not (_is_integer(self.m) and self.m >= 3):
             raise GridError("m must be an integer >= 3")
-        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
+        if not (_is_integer(self.n) and self.n >= 1):
             raise GridError("n must be an integer >= 1")
         if not (_is_number(self.T) and math.isfinite(self.T) and self.T > 0):
             raise GridError("T must be a positive finite number")

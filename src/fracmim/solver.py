@@ -10,6 +10,9 @@ parameter set and step size.
 
 Unknown ordering inside a step is mobile interior values first, then
 immobile interior values: U = (u1_1..u1_{m-1}, u2_1..u2_{m-1}).
+
+A complex order makes the constants, matrix and fields complex: that is
+how the order recovery differentiates the march by a complex step.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import GridError, ParameterError, SolverError
 from .model import (
@@ -70,6 +74,12 @@ class SchemeConstants:
         return self.B - self.A - self.r1 - 2.0 * self.D, self.F - 2.0 * self.E
 
 
+def _gamma_fn(x):
+    # scipy's real gamma differs from math.gamma in the last bit on most
+    # inputs, so it is kept to complex orders and real marches stay fixed.
+    return scipy.special.gamma(x) if isinstance(x, complex) else math.gamma(x)
+
+
 def scheme_constants(params: ModelParams, grid: GridSpec) -> SchemeConstants:
     """Evaluate the scheme coefficients for one parameter set and grid.
 
@@ -82,12 +92,13 @@ def scheme_constants(params: ModelParams, grid: GridSpec) -> SchemeConstants:
         B  = 1 + A + r1 + 2D + ca*lam/(beta*R1)
         F  = 1 + 2E + r2*mu
 
-    All nine values are strictly positive for admissible parameters.
+    All nine values are strictly positive for admissible parameters.  A
+    complex order makes the constants that depend on it complex.
     """
     h = grid.h
     tau = grid.tau
-    ca = tau**params.alpha * math.gamma(2.0 - params.alpha)
-    cg = tau**params.gamma * math.gamma(2.0 - params.gamma)
+    ca = tau**params.alpha * _gamma_fn(2.0 - params.alpha)
+    cg = tau**params.gamma * _gamma_fn(2.0 - params.gamma)
     br1 = params.beta * params.R1
     r1 = ca / (params.P * br1 * h * h)
     r2 = cg / ((1.0 - params.beta) * params.R2)
@@ -97,7 +108,7 @@ def scheme_constants(params: ModelParams, grid: GridSpec) -> SchemeConstants:
     B = 1.0 + A + r1 + 2.0 * D + ca * params.lam / br1
     F = 1.0 + 2.0 * E + r2 * params.mu
     c = SchemeConstants(ca=ca, cg=cg, r1=r1, r2=r2, A=A, B=B, D=D, E=E, F=F)
-    if not all(math.isfinite(v) for v in (ca, cg, r1, r2, A, B, D, E, F)):
+    if not np.all(np.isfinite([ca, cg, r1, r2, A, B, D, E, F])):
         raise SolverError(
             f"scheme constants overflow on degenerate grid (h={h!r}, tau={tau!r})"
         )
@@ -138,12 +149,13 @@ def assemble_block_system(c: SchemeConstants, m: int) -> BlockSystem:
 
     The forcing vector carries the inlet contributions +A and +E into
     the first row of each block; the immobile inlet value is zero so no
-    coupling term enters.
+    coupling term enters.  Both arrays are complex when a constant is.
     """
     if not (isinstance(m, int) and m >= 3):
         raise GridError("m must be an integer >= 3")
     q = m - 1
-    M = np.zeros((2 * q, 2 * q))
+    dtype = np.result_type(c.ca, c.cg)  # every other constant derives from these
+    M = np.zeros((2 * q, 2 * q), dtype)
 
     i = np.arange(q)
     M[i, i] = c.B
@@ -160,7 +172,7 @@ def assemble_block_system(c: SchemeConstants, m: int) -> BlockSystem:
     M[q + i[1:], i[1:] - 1] = -c.E
     M[2 * q - 1, q - 1] = -c.E
 
-    forcing = np.zeros(2 * q)
+    forcing = np.zeros(2 * q, dtype)
     forcing[0] = c.A
     forcing[q] = c.E
     return BlockSystem(matrix=M, boundary_forcing=forcing)
@@ -198,8 +210,13 @@ def solve_forward(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> So
         offending time step.
     """
     _validate_for_solve(params)
-    if not (isinstance(inlet, (int, float)) and math.isfinite(inlet)):
+    if not (_is_number(inlet) and math.isfinite(inlet)):
         raise ParameterError("inlet must be a finite number")
+    return _march(params, grid, inlet)
+
+
+def _march(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> SolutionGrid:
+    # solve_forward's march without its checks; complex orders give complex arrays.
     m, n = grid.m, grid.n
     q = m - 1
 
@@ -209,14 +226,15 @@ def solve_forward(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> So
     pow1 = l1_power_table(params.alpha, n)
     pow2 = l1_power_table(params.gamma, n)
 
-    u1 = np.zeros((m + 1, n + 1))
-    u2 = np.zeros((m + 1, n + 1))
+    dtype = system.matrix.dtype
+    u1 = np.zeros((m + 1, n + 1), dtype)
+    u2 = np.zeros((m + 1, n + 1), dtype)
     # Increment history (u^{j+1} - u^j) per interior node, filled as the
     # march proceeds; column j is consumed by every later step.
-    du1 = np.zeros((q, n))
-    du2 = np.zeros((q, n))
+    du1 = np.zeros((q, n), dtype)
+    du2 = np.zeros((q, n), dtype)
 
-    rhs = np.empty(2 * q)
+    rhs = np.empty(2 * q, dtype)
     for k in range(n):
         # L1 history weights w_j = (k+1-j)^e - (k-j)^e for j = 0..k-1.
         w1 = (pow1[2 : k + 2] - pow1[1 : k + 1])[::-1]

@@ -11,13 +11,19 @@ functions is a genuine two-route check:
   printed block pattern, used to cross-check the vectorized assembly;
 * the L1 history weight and its second-difference (per-level) form,
   one scalar power at a time, against the solver's vectorized power
-  table.
+  table;
+* the order sensitivities by central differences of real forward
+  solves, against the complex-step Jacobian of the order recovery.
+  This one oracle runs the package's own march: it checks the
+  differentiation, not the march.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import rgamma
+
+from fracmim import extract_observation, solve_forward
 
 
 def backward_euler_classical(p, grid, inlet=1.0):
@@ -155,3 +161,24 @@ def psi_weight(order: float, k: int, j: int) -> float:
         raise ValueError(f"need k >= 2 and 1 <= j <= k-1, got j={j}, k={k}")
     e = 1.0 - order
     return 2.0 * _frac_pow(k + 1 - j, e) - _frac_pow(k - j, e) - _frac_pow(k - j + 2, e)
+
+
+def central_difference_jacobian(z, p_base, grid, obs_times, x0, h):
+    """Order sensitivities of the observed series by central differences.
+
+    Column k is (u1(x0, t; z + h e_k) - u1(x0, t; z - h e_k)) / (2h) from
+    two real marches through the public API; it differs from the exact
+    derivative of the discrete march by O(h^2).
+    """
+
+    def observe(orders):
+        sol = solve_forward(p_base.with_orders(*orders), grid)
+        return extract_observation(sol, x0, obs_times).values
+
+    z = np.asarray(z, dtype=float)
+    G = np.empty((len(obs_times), 2))
+    for k in range(2):
+        step = np.zeros(2)
+        step[k] = h
+        G[:, k] = (observe(z + step) - observe(z - step)) / (2.0 * h)
+    return G

@@ -1,8 +1,9 @@
 """Order recovery: homotopy schedule, LM algebra, noise model, round trips.
 
-The Jacobian is checked by Richardson extrapolation against itself and
-the LM step against a hand-solved 2x2 system, so no recovery test can
-silently validate a wrong linearization.
+The complex-step Jacobian is checked against central differences of
+real marches, which converge to it at rate h^2, and the LM step against a
+hand-solved 2x2 system, so no recovery test can silently validate a wrong
+linearization.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from fracmim import (
     InversionConfig,
     InversionError,
     ModelParams,
+    ParameterError,
     ValidationError,
     add_noise,
     builtin_experiment,
@@ -30,6 +32,7 @@ from fracmim.inversion import (
     lm_step,
     sensitivity_jacobian,
 )
+from oracles import central_difference_jacobian
 
 
 def _clean_series(params, grid, x0=0.5):
@@ -137,31 +140,50 @@ def test_add_noise_rejects_negative(bench_params, tiny_grid):
 
 def test_jacobian_columns_finite_and_active(bench_params, tiny_grid):
     obs = _clean_series(bench_params, tiny_grid)
-    G = sensitivity_jacobian((0.8, 0.25), bench_params, tiny_grid, obs.times, obs.x0, 1e-3)
+    G = sensitivity_jacobian((0.8, 0.25), bench_params, tiny_grid, obs.times, obs.x0)
     assert G.shape == (len(obs), 2)
     assert np.all(np.isfinite(G))
     assert np.linalg.norm(G[:, 0]) > 0.0 and np.linalg.norm(G[:, 1]) > 0.0
 
 
-def test_jacobian_richardson_consistency(bench_params, tiny_grid):
-    # central differences: J(h) = J + c h^2, so successive halvings must
-    # shrink the correction by about 4
+@pytest.mark.parametrize(
+    "name, z",
+    [("ex51", None), ("ex52", None), ("ex53", None), ("ex51", (0.99, 0.99))],
+    ids=["ex51", "ex52", "ex53", "corner"],
+)
+def test_jacobian_matches_central_difference_oracle(name, z):
+    # At the true orders of each builtin table and at the clamped corner;
+    # the oracle's O(h^2) truncation at h = 1e-3 is at most 2.6e-6 here.
+    spec = builtin_experiment(name)
+    z = z or (spec.params.alpha, spec.params.gamma)
+    obs = _clean_series(spec.params, spec.grid, spec.x0)
+    G = sensitivity_jacobian(z, spec.params, spec.grid, obs.times, obs.x0)
+    F = central_difference_jacobian(z, spec.params, spec.grid, obs.times, obs.x0, 1e-3)
+    rel = np.linalg.norm(G - F, axis=0) / np.linalg.norm(G, axis=0)
+    assert np.all(rel <= 1e-5), rel
+
+
+def test_oracle_converges_to_complex_step_at_rate_h2(bench_params, tiny_grid):
+    # central differences: F(h) = G + c h^2, so each halving of h must
+    # shrink the distance to the complex-step Jacobian by about 4
     obs = _clean_series(bench_params, tiny_grid)
     z = (0.8, 0.25)
-    cols = [
-        sensitivity_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0, h)
+    G = sensitivity_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0)
+    errors = [
+        np.linalg.norm(
+            central_difference_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0, h) - G
+        )
         for h in (4e-3, 2e-3, 1e-3)
     ]
-    d1 = np.linalg.norm(cols[0] - cols[1])
-    d2 = np.linalg.norm(cols[1] - cols[2])
-    assert 2.5 < d1 / d2 < 6.0
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 2.5 < coarse / fine < 6.0
 
 
-def test_jacobian_rejects_collapsed_spread(bench_params, tiny_grid):
-    # far outside (0,1) both clamped perturbations hit the same margin
+def test_jacobian_rejects_order_outside_unit_interval(bench_params, tiny_grid):
     obs = _clean_series(bench_params, tiny_grid)
-    with pytest.raises(InversionError, match="cannot difference order 0"):
-        sensitivity_jacobian((-0.5, 0.5), bench_params, tiny_grid, obs.times, obs.x0, 1e-3)
+    for z, name in [((-0.5, 0.5), "alpha"), ((0.5, 1.2), "gamma")]:
+        with pytest.raises(ParameterError, match=rf"{name} must lie in \(0,1\]"):
+            sensitivity_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +197,14 @@ def test_jacobian_rejects_collapsed_spread(bench_params, tiny_grid):
         ("sigma", 0.0, "sigma must be positive"),
         ("max_iter", 0, "max_iter must be an integer >= 1"),
         ("step_tol", 0.0, "step_tol must be positive"),
-        ("jacobian_step", 0.2, r"jacobian_step must lie in \(0, 0.1\]"),
+        ("j0", True, "j0 must be an integer >= 1"),
         ("clamp_margin", 0.3, r"clamp_margin must lie in \(0, 0.2\)"),
         ("z0", (0.5, float("nan")), "z0 must be a finite pair"),
+        ("max_iter", True, "max_iter must be an integer >= 1"),
+        ("sigma", True, "sigma must be positive"),
+        ("step_tol", True, "step_tol must be positive"),
+        ("clamp_margin", True, r"clamp_margin must lie in \(0, 0.2\)"),
+        ("z0", (True, 0.5), "z0 must be a finite pair"),
     ],
 )
 def test_config_validation(field, value, msg):
@@ -309,3 +336,19 @@ def test_spec_rejects_levels_sharing_a_seed_stream():
         dataclasses.replace(base, noise_levels=(0.01, 4e-10, 0.0))
     # a level alone on its key, or the same level twice, is accepted
     dataclasses.replace(base, noise_levels=(4e-10, 0.01, 0.01))
+
+
+@pytest.mark.parametrize(
+    "field, value, msg",
+    [
+        ("x0", True, "x0 must lie strictly inside"),
+        ("noise_levels", (0.01, True), "noise_levels must be finite and nonnegative"),
+        ("replicates", True, "replicates must be an integer >= 1"),
+        ("seed", False, "seed must be an integer"),
+        ("reference_points", ((0.5, True),), "must hold pairs of numbers"),
+        ("exact_orders", (True, 0.25), "must hold pairs of numbers"),
+    ],
+)
+def test_spec_rejects_bool_numbers(field, value, msg):
+    with pytest.raises(ConfigError, match=msg):
+        dataclasses.replace(builtin_experiment("ex51"), **{field: value})

@@ -178,6 +178,9 @@ def test_bound_constant_rejects_empty(bench_params):
 def test_quadrature_settings_validated():
     with pytest.raises(ValidationError, match="nodes"):
         ContourQuadrature(nodes=7)
+    # the first doubling of 33 nodes would pass the 64-node cap
+    with pytest.raises(ValidationError, match=r"nodes must be an integer in \[8, 32\]"):
+        ContourQuadrature(nodes=33)
     with pytest.raises(ValidationError, match="tolerance"):
         ContourQuadrature(tolerance=0.0)
     with pytest.raises(ValidationError, match="tolerance"):

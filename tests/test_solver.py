@@ -190,6 +190,8 @@ def test_order_bounds_relaxed_to_closed_one(bench_params, tiny_grid):
 def test_inlet_must_be_finite(bench_params, tiny_grid):
     with pytest.raises(ParameterError, match="inlet"):
         solve_forward(bench_params, tiny_grid, inlet=math.inf)
+    with pytest.raises(ParameterError, match="inlet"):
+        solve_forward(bench_params, tiny_grid, inlet=True)
 
 
 def test_order_one_degeneration_matches_backward_euler(bench_params):
