@@ -65,6 +65,7 @@ class ExperimentSpec:
         validate_params(self.params)
         if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):
             raise ConfigError("x0 must lie strictly inside (0,1)")
+        self.grid.interior_node(self.x0)
         if not all(_is_number(d) and math.isfinite(d) and d >= 0 for d in self.noise_levels):
             raise ConfigError("noise_levels must be finite and nonnegative")
         keyed: dict[int, float] = {}
@@ -83,6 +84,11 @@ class ExperimentSpec:
         pairs = [*self.reference_points, *exact]
         if not all(len(pt) == 2 and all(map(_is_number, pt)) for pt in pairs):
             raise ConfigError("reference_points and exact_orders must hold pairs of numbers")
+        for x, t in self.reference_points:
+            if not (0.0 <= x <= 1.0 and math.isfinite(t) and t > 0):
+                raise ConfigError(
+                    f"reference point ({x!r}, {t!r}) needs x in [0,1] and a positive finite t"
+                )
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
         return replace(self, seed=int(seed))

@@ -211,13 +211,14 @@ def load_config(path: str | Path) -> ExperimentSpec:
     name the offending field.  File-system problems propagate as OSError.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"config parse error in {path}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {e}") from None
     try:
         return parse_config(doc, name=path.stem)
     except ValidationError as e:
@@ -243,8 +244,11 @@ def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     first data row after the header).
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not a UTF-8 text file: {e}") from None
     if not lines:
         raise ValidationError(f"{path}: empty file, expected a CSV header")
     header = lines[0].split(",")
@@ -283,6 +287,14 @@ def write_solution_csv(path: str | Path, sol: SolutionGrid) -> None:
     write_csv(path, ["x", "t", "u1", "u2"], rows())
 
 
+# Observation sidecar keys: (check of the JSON value, what the value must be).
+_SIDECAR_FIELDS = {
+    "x0": (_is_number, "a number"),
+    "noise_level": (_is_number, "a number"),
+    "seed": (lambda v: v is None or _is_integer(v), "an integer or null"),
+}
+
+
 def write_observation(path: str | Path, obs: ObservationSeries) -> None:
     """Observation CSV (t, u1) plus a JSON sidecar with x0/noise/seed.
 
@@ -291,11 +303,7 @@ def write_observation(path: str | Path, obs: ObservationSeries) -> None:
     """
     path = Path(path)
     write_csv(path, ["t", "u1"], zip(obs.times, obs.values))
-    sidecar = {
-        "x0": obs.x0,
-        "noise_level": obs.noise_level,
-        "seed": obs.seed,
-    }
+    sidecar = {key: getattr(obs, key) for key in _SIDECAR_FIELDS}
     path.with_suffix(".json").write_text(
         json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
     )
@@ -306,8 +314,10 @@ def read_observation(path: str | Path, x0: float | None = None) -> ObservationSe
 
     The sidecar (same path with a ".json" suffix) is authoritative for
     the observation point; ``x0`` is the fallback when no sidecar
-    exists.  Non-finite samples are rejected with their row number;
-    inversion on silently-patched data would be meaningless.
+    exists.  A sidecar that is not a JSON object of the fields
+    :func:`write_observation` writes is rejected, naming the file.
+    Non-finite samples are rejected with their row number; inversion on
+    silently-patched data would be meaningless.
     """
     path = Path(path)
     header, data = read_csv(path)
@@ -317,25 +327,24 @@ def read_observation(path: str | Path, x0: float | None = None) -> ObservationSe
     if bad.size:
         raise ValidationError(f"{path}: non-finite value at row {int(bad[0]) + 1}")
 
-    noise_level = 0.0
-    seed = None
+    meta = {"x0": x0}
     sidecar_path = path.with_suffix(".json")
     if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        x0 = meta.get("x0", x0)
-        noise_level = float(meta.get("noise_level", 0.0))
-        seed = meta.get("seed")
-    if x0 is None:
+        try:
+            doc = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ValidationError(f"{sidecar_path}: invalid JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{sidecar_path}: sidecar must be a JSON object")
+        for key, (ok, kind) in _SIDECAR_FIELDS.items():
+            if key in doc and not ok(doc[key]):
+                raise ValidationError(f"{sidecar_path}: {key} must be {kind}")
+        meta.update({key: doc[key] for key in _SIDECAR_FIELDS if key in doc})
+    if meta["x0"] is None:
         raise ValidationError(
             f"{path}: no sidecar {sidecar_path.name} found; supply x0 explicitly"
         )
-    return ObservationSeries(
-        x0=float(x0),
-        times=data[:, 0],
-        values=data[:, 1],
-        noise_level=noise_level,
-        seed=seed,
-    )
+    return ObservationSeries(times=data[:, 0], values=data[:, 1], **meta)
 
 
 def write_reference_csv(

@@ -152,6 +152,22 @@ class GridSpec:
         """Time step T/n."""
         return self.T / self.n
 
+    def interior_node(self, x0: float) -> int:
+        """Index i of the interior space node x0 = i*h.
+
+        A point off the grid is rejected with the two nearest nodes
+        named, since silently snapping would bias whatever is read there.
+        """
+        pos = x0 * self.m
+        i = int(round(pos))
+        if abs(pos - i) > 1e-9 * self.m:
+            lo = math.floor(pos) * self.h
+            hi = math.ceil(pos) * self.h
+            raise GridError(f"x0={x0!r} is not a grid node; nearest nodes are {lo!r} and {hi!r}")
+        if not 1 <= i <= self.m - 1:
+            raise GridError(f"x0={x0!r} must be an interior node, inside (0,1)")
+        return i
+
     def space_nodes(self) -> np.ndarray:
         """Grid points x_i = i*h, i = 0..m."""
         return np.arange(self.m + 1) * self.h

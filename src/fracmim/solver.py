@@ -259,32 +259,17 @@ def _march(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> SolutionG
 
 
 def extract_observation(
-    solution: SolutionGrid,
-    x0: float,
-    times: np.ndarray | None = None,
-    *,
-    noise_level: float = 0.0,
-    seed: int | None = None,
+    solution: SolutionGrid, x0: float, times: np.ndarray | None = None
 ) -> ObservationSeries:
     """Read the mobile concentration at one interior grid node.
 
-    ``x0`` must coincide with a spatial node strictly inside (0, 1); a
-    misaligned point is rejected with the two nearest nodes named, since
-    silently snapping would bias the downstream order recovery.  By
-    default all positive grid times are returned; an explicit ``times``
-    array must likewise align with grid times.
+    ``x0`` must coincide with a spatial node strictly inside (0, 1)
+    (see :meth:`GridSpec.interior_node`).  By default all positive grid
+    times are returned; an explicit ``times`` array must likewise align
+    with grid times.
     """
     grid = solution.grid
-    pos = x0 * grid.m
-    i = int(round(pos))
-    if abs(pos - i) > 1e-9 * grid.m:
-        lo = math.floor(pos) * grid.h
-        hi = math.ceil(pos) * grid.h
-        raise GridError(
-            f"x0={x0!r} is not a grid node; nearest nodes are {lo!r} and {hi!r}"
-        )
-    if not 1 <= i <= grid.m - 1:
-        raise GridError(f"x0={x0!r} must be an interior node, inside (0,1)")
+    i = grid.interior_node(x0)
 
     if times is None:
         idx = np.arange(1, grid.n + 1)
@@ -292,15 +277,11 @@ def extract_observation(
         times = np.asarray(times, dtype=float)
         ratio = times / grid.tau
         idx = np.round(ratio).astype(int)
-        if np.any(np.abs(ratio - idx) > 1e-9 * grid.n) or np.any(idx < 1) or np.any(idx > grid.n):
-            bad = times[
-                (np.abs(ratio - idx) > 1e-9 * grid.n) | (idx < 1) | (idx > grid.n)
-            ]
+        bad = times[(np.abs(ratio - idx) > 1e-9 * grid.n) | (idx < 1) | (idx > grid.n)]
+        if bad.size:
             raise GridError(f"times not aligned with grid times: {bad[:3].tolist()}")
     return ObservationSeries(
         x0=i * grid.h,
         times=idx * grid.tau,
         values=solution.u1[i, idx].copy(),
-        noise_level=noise_level,
-        seed=seed,
     )

@@ -152,6 +152,16 @@ def test_invert_missing_obs_file_is_io_error(tmp_path, config_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_invert_broken_sidecar_exits_one(tmp_path, config_path, capsys):
+    out = tmp_path / "inv"
+    _run("make-obs", "--config", config_path, "--out", out, "--quiet")
+    (out / "obs_clean.json").write_text("{not json", encoding="utf-8")
+    assert _run("invert", "--config", config_path, "--out", out,
+                "--obs", out / "obs_clean.csv", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "obs_clean.json: invalid JSON" in err
+
+
 # ---------------------------------------------------------------------------
 # experiment
 

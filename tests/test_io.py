@@ -14,6 +14,7 @@ from fracmim import (
     ContourQuadrature,
     ExperimentSpec,
     ExperimentTable,
+    GridError,
     GridSpec,
     InversionConfig,
     InversionResult,
@@ -60,7 +61,7 @@ def test_parse_config_minimal_defaults():
     assert spec.noise_levels == DEFAULT_NOISE_LEVELS
     assert spec.replicates == 10 and spec.seed == 1234
     assert spec.inversion == InversionConfig()
-    assert spec.quadrature.nodes == 24 and spec.quadrature.tolerance == 1e-6
+    assert spec.quadrature.tolerance == 1e-6
     assert spec.reference_points == () and spec.exact_orders is None
     assert spec.out_dir is None
 
@@ -76,7 +77,7 @@ def test_parse_config_full_round_trip():
         "seed": 7,
         "inversion": {"z0": [0.5, 0.5], "j0": 3, "sigma": 1.2, "max_iter": 50,
                       "step_tol": 1e-7, "clamp_margin": 0.02},
-        "quadrature": {"nodes": 32, "tolerance": 1e-5},
+        "quadrature": {"tolerance": 1e-5},
         "reference_points": [[0.5, 10.0], [0.25, 50.0]],
         "exact_orders": [0.8, 0.25],
         "out_dir": "results",
@@ -91,7 +92,7 @@ def test_parse_config_full_round_trip():
         z0=(0.5, 0.5), j0=3, sigma=1.2, max_iter=50,
         step_tol=1e-7, clamp_margin=0.02,
     )
-    assert spec.quadrature.nodes == 32 and spec.quadrature.tolerance == 1e-5
+    assert spec.quadrature.tolerance == 1e-5
     assert spec.reference_points == ((0.5, 10.0), (0.25, 50.0))
     assert spec.exact_orders == (0.8, 0.25)
     assert spec.out_dir == "results"
@@ -103,13 +104,19 @@ def _unit(lo=0.0, hi=1.0, **kw):
 
 _pairs = st.tuples(_unit(-2.0, 2.0), _unit(-2.0, 2.0))
 
+
+def _spec(grid, node, **fields):
+    # x0 on an interior node of the grid
+    return ExperimentSpec(grid=grid, x0=(1 + node % (grid.m - 1)) / grid.m, **fields)
+
+
 _specs = st.builds(
-    ExperimentSpec,
+    _spec,
     params=st.integers(0, 2**32 - 1).map(lambda s: admissible_draw(np.random.default_rng(s))),
     name=st.text(min_size=1, max_size=8),
     grid=st.builds(GridSpec, m=st.integers(3, 500), n=st.integers(1, 5000),
                    T=_unit(1e-3, 1e4)),
-    x0=_unit(exclude_min=True, exclude_max=True),
+    node=st.integers(0, 10**6),
     noise_levels=st.lists(_unit(), max_size=5, unique_by=_noise_key).map(tuple),
     replicates=st.integers(1, 50),
     inversion=st.builds(
@@ -117,10 +124,9 @@ _specs = st.builds(
         max_iter=st.integers(1, 500), step_tol=_unit(1e-14, 1e-2),
         clamp_margin=_unit(1e-4, 0.19),
     ),
-    quadrature=st.builds(ContourQuadrature, nodes=st.integers(8, 32),
-                         tolerance=_unit(1e-12, 1e-2)),
+    quadrature=st.builds(ContourQuadrature, tolerance=_unit(1e-12, 1e-2)),
     seed=st.integers(0, 2**31),
-    reference_points=st.lists(_pairs, max_size=3).map(tuple),
+    reference_points=st.lists(st.tuples(_unit(), _unit(1e-3, 1e4)), max_size=3).map(tuple),
     exact_orders=st.none() | st.tuples(_unit(0.01, 0.99), _unit(0.01, 0.99)),
     out_dir=st.none() | st.text(max_size=8),
 )
@@ -147,6 +153,8 @@ def test_config_document_round_trips(spec):
         (lambda d: d.update(extra=1), 'unknown field\\(s\\) in "config": extra'),
         (lambda d: d.update(inversion={"jacobian_step": 1e-3}),
          'unknown field\\(s\\) in "inversion": jacobian_step'),
+        (lambda d: d.update(quadrature={"nodes": 24}),
+         'unknown field\\(s\\) in "quadrature": nodes'),
         (lambda d: d["params"].update(P="five"),
          'field "P" in "params" must be a number'),
         (lambda d: d.update(grid={"m": 8.5}),
@@ -160,6 +168,12 @@ def test_config_document_round_trips(spec):
         (lambda d: d.update(out_dir=7), 'field "out_dir" must be a string path'),
         (lambda d: d.update(reference_points=[[0.5]]),
          'field "entry 0" in "reference_points" must be a pair of numbers'),
+        (lambda d: d.update(reference_points=[[0.5, 10], [1.5, 10]]),
+         'reference point \\(1.5, 10.0\\) needs x in \\[0,1\\]'),
+        (lambda d: d.update(reference_points=[[0.5, 0.0]]),
+         'reference point \\(0.5, 0.0\\) needs .* a positive finite t'),
+        (lambda d: d.update(reference_points=[[0.5, math.inf]]),
+         'reference point \\(0.5, inf\\) needs .* a positive finite t'),
     ],
 )
 def test_parse_config_diagnostics(mutate, msg):
@@ -194,6 +208,19 @@ def test_load_config_semantic_error_names_file(tmp_path):
     path.write_text("{}", encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         load_config(path)
+
+
+def test_parse_config_rejects_off_grid_x0():
+    with pytest.raises(GridError, match="x0=0.33 is not a grid node"):
+        parse_config({"params": dict(PARAMS_DOC), "x0": 0.33})
+
+
+def test_non_utf8_files_name_the_file(tmp_path):
+    for name, read in (("cfg.json", load_config), ("data.csv", read_csv)):
+        path = tmp_path / name
+        path.write_bytes(b"t,u1\n1,\xff\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not a UTF-8 text file")):
+            read(path)
 
 
 def test_load_config_missing_file_is_oserror(tmp_path):
@@ -276,6 +303,24 @@ def test_observation_fallback_without_sidecar(tmp_path):
     back = read_observation(path, x0=0.25)
     assert back.x0 == 0.25 and back.noise_level == 0.0 and back.seed is None
     with pytest.raises(ValidationError, match="supply x0 explicitly"):
+        read_observation(path)
+
+
+@pytest.mark.parametrize(
+    "sidecar, msg",
+    [
+        ("{not json", "invalid JSON"),
+        ("[0.5]", "sidecar must be a JSON object"),
+        ('{"x0": "half"}', "x0 must be a number"),
+        ('{"x0": 0.5, "noise_level": "low"}', "noise_level must be a number"),
+        ('{"x0": 0.5, "seed": 1.5}', "seed must be an integer or null"),
+    ],
+)
+def test_observation_rejects_broken_sidecar(tmp_path, sidecar, msg):
+    path = tmp_path / "obs.csv"
+    write_csv(path, ["t", "u1"], [(1.0, 0.1)])
+    (tmp_path / "obs.json").write_text(sidecar, encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"obs.json: {msg}")):
         read_observation(path)
 
 

@@ -19,6 +19,7 @@ from fracmim import (
     ModelParams,
     QuadratureError,
     ValidationError,
+    builtin_experiment,
     invert_at,
     invert_with_error,
 )
@@ -176,15 +177,9 @@ def test_bound_constant_rejects_empty(bench_params):
 
 
 def test_quadrature_settings_validated():
-    with pytest.raises(ValidationError, match="nodes"):
-        ContourQuadrature(nodes=7)
-    # the first doubling of 33 nodes would pass the 64-node cap
-    with pytest.raises(ValidationError, match=r"nodes must be an integer in \[8, 32\]"):
-        ContourQuadrature(nodes=33)
-    with pytest.raises(ValidationError, match="tolerance"):
-        ContourQuadrature(tolerance=0.0)
-    with pytest.raises(ValidationError, match="tolerance"):
-        ContourQuadrature(tolerance=0.05)
+    for bad in (0.0, 0.05, "1e-6", None, True):
+        with pytest.raises(ValidationError, match="tolerance"):
+            ContourQuadrature(tolerance=bad)
 
 
 def test_invert_constant_pair():
@@ -215,8 +210,8 @@ def test_invert_rejects_bad_time():
 
 
 def test_invert_reports_non_convergence():
-    # a transform-shaped function with no decaying inverse: the doubling
-    # estimates keep disagreeing until the node cap trips
+    # a transform-shaped function with no decaying inverse: the 16- and
+    # 32-node sums disagree far beyond the tolerance
     with pytest.raises(QuadratureError, match="did not converge"):
         invert_transform(lambda s: math.sin(1e6 * abs(s)), 1.0)
 
@@ -226,6 +221,54 @@ def test_invert_with_error_consistency(bench_params):
     assert 0.0 <= err <= ContourQuadrature().tolerance
     assert invert_at(0.5, 50.0, bench_params) == (u1, u2)
     assert 0.0 < u2 < u1 < 1.0
+
+
+# u1 at t = 0.5, 5, 50, 100 for each builtin problem and x, cut to 17
+# decimals from a 40-digit inversion of the same closed form (mpmath 1.3):
+#
+#   mp.mp.dps = 40
+#   P, R1, R2, beta, om, lam, mu, al, ga = map(mp.mpf, (p.P, ..., p.gamma))
+#   x = mp.mpf(x)
+#   def fbar(s):
+#       b = -beta*R1*s**al - om - lam + om**2/((1-beta)*R2*s**ga + om + mu)
+#       a = 1/P
+#       root = mp.sqrt(1 - 4*a*b)
+#       e1, e2 = (1 + root)/(2*a), (1 - root)/(2*a)
+#       if mp.re(e1) < mp.re(e2):
+#           e1, e2 = e2, e1
+#       num = e1*mp.exp(e2*x) - e2*mp.exp(e1*(x - 1) + e2)
+#       return num/(s*(e1 - e2*mp.exp(e2 - e1)))
+#   mp.invertlaplace(fbar, t, method="talbot")
+#
+# Repeating it at 60 digits moves no value by more than 1e-52.
+_PROBE_TIMES = (0.5, 5.0, 50.0, 100.0)
+_PROBE_U1 = {
+    "ex51": {
+        0.25: (0.74938325938310599, 0.87595300610526508, 0.91442660046093139, 0.92186382237210576),
+        0.5: (0.52687292298257769, 0.76697538732449553, 0.83767276330903554, 0.85136378979240439),
+        1.0: (0.27125239014666648, 0.63511178122574826, 0.74275996272750741, 0.76367215838847024),
+    },
+    "ex52": {
+        0.25: (0.83238773938288763, 0.95351199319657828, 0.97587452465430881, 0.97749457945289102),
+        0.5: (0.70077825038662627, 0.91636256613191562, 0.95684441900616166, 0.95974431149548683),
+        1.0: (0.58158570792150030, 0.88210240595530855, 0.93946529852328493, 0.94353534643000250),
+    },
+    "ex53": {
+        0.25: (0.84345659994216729, 0.90076464898970123, 0.92986934444749259, 0.93529522330540782),
+        0.5: (0.72774492136723099, 0.82509602727035925, 0.87574522203429620, 0.88524425883403219),
+        1.0: (0.62737417199209344, 0.75779623565119356, 0.82714567329272868, 0.84022159863480939),
+    },
+}
+
+
+def test_invert_matches_forty_digit_values():
+    for name, by_x in _PROBE_U1.items():
+        p = builtin_experiment(name).params
+        for x, refs in by_x.items():
+            for t, ref in zip(_PROBE_TIMES, refs):
+                u1, _, est = invert_with_error(x, t, p)
+                assert abs(u1 - ref) <= 1e-10 * max(abs(ref), 1e-3), (name, x, t, u1 - ref)
+                assert est <= 1e-10, (name, x, t, est)
 
 
 def test_invert_at_monotone_in_time(bench_params):

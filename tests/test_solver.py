@@ -14,6 +14,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmim import (
     ContourQuadrature,
@@ -170,6 +172,37 @@ def test_scheme_linearity(bench_params, tiny_grid):
     assert np.allclose(scaled.u2, 2.0 * base.u2, atol=1e-12, rtol=0)
 
 
+# Properties over the admissible parameter space on tiny grids, with the
+# tolerances of the fixed-parameter checks above.
+_draws = st.integers(0, 2**32 - 1).map(lambda s: admissible_draw(np.random.default_rng(s)))
+_tiny_grids = st.builds(
+    GridSpec, m=st.integers(3, 12), n=st.integers(1, 40), T=st.floats(0.1, 200.0)
+)
+
+
+@settings(deadline=None)
+@given(_draws, _tiny_grids)
+def test_solution_between_zero_and_inlet_property(p, grid):
+    sol = solve_forward(p, grid)
+    for u in (sol.u1, sol.u2):
+        assert u.min() >= -1e-10 and u.max() <= 1.0 + 1e-6
+
+
+@settings(deadline=None)
+@given(_draws, _tiny_grids, st.floats(-2.0, 2.0))
+def test_scheme_linearity_property(p, grid, inlet):
+    base = solve_forward(p, grid)
+    scaled = solve_forward(p, grid, inlet=inlet)
+    assert np.allclose(scaled.u1, inlet * base.u1, atol=1e-12, rtol=0)
+    assert np.allclose(scaled.u2, inlet * base.u2, atol=1e-12, rtol=0)
+
+
+@given(_draws, _tiny_grids)
+def test_dominance_margins_property(p, grid):
+    m1, m2 = scheme_constants(p, grid).dominance_margins()
+    assert m1 > 1.0 and m2 > 1.0
+
+
 def test_zero_inlet_gives_zero_solution(bench_params, tiny_grid):
     sol = solve_forward(bench_params, tiny_grid, inlet=0.0)
     assert np.all(sol.u1 == 0.0) and np.all(sol.u2 == 0.0)
@@ -302,9 +335,3 @@ def test_observation_zero_solution_is_zero_series(bench_params, tiny_grid):
     sol = solve_forward(bench_params, tiny_grid, inlet=0.0)
     obs = extract_observation(sol, 0.5)
     assert np.all(obs.values == 0.0)
-
-
-def test_observation_noise_metadata_recorded(bench_params, tiny_grid):
-    sol = solve_forward(bench_params, tiny_grid)
-    obs = extract_observation(sol, 0.5, noise_level=0.01, seed=7)
-    assert obs.noise_level == 0.01 and obs.seed == 7
