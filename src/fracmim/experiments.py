@@ -70,7 +70,11 @@ class ExperimentSpec:
             raise ConfigError("noise_levels must be finite and nonnegative")
         keyed: dict[int, float] = {}
         for d in self.noise_levels:
-            other = keyed.setdefault(_noise_key(d), d)
+            try:
+                key = _noise_key(d)
+            except OverflowError:
+                raise ConfigError(f"noise level {d:g} is too large to key a seed stream") from None
+            other = keyed.setdefault(key, d)
             if other != d:
                 raise ConfigError(
                     f"noise levels {other:g} and {d:g} round to the same multiple "

@@ -71,15 +71,25 @@ def _take(sec: dict, section: str, key: str, kind):
     v = sec.pop(key)
     if kind is tuple:
         return _pair(v, section, key)
-    if kind is float:
-        if not _is_number(v):
-            raise ConfigError(f'field "{key}" in "{section}" must be a number')
-        return float(v)
-    if kind is int:
-        if not _is_integer(v):
-            raise ConfigError(f'field "{key}" in "{section}" must be an integer')
-        return v
+    if kind in (float, int):
+        return _number(v, section, key, kind)
     return v
+
+
+def _number(v, section: str, key: str, kind=float):
+    """``v`` as a number of ``kind`` (float, or int kept as an int).
+
+    JSON integers are unbounded; one too large for a float is rejected
+    here rather than overflowing wherever it meets float arithmetic.
+    """
+    if not (_is_integer(v) if kind is int else _is_number(v)):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f'field "{key}" in "{section}" must be {noun}')
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ConfigError(f'field "{key}" in "{section}" is too large for a float') from None
+    return v if kind is int else x
 
 
 def _no_leftovers(sec: dict, section: str) -> None:
@@ -92,7 +102,7 @@ def _no_leftovers(sec: dict, section: str) -> None:
 def _pair(v, section: str, key: str) -> tuple[float, float]:
     if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
         raise ConfigError(f'field "{key}" in "{section}" must be a pair of numbers')
-    return float(v[0]), float(v[1])
+    return _number(v[0], section, key), _number(v[1], section, key)
 
 
 def _fill(defaults, doc: dict, section: str):
@@ -145,7 +155,7 @@ def parse_config(doc: dict, name: str = "custom") -> ExperimentSpec:
         levels = doc.pop("noise_levels")
         if not isinstance(levels, list) or not all(map(_is_number, levels)):
             raise ConfigError('field "noise_levels" must be a list of numbers')
-        kwargs["noise_levels"] = tuple(float(v) for v in levels)
+        kwargs["noise_levels"] = tuple(_number(v, "config", "noise_levels") for v in levels)
     for key in ("replicates", "seed"):
         if key in doc:
             kwargs[key] = _take(doc, "config", key, int)

@@ -265,8 +265,8 @@ class ObservationSeries:
 def l1_power_table(order: float, n: int) -> np.ndarray:
     """Table of i^(1-order) for i = 0..n+1, with the 0^0 = 0 convention.
 
-    The solver builds every per-step weight vector by differencing this
-    table, so one table per (order, grid) pair covers the whole march.
+    The solver differences this table once per march and reads each
+    step's weight vector from the differences backwards.
     """
     e = 1.0 - order
     table = np.arange(n + 2, dtype=float) ** e

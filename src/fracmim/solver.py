@@ -11,6 +11,11 @@ parameter set and step size.
 Unknown ordering inside a step is mobile interior values first, then
 immobile interior values: U = (u1_1..u1_{m-1}, u2_1..u2_{m-1}).
 
+The matrix is LU-factored once per march and every step solves with
+LAPACK ``getrs`` on those factors.  The L1 history weights are one
+difference of the power table, read backwards.  Finiteness is checked
+once, after the march, which reports the first non-finite time step.
+
 A complex order makes the constants, matrix and fields complex: that is
 how the order recovery differentiates the march by a complex step.
 """
@@ -222,9 +227,16 @@ def _march(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> SolutionG
 
     system = assemble_block_system(scheme_constants(params, grid), m)
     lu, piv = scipy.linalg.lu_factor(system.matrix)
+    # dgetrs or zgetrs, following the factors' dtype.  Its info is nonzero
+    # only for an illegal argument, which fixed shapes and dtypes rule out;
+    # rhs is rebuilt every step, so it may be solved in place.
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
-    pow1 = l1_power_table(params.alpha, n)
-    pow2 = l1_power_table(params.gamma, n)
+    # Step k weighs increment j = 0..k-1 by (k+1-j)^e - (k-j)^e, which is
+    # the reversed view d[k:0:-1] of the differenced power table.  A
+    # contiguous copy of that view would change the matmul's last bits.
+    d1 = np.diff(l1_power_table(params.alpha, n))
+    d2 = np.diff(l1_power_table(params.gamma, n))
 
     dtype = system.matrix.dtype
     u1 = np.zeros((m + 1, n + 1), dtype)
@@ -235,26 +247,30 @@ def _march(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> SolutionG
     du2 = np.zeros((q, n), dtype)
 
     rhs = np.empty(2 * q, dtype)
-    for k in range(n):
-        # L1 history weights w_j = (k+1-j)^e - (k-j)^e for j = 0..k-1.
-        w1 = (pow1[2 : k + 2] - pow1[1 : k + 1])[::-1]
-        w2 = (pow2[2 : k + 2] - pow2[1 : k + 1])[::-1]
-        rhs[:q] = u1[1:m, k] - du1[:, :k] @ w1
-        rhs[q:] = u2[1:m, k] - du2[:, :k] @ w2
-        rhs += inlet * system.boundary_forcing
+    # No per-step finiteness check: an overflow or NaN runs on to the end
+    # of the march, and the first non-finite time step is found after it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = inlet * system.boundary_forcing
+        for k in range(n):
+            rhs[:q] = u1[1:m, k] - du1[:, :k] @ d1[k:0:-1]
+            rhs[q:] = u2[1:m, k] - du2[:, :k] @ d2[k:0:-1]
+            rhs += forcing
 
-        sol = scipy.linalg.lu_solve((lu, piv), rhs)
-        if not np.all(np.isfinite(sol)):
-            raise SolverError(f"non-finite solution values at time step {k + 1}")
+            sol, _ = getrs(lu, piv, rhs, overwrite_b=True)
 
-        u1[0, k + 1] = inlet
-        u1[1:m, k + 1] = sol[:q]
-        u1[m, k + 1] = sol[q - 1]
-        u2[1:m, k + 1] = sol[q:]
-        u2[m, k + 1] = sol[2 * q - 1]
-        du1[:, k] = u1[1:m, k + 1] - u1[1:m, k]
-        du2[:, k] = u2[1:m, k + 1] - u2[1:m, k]
+            u1[1:m, k + 1] = sol[:q]
+            u2[1:m, k + 1] = sol[q:]
+            du1[:, k] = u1[1:m, k + 1] - u1[1:m, k]
+            du2[:, k] = u2[1:m, k + 1] - u2[1:m, k]
 
+    # Inlet value and reflecting outflow (ghost node equals its neighbour).
+    u1[0, 1:] = inlet
+    u1[m, 1:] = u1[m - 1, 1:]
+    u2[m, 1:] = u2[m - 1, 1:]
+
+    finite = np.isfinite(u1).all(axis=0) & np.isfinite(u2).all(axis=0)
+    if not finite.all():
+        raise SolverError(f"non-finite solution values at time step {np.argmin(finite)}")
     return SolutionGrid(u1=u1, u2=u2, grid=grid)
 
 

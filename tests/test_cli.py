@@ -239,3 +239,20 @@ def test_invalid_params_exit_one(tmp_path, capsys):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert _run("forward", "--config", cfg) == 1
     assert "alpha must lie in (0,1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("grid", {"m": 8, "n": 20, "T": 10**400}, 'field "T" in "grid" is too large for a float'),
+        ("noise_levels", [1e300], "noise level 1e+300 is too large to key a seed stream"),
+    ],
+)
+def test_oversized_config_numbers_exit_one(tmp_path, capsys, field, value, message):
+    doc = json.loads(json.dumps(CONFIG))
+    doc[field] = value
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run("make-obs", "--config", cfg, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

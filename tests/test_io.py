@@ -1,12 +1,13 @@
 """Config parsing and file artifacts: round trips and failure diagnostics."""
 
+import copy
 import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmim import (
@@ -174,6 +175,19 @@ def test_config_document_round_trips(spec):
          'reference point \\(0.5, 0.0\\) needs .* a positive finite t'),
         (lambda d: d.update(reference_points=[[0.5, math.inf]]),
          'reference point \\(0.5, inf\\) needs .* a positive finite t'),
+        (lambda d: d["params"].update(alpha=10**400),
+         'field "alpha" in "params" is too large for a float'),
+        (lambda d: d.update(grid={"T": 10**400}),
+         'field "T" in "grid" is too large for a float'),
+        (lambda d: d.update(grid={"n": -10**400}),
+         'field "n" in "grid" is too large for a float'),
+        (lambda d: d.update(x0=10**400), 'field "x0" in "config" is too large for a float'),
+        (lambda d: d.update(inversion={"z0": [0.5, 10**400]}),
+         'field "z0" in "inversion" is too large for a float'),
+        (lambda d: d.update(noise_levels=[0.01, 10**400]),
+         'field "noise_levels" in "config" is too large for a float'),
+        (lambda d: d.update(noise_levels=[1.8e299]),
+         'noise level 1.8e\\+299 is too large to key a seed stream'),
     ],
 )
 def test_parse_config_diagnostics(mutate, msg):
@@ -181,6 +195,55 @@ def test_parse_config_diagnostics(mutate, msg):
     mutate(doc)
     with pytest.raises(ConfigError, match=msg):
         parse_config(doc)
+
+
+# A valid document with every optional field written out; the property
+# below replaces one node of it (a section, a field or a list entry).
+_FULL_DOC = config_document(
+    parse_config(
+        {"params": PARAMS_DOC, "reference_points": [[0.5, 10.0]], "exact_orders": [0.8, 0.25]}
+    )
+)
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, prefix + (key,))
+
+
+# What json.loads can put in a field, NaN and Infinity included.
+_json_values = st.one_of(
+    st.sampled_from(
+        [None, True, False, "0.5", [], {}, [0.5, 10.0], {"m": 8}, -0.0, 1e308, -1e308,
+         10**400, -(10**400)]
+    ),
+    st.floats(),
+    st.integers(),
+)
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(list(_node_paths(_FULL_DOC))), _json_values)
+def test_parse_config_raises_only_validation_errors(path, value):
+    doc = copy.deepcopy(_FULL_DOC)
+    if path:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        doc = value
+    try:
+        parse_config(doc)
+    except ValidationError:
+        pass
 
 
 def test_parse_config_rejects_non_object():

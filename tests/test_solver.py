@@ -11,6 +11,7 @@ to a classical backward-Euler solve).
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from fracmim import (
     invert_at,
     solve_forward,
 )
-from fracmim.solver import assemble_block_system, scheme_constants
-from conftest import BENCH_PARAMS, admissible_draw
+from fracmim.solver import _march, assemble_block_system, scheme_constants
+from conftest import admissible_draw
 from oracles import backward_euler_classical, dense_block_matrix, l1_bracket, psi_weight
 
 # Hand-sized grid: h = 0.1, tau = 0.5.
@@ -227,6 +228,15 @@ def test_inlet_must_be_finite(bench_params, tiny_grid):
         solve_forward(bench_params, tiny_grid, inlet=True)
 
 
+@pytest.mark.parametrize("inlet", [1e308, -1.7e308])
+def test_overflowing_inlet_names_first_step(bench_params, default_grid, inlet):
+    # inlet * A overflows, so the first step's solution is not finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-finite solution values at time step 1$"):
+            solve_forward(bench_params, default_grid, inlet=inlet)
+
+
 def test_order_one_degeneration_matches_backward_euler(bench_params):
     # At alpha = gamma = 1 every L1 history weight vanishes and the march
     # must coincide with a classical backward-Euler solve assembled
@@ -239,43 +249,52 @@ def test_order_one_degeneration_matches_backward_euler(bench_params):
     assert np.max(np.abs(sol.u2 - o2)) <= 1e-12
 
 
-def test_history_forms_agree_and_solution_satisfies_system(bench_params):
+@settings(deadline=None)
+@given(_draws, _tiny_grids)
+def test_history_forms_agree_and_solution_satisfies_system(p, g):
     # Two algebraic forms of the same right-hand side: the increment form
     # sum_j bracket * (u^{j+1} - u^j) the solver uses, and the per-level
     # form (2 - 2^e) u^k + sum_j psi_j u^j + ((k+1)^e - k^e) u^0.  Both
     # must produce the residual vector that the marched solution satisfies
-    # through the assembled matrix.
-    g = GridSpec(m=5, n=6, T=3.0)
-    p = BENCH_PARAMS
-    sol = solve_forward(p, g)
-    system = assemble_block_system(scheme_constants(p, g), g.m)
-    q = g.m - 1
-    e1, e2 = 1.0 - p.alpha, 1.0 - p.gamma
+    # through the assembled matrix, M U^{k+1} = rhs^k + inlet * f, to
+    # roundoff relative to ||M||_inf.  The same holds for the imaginary
+    # parts of a complex-step march, which carry 1e-30 times the
+    # derivative in alpha.
+    h = 1e-30
+    for params, part in (
+        (p, np.real),
+        (dataclasses.replace(p, alpha=p.alpha + h * 1j), lambda z: np.imag(z) / h),
+    ):
+        sol = _march(params, g)
+        system = assemble_block_system(scheme_constants(params, g), g.m)
+        tol = 1e-13 * np.linalg.norm(system.matrix, np.inf)
+        e1, e2 = 1.0 - params.alpha, 1.0 - params.gamma
 
-    def direct(u, order, k):
-        out = u[1:g.m, k].astype(float).copy()
-        for j in range(k):
-            out -= l1_bracket(order, k, j) * (u[1:g.m, j + 1] - u[1:g.m, j])
-        return out
+        def direct(u, order, k):
+            out = u[1:g.m, k].copy()
+            for j in range(k):
+                out -= l1_bracket(order, k, j) * (u[1:g.m, j + 1] - u[1:g.m, j])
+            return out
 
-    def per_level(u, order, e, k):
-        out = (2.0 - 2.0**e) * u[1:g.m, k].astype(float)
-        for j in range(1, k):
-            out += psi_weight(order, k, j) * u[1:g.m, j]
-        out += ((k + 1.0) ** e - k**e) * u[1:g.m, 0]
-        return out
+        def per_level(u, order, e, k):
+            out = (2.0 - 2.0**e) * u[1:g.m, k]
+            for j in range(1, k):
+                out += psi_weight(order, k, j) * u[1:g.m, j]
+            out += ((k + 1.0) ** e - k**e) * u[1:g.m, 0]
+            return out
 
-    for k in range(g.n):
-        rhs_direct = np.concatenate([direct(sol.u1, p.alpha, k), direct(sol.u2, p.gamma, k)])
-        if k >= 1:
-            rhs_level = np.concatenate(
-                [per_level(sol.u1, p.alpha, e1, k), per_level(sol.u2, p.gamma, e2, k)]
+        for k in range(g.n):
+            rhs_direct = np.concatenate(
+                [direct(sol.u1, params.alpha, k), direct(sol.u2, params.gamma, k)]
             )
-            assert np.max(np.abs(rhs_direct - rhs_level)) <= 1e-12
-        lhs = system.matrix @ np.concatenate(
-            [sol.u1[1:g.m, k + 1], sol.u2[1:g.m, k + 1]]
-        )
-        assert np.max(np.abs(lhs - rhs_direct - system.boundary_forcing)) <= 1e-12
+            if k >= 1:
+                rhs_level = np.concatenate(
+                    [per_level(sol.u1, params.alpha, e1, k),
+                     per_level(sol.u2, params.gamma, e2, k)]
+                )
+                assert np.max(np.abs(part(rhs_direct - rhs_level))) <= tol
+            lhs = system.matrix @ np.concatenate([sol.u1[1:g.m, k + 1], sol.u2[1:g.m, k + 1]])
+            assert np.max(np.abs(part(lhs - rhs_direct - system.boundary_forcing))) <= tol
 
 
 def test_grid_refinement_moves_toward_reference(bench_params):
