@@ -88,6 +88,8 @@ class ExperimentSpec:
         pairs = [*self.reference_points, *exact]
         if not all(len(pt) == 2 and all(map(_is_number, pt)) for pt in pairs):
             raise ConfigError("reference_points and exact_orders must hold pairs of numbers")
+        if exact and not all(0.0 < v <= 1.0 for v in self.exact_orders):
+            raise ConfigError(f"exact_orders {self.exact_orders!r} must be orders in (0, 1]")
         for x, t in self.reference_points:
             if not (0.0 <= x <= 1.0 and math.isfinite(t) and t > 0):
                 raise ConfigError(

@@ -4,10 +4,10 @@ Given a time series of the mobile concentration at one interior point,
 the pair z = (alpha, gamma) is recovered by a homotopy-regularized
 Levenberg-Marquardt iteration: a sigmoid weight kappa(j) blends the
 regularized normal equations from an identity-dominated first phase into
-plain Gauss-Newton as the iteration count grows.  Sensitivities are the
-exact derivatives of the discrete march, taken by a complex step in each
-order, and iterates are clamped to a closed sub-square of the admissible
-order set because the forward problem degenerates on its boundary.
+plain Gauss-Newton as the iteration count grows.  Each iteration runs one
+complex-step march per order, which gives the exact sensitivities and the
+forward series at once, and iterates are clamped to a closed sub-square of
+the admissible set because the forward problem degenerates on its boundary.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
-from .model import GridSpec, ModelParams, ObservationSeries, SolutionGrid, _is_integer, _is_number
+from .model import GridSpec, ModelParams, ObservationSeries, _is_integer, _is_number
 from .solver import _march, _validate_for_solve, extract_observation, solve_forward
 
 __all__ = [
@@ -145,22 +145,26 @@ def sensitivity_jacobian(
     g: GridSpec,
     obs_times: np.ndarray,
     x0: float,
-) -> np.ndarray:
-    """Order sensitivities of the observed series, one column per order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Observed series u1(x0, t; z) and its order sensitivities, ``(series, G)``.
 
-    Column k is d u1(x0, t) / d z_k of the discrete march, exact to
+    Column k of G is d u1(x0, t) / d z_k of the discrete march, exact to
     double precision: Im u1(x0, t; z + i*h*e_k) / h from one complex
-    march per order, h = 1e-30.  An order outside the solver's order
-    set (0, 1] raises ParameterError; the step never leaves that set.
+    march per order, h = 1e-30.  The series is the gamma march's real
+    part, the real march up to O(h^2) and roundoff.  An order outside the
+    solver's order set (0, 1] raises ParameterError.
     """
     base = p_base.with_orders(*z)
     _validate_for_solve(base)
-    G = np.empty((len(obs_times), 2))
+    i, idx = g.interior_node(x0), g.time_indices(obs_times)
+    G = np.empty((len(idx), 2))
     for k, name in enumerate(("alpha", "gamma")):
         sol = _march(replace(base, **{name: complex(getattr(base, name), _COMPLEX_STEP)}), g)
-        tangent = SolutionGrid(u1=sol.u1.imag, u2=sol.u2.imag, grid=g)
-        G[:, k] = extract_observation(tangent, x0, obs_times).values / _COMPLEX_STEP
-    return G
+        u1 = sol.u1[i, idx]
+        G[:, k] = u1.imag / _COMPLEX_STEP
+    # u1 is the gamma march's: the alpha march's ca goes through scipy's
+    # complex gamma function, so its real part is further from the real march.
+    return u1.real, G
 
 
 def lm_step(G: np.ndarray, residual: np.ndarray, kappa: float) -> np.ndarray:
@@ -209,13 +213,12 @@ def invert_orders(
 ) -> InversionResult:
     """Recover (alpha, gamma) from one observation series.
 
-    Each iteration solves the forward problem at the current iterate,
-    forms the residual against the observations, builds the sensitivity
-    matrix by complex steps (two complex marches), and applies the
-    homotopy-weighted update, clamping the result to the admissible
-    square.  Stops on a small update norm (``converged``), on three
-    consecutive residual-norm rises once the homotopy weight is spent
-    (noise floor reached), or at the iteration cap.
+    Each iteration takes the forward series (hence the residual) and the
+    sensitivity matrix from the two marches of :func:`sensitivity_jacobian`
+    and applies the homotopy-weighted update, clamping the result to the
+    admissible square.  Stops on a small update norm (``converged``), on
+    three consecutive residual-norm rises once the homotopy weight is
+    spent (noise floor reached), or at the iteration cap.
 
     Raises
     ------
@@ -233,8 +236,8 @@ def invert_orders(
     converged = False
 
     for j in range(cfg.max_iter):
-        sol = solve_forward(p_base.with_orders(*z), g)
-        residual = obs.values - extract_observation(sol, obs.x0, obs.times).values
+        series, G = sensitivity_jacobian(tuple(z), p_base, g, obs.times, obs.x0)
+        residual = obs.values - series
         if not np.all(np.isfinite(residual)):
             raise InversionError(
                 f"non-finite residual at iteration {j} (z={tuple(z)!r})",
@@ -242,7 +245,6 @@ def invert_orders(
             )
         res_norm = float(np.linalg.norm(residual))
         kappa = homotopy_kappa(j, cfg.j0, cfg.sigma)
-        G = sensitivity_jacobian(tuple(z), p_base, g, obs.times, obs.x0)
         dz = lm_step(G, residual, kappa)
         step_norm = float(np.linalg.norm(dz))
         z = np.clip(z + dz, lo, hi)
@@ -335,8 +337,7 @@ def run_replicates(
     if replicates < 1:
         raise ValidationError("replicates must be at least 1")
     if clean is None:
-        sol = solve_forward(spec.params, spec.grid)
-        clean = extract_observation(sol, spec.x0)
+        clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
     z_exact = (spec.params.alpha, spec.params.gamma)
 
     results: list[InversionResult | None] = []
@@ -350,24 +351,18 @@ def run_replicates(
             results.append(None)
 
     good = [r for r in results if r is not None]
-    failures = len(results) - len(good)
-    if not good:
-        return ReplicateSummary(
-            delta=float(delta),
-            replicates=replicates,
-            failures=failures,
-            z_mean=None,
-            rel_error_mean=None,
-            iterations_mean=None,
-            results=results,
-        )
-    z_mean = np.mean([r.z_inv for r in good], axis=0)
+    z_mean = rel_error_mean = iterations_mean = None
+    if good:
+        z = np.mean([r.z_inv for r in good], axis=0)
+        z_mean = (float(z[0]), float(z[1]))
+        rel_error_mean = float(np.mean([r.rel_error for r in good]))
+        iterations_mean = float(np.mean([r.iterations for r in good]))
     return ReplicateSummary(
         delta=float(delta),
         replicates=replicates,
-        failures=failures,
-        z_mean=(float(z_mean[0]), float(z_mean[1])),
-        rel_error_mean=float(np.mean([r.rel_error for r in good])),
-        iterations_mean=float(np.mean([r.iterations for r in good])),
+        failures=len(results) - len(good),
+        z_mean=z_mean,
+        rel_error_mean=rel_error_mean,
+        iterations_mean=iterations_mean,
         results=results,
     )

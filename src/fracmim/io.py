@@ -326,8 +326,8 @@ def read_observation(path: str | Path, x0: float | None = None) -> ObservationSe
     the observation point; ``x0`` is the fallback when no sidecar
     exists.  A sidecar that is not a JSON object of the fields
     :func:`write_observation` writes is rejected, naming the file.
-    Non-finite samples are rejected with their row number; inversion on
-    silently-patched data would be meaningless.
+    Non-finite samples are rejected with their row number, and a file
+    with no data rows by name; inversion on such data would be meaningless.
     """
     path = Path(path)
     header, data = read_csv(path)
@@ -354,7 +354,10 @@ def read_observation(path: str | Path, x0: float | None = None) -> ObservationSe
         raise ValidationError(
             f"{path}: no sidecar {sidecar_path.name} found; supply x0 explicitly"
         )
-    return ObservationSeries(times=data[:, 0], values=data[:, 1], **meta)
+    try:
+        return ObservationSeries(times=data[:, 0], values=data[:, 1], **meta)
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def write_reference_csv(
@@ -416,16 +419,11 @@ def write_experiment_table(
 
     def rows():
         for r in table.rows:
-            z = r.z_mean if r.z_mean is not None else (math.nan, math.nan)
-            yield (
-                r.delta,
-                z[0],
-                z[1],
-                r.rel_error_mean if r.rel_error_mean is not None else math.nan,
-                r.iterations_mean if r.iterations_mean is not None else math.nan,
-                r.failures,
-                r.replicates,
-            )
+            if r.z_mean is None:  # every replicate failed, so no mean is set
+                means = (math.nan,) * 4
+            else:
+                means = (*r.z_mean, r.rel_error_mean, r.iterations_mean)
+            yield (r.delta, *means, r.failures, r.replicates)
 
     write_csv(
         csv_path,

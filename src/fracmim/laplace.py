@@ -65,13 +65,12 @@ def coeff_b(s: complex, p: ModelParams) -> complex:
     to the cut plane, which is what the deformed inversion contour uses.
     """
     s = _check_branch(s)
-    denom = (1.0 - p.beta) * p.R2 * s**p.gamma + p.omega + p.mu
-    return (
-        -p.beta * p.R1 * s**p.alpha
-        - p.omega
-        - p.lam
-        + p.omega**2 / denom
-    )
+    return -p.beta * p.R1 * s**p.alpha - p.omega - p.lam + p.omega**2 / _immobile_denom(s, p)
+
+
+def _immobile_denom(s: complex, p: ModelParams) -> complex:
+    # (1-beta) R2 s^gamma + omega + mu: u2_hat = omega u1_hat / this.
+    return (1.0 - p.beta) * p.R2 * s**p.gamma + p.omega + p.mu
 
 
 @dataclass(frozen=True)
@@ -140,14 +139,12 @@ def laplace_profile(x: float, s: complex, p: ModelParams) -> tuple[complex, comp
     else:
         co = laplace_coefficients(s, p)
         eta1, eta2 = co.eta1, co.eta2
-        g = cmath.exp(eta2 - eta1)
-        # u1_hat = (eta1 e^{eta2 x} - eta2 e^{eta1 (x-1) + eta2}) /
-        #          (s (eta1 - eta2 g));  Re(eta1 (x-1)) <= 0 and
-        #          Re(eta2) <= P/2, so both exponents stay bounded.
-        num = eta1 * cmath.exp(eta2 * x) - eta2 * cmath.exp(eta1 * (x - 1.0) + eta2)
-        u1 = num / (s * (eta1 - eta2 * g))
-    u2 = p.omega * u1 / ((1.0 - p.beta) * p.R2 * s**p.gamma + p.omega + p.mu)
-    return u1, u2
+        # u1_hat = c1 e^{eta1 x} + c2 e^{eta2 x}, and c1 = -c2 (eta2/eta1)
+        # e^{eta2 - eta1}, so u1_hat = c2 (e^{eta2 x} - (eta2/eta1)
+        # e^{eta1 (x-1) + eta2});  Re(eta1 (x-1)) <= 0 and Re(eta2) <= P/2,
+        # so both exponents stay bounded.
+        u1 = co.c2 * (cmath.exp(eta2 * x) - eta2 / eta1 * cmath.exp(eta1 * (x - 1.0) + eta2))
+    return u1, p.omega * u1 / _immobile_denom(s, p)
 
 
 @dataclass(frozen=True)

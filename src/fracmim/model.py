@@ -168,6 +168,16 @@ class GridSpec:
             raise GridError(f"x0={x0!r} must be an interior node, inside (0,1)")
         return i
 
+    def time_indices(self, times: np.ndarray) -> np.ndarray:
+        """Indices k in 1..n of the grid times t_k = k*tau; others raise GridError."""
+        times = np.asarray(times, dtype=float)
+        ratio = times / self.tau
+        idx = np.round(ratio).astype(int)
+        bad = times[(np.abs(ratio - idx) > 1e-9 * self.n) | (idx < 1) | (idx > self.n)]
+        if bad.size:
+            raise GridError(f"times not aligned with grid times: {bad[:3].tolist()}")
+        return idx
+
     def space_nodes(self) -> np.ndarray:
         """Grid points x_i = i*h, i = 0..m."""
         return np.arange(self.m + 1) * self.h
@@ -229,7 +239,7 @@ class ObservationSeries:
     x0 : float
         Observation point, strictly inside (0, 1), on a grid node.
     times : np.ndarray
-        Strictly increasing positive time stamps t_1..t_n.
+        Strictly increasing positive time stamps t_1..t_n, n >= 1.
     values : np.ndarray
         Mobile-zone samples u1(x0, t_k).
     noise_level : float
@@ -251,7 +261,9 @@ class ObservationSeries:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.shape != times.shape:
             raise ValidationError("times and values must be 1-D arrays of equal length")
-        if times.size and (times[0] <= 0 or np.any(np.diff(times) <= 0)):
+        if times.size == 0:
+            raise ValidationError("an observation series needs at least one sample")
+        if times[0] <= 0 or np.any(np.diff(times) <= 0):
             raise ValidationError("times must be strictly increasing and positive")
         if not np.all(np.isfinite(values)):
             raise ValidationError("observation values must be finite")

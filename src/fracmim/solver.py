@@ -282,20 +282,11 @@ def extract_observation(
     ``x0`` must coincide with a spatial node strictly inside (0, 1)
     (see :meth:`GridSpec.interior_node`).  By default all positive grid
     times are returned; an explicit ``times`` array must likewise align
-    with grid times.
+    with grid times (see :meth:`GridSpec.time_indices`).
     """
     grid = solution.grid
     i = grid.interior_node(x0)
-
-    if times is None:
-        idx = np.arange(1, grid.n + 1)
-    else:
-        times = np.asarray(times, dtype=float)
-        ratio = times / grid.tau
-        idx = np.round(ratio).astype(int)
-        bad = times[(np.abs(ratio - idx) > 1e-9 * grid.n) | (idx < 1) | (idx > grid.n)]
-        if bad.size:
-            raise GridError(f"times not aligned with grid times: {bad[:3].tolist()}")
+    idx = np.arange(1, grid.n + 1) if times is None else grid.time_indices(times)
     return ObservationSeries(
         x0=i * grid.h,
         times=idx * grid.tau,

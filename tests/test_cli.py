@@ -162,6 +162,28 @@ def test_invert_broken_sidecar_exits_one(tmp_path, config_path, capsys):
     assert err.startswith("error: ") and "obs_clean.json: invalid JSON" in err
 
 
+def test_invert_out_of_range_exact_orders_exits_one(tmp_path, config_path, capsys):
+    out = tmp_path / "inv"
+    _run("make-obs", "--config", config_path, "--out", out, "--quiet")
+    doc = dict(CONFIG, exact_orders=[float("nan"), -5.0])
+    cfg = tmp_path / "bad_truth.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN, which json reads back
+    assert _run("invert", "--config", cfg, "--out", out,
+                "--obs", out / "obs_clean.csv", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exact_orders (nan, -5.0) must be orders in (0, 1]" in err
+    assert not (out / "inversion_report.json").exists()
+
+
+def test_invert_header_only_observation_exits_one(tmp_path, config_path, capsys):
+    obs = tmp_path / "empty.csv"
+    obs.write_text("t,u1\n", encoding="utf-8")
+    assert _run("invert", "--config", config_path, "--out", tmp_path / "inv",
+                "--obs", obs, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "empty.csv: an observation series needs at least one sample" in err
+
+
 # ---------------------------------------------------------------------------
 # experiment
 

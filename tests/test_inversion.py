@@ -26,6 +26,7 @@ from fracmim import (
     run_replicates,
     solve_forward,
 )
+from fracmim import inversion
 from fracmim.inversion import (
     _replicate_seeds,
     homotopy_kappa,
@@ -140,7 +141,7 @@ def test_add_noise_rejects_negative(bench_params, tiny_grid):
 
 def test_jacobian_columns_finite_and_active(bench_params, tiny_grid):
     obs = _clean_series(bench_params, tiny_grid)
-    G = sensitivity_jacobian((0.8, 0.25), bench_params, tiny_grid, obs.times, obs.x0)
+    _, G = sensitivity_jacobian((0.8, 0.25), bench_params, tiny_grid, obs.times, obs.x0)
     assert G.shape == (len(obs), 2)
     assert np.all(np.isfinite(G))
     assert np.linalg.norm(G[:, 0]) > 0.0 and np.linalg.norm(G[:, 1]) > 0.0
@@ -157,7 +158,7 @@ def test_jacobian_matches_central_difference_oracle(name, z):
     spec = builtin_experiment(name)
     z = z or (spec.params.alpha, spec.params.gamma)
     obs = _clean_series(spec.params, spec.grid, spec.x0)
-    G = sensitivity_jacobian(z, spec.params, spec.grid, obs.times, obs.x0)
+    _, G = sensitivity_jacobian(z, spec.params, spec.grid, obs.times, obs.x0)
     F = central_difference_jacobian(z, spec.params, spec.grid, obs.times, obs.x0, 1e-3)
     rel = np.linalg.norm(G - F, axis=0) / np.linalg.norm(G, axis=0)
     assert np.all(rel <= 1e-5), rel
@@ -168,7 +169,7 @@ def test_oracle_converges_to_complex_step_at_rate_h2(bench_params, tiny_grid):
     # shrink the distance to the complex-step Jacobian by about 4
     obs = _clean_series(bench_params, tiny_grid)
     z = (0.8, 0.25)
-    G = sensitivity_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0)
+    _, G = sensitivity_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0)
     errors = [
         np.linalg.norm(
             central_difference_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0, h) - G
@@ -177,6 +178,19 @@ def test_oracle_converges_to_complex_step_at_rate_h2(bench_params, tiny_grid):
     ]
     for coarse, fine in zip(errors, errors[1:]):
         assert 2.5 < coarse / fine < 6.0
+
+
+@pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
+def test_jacobian_series_matches_real_march(name):
+    # The residual is read from the gamma march's real part, which must be
+    # the real march up to O(h^2) and roundoff: at the true orders and at
+    # the four corners of the clamped square.
+    spec = builtin_experiment(name)
+    corners = [(0.01, 0.01), (0.99, 0.99), (0.01, 0.99), (0.99, 0.01)]
+    for z in [(spec.params.alpha, spec.params.gamma), *corners]:
+        obs = _clean_series(spec.params.with_orders(*z), spec.grid, spec.x0)
+        series, _ = sensitivity_jacobian(z, spec.params, spec.grid, obs.times, obs.x0)
+        assert np.max(np.abs(series - obs.values)) <= 1e-12, z
 
 
 def test_jacobian_rejects_order_outside_unit_interval(bench_params, tiny_grid):
@@ -260,6 +274,29 @@ def test_recovery_round_trip_property():
     if failures:
         print(f"unrecovered order pairs: {failures}")
     assert len(failures) <= 2
+
+
+def test_each_iteration_runs_two_complex_marches(bench_params, tiny_grid, monkeypatch):
+    # Residual and sensitivities come from the same two complex-step
+    # marches; no real forward solve runs inside the iteration.
+    obs = _clean_series(bench_params, tiny_grid)
+    march = inversion._march
+    orders = []
+
+    def counted(params, grid, *args):
+        orders.append((params.alpha, params.gamma))
+        return march(params, grid, *args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("invert_orders called solve_forward")
+
+    monkeypatch.setattr(inversion, "_march", counted)
+    monkeypatch.setattr(inversion, "solve_forward", forbidden)
+    res = invert_orders(obs, bench_params, tiny_grid, InversionConfig(z0=(0.5, 0.5)))
+    assert res.iterations >= 2
+    assert len(orders) == 2 * res.iterations
+    for alpha, gamma in orders:  # exactly one order carries the complex step
+        assert [isinstance(v, complex) for v in (alpha, gamma)] in ([True, False], [False, True])
 
 
 def test_iteration_cap_stop(bench_params, tiny_grid):

@@ -188,6 +188,14 @@ def test_config_document_round_trips(spec):
          'field "noise_levels" in "config" is too large for a float'),
         (lambda d: d.update(noise_levels=[1.8e299]),
          'noise level 1.8e\\+299 is too large to key a seed stream'),
+        (lambda d: d.update(exact_orders=[math.nan, -5.0]),
+         'exact_orders \\(nan, -5.0\\) must be orders in \\(0, 1\\]'),
+        (lambda d: d.update(exact_orders=[0.0, 0.5]),
+         'exact_orders \\(0.0, 0.5\\) must be orders in \\(0, 1\\]'),
+        (lambda d: d.update(exact_orders=[0.5, 1.5]),
+         'exact_orders \\(0.5, 1.5\\) must be orders in \\(0, 1\\]'),
+        (lambda d: d.update(exact_orders=[math.inf, 0.5]),
+         'exact_orders \\(inf, 0.5\\) must be orders in \\(0, 1\\]'),
     ],
 )
 def test_parse_config_diagnostics(mutate, msg):
@@ -391,6 +399,13 @@ def test_observation_rejects_bad_header(tmp_path):
     path = tmp_path / "obs.csv"
     write_csv(path, ["time", "value"], [(1.0, 0.1)])
     with pytest.raises(ValidationError, match="expected header t,u1"):
+        read_observation(path, x0=0.5)
+
+
+def test_observation_rejects_header_only_file(tmp_path):
+    path = tmp_path / "obs.csv"
+    write_csv(path, ["t", "u1"], [])
+    with pytest.raises(ValidationError, match=r"obs\.csv: an observation series needs at least one sample"):
         read_observation(path, x0=0.5)
 
 

@@ -240,6 +240,8 @@ def test_observation_series_validation():
     for level in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="finite and nonnegative"):
             ObservationSeries(x0=0.5, times=[1.0], values=[0.1], noise_level=level)
+    with pytest.raises(ValidationError, match="at least one sample"):
+        ObservationSeries(x0=0.5, times=[], values=[])
     obs = ObservationSeries(x0=0.5, times=[1.0, 2.0, 3.0], values=[0.1, 0.2, 0.3])
     assert len(obs) == 3 and obs.noise_level == 0.0 and obs.seed is None
 
