@@ -80,6 +80,15 @@ class ExperimentSpec:
                     f"noise levels {other:g} and {d:g} round to the same multiple "
                     "of 1e-9 and would share one seed stream"
                 )
+        first: dict[str, int] = {}
+        for j, d in enumerate(self.noise_levels):
+            # The label names the level's make-obs file and table row.
+            k = first.setdefault(f"{d:g}", j)
+            if k != j:
+                raise ConfigError(
+                    f"noise levels {self.noise_levels[k]!r} and {d!r} share the label "
+                    f"{d:g}, which names one observation file and one table row"
+                )
         if not (_is_integer(self.replicates) and self.replicates >= 1):
             raise ConfigError("replicates must be an integer >= 1")
         if not _is_integer(self.seed):

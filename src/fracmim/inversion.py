@@ -5,22 +5,23 @@ the pair z = (alpha, gamma) is recovered by a homotopy-regularized
 Levenberg-Marquardt iteration: a sigmoid weight kappa(j) blends the
 regularized normal equations from an identity-dominated first phase into
 plain Gauss-Newton as the iteration count grows.  Each iteration runs one
-complex-step march per order, which gives the exact sensitivities and the
-forward series at once, and iterates are clamped to a closed sub-square of
-the admissible set because the forward problem degenerates on its boundary.
+tangent-linear march, which gives the forward series and its exact
+sensitivities to both orders at once, and iterates are clamped to a closed
+sub-square of the admissible set because the forward problem degenerates
+on its boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
 from .model import GridSpec, ModelParams, ObservationSeries, _is_integer, _is_number
-from .solver import _march, _validate_for_solve, extract_observation, solve_forward
+from .solver import _tangent_march, _validate_for_solve, extract_observation, solve_forward
 
 __all__ = [
     "InversionConfig",
@@ -81,12 +82,18 @@ class InversionConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State of one iteration: iterate, weight, residual and step norms."""
+    """State of one iteration: iterate, weight, residual and step norms.
+
+    ``sigma_min`` is the smallest singular value of the iteration's
+    sensitivity matrix G: near zero the two order columns are nearly
+    collinear and the Gauss-Newton end of the step is ill-conditioned.
+    """
 
     z: tuple[float, float]
     kappa: float
     residual_norm: float
     step_norm: float
+    sigma_min: float
 
 
 @dataclass
@@ -133,12 +140,6 @@ def homotopy_kappa(j: int, j0: int, sigma: float) -> float:
     return float(expit(-sigma * (j - j0)))
 
 
-# Complex-step size.  Im u(z + ih e_k) / h differs from the derivative
-# by O(h^2) and involves no difference of nearby values, so no
-# cancellation limits how small h can be and there is nothing to tune.
-_COMPLEX_STEP = 1e-30
-
-
 def sensitivity_jacobian(
     z: tuple[float, float],
     p_base: ModelParams,
@@ -148,23 +149,16 @@ def sensitivity_jacobian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Observed series u1(x0, t; z) and its order sensitivities, ``(series, G)``.
 
-    Column k of G is d u1(x0, t) / d z_k of the discrete march, exact to
-    double precision: Im u1(x0, t; z + i*h*e_k) / h from one complex
-    march per order, h = 1e-30.  The series is the gamma march's real
-    part, the real march up to O(h^2) and roundoff.  An order outside the
-    solver's order set (0, 1] raises ParameterError.
+    Column k of G is d u1(x0, t) / d z_k of the discrete march, exact up
+    to roundoff, and the series is the march of :func:`solve_forward` up
+    to roundoff; both come from one tangent-linear march.  An order
+    outside the solver's order set (0, 1] raises ParameterError.
     """
     base = p_base.with_orders(*z)
     _validate_for_solve(base)
     i, idx = g.interior_node(x0), g.time_indices(obs_times)
-    G = np.empty((len(idx), 2))
-    for k, name in enumerate(("alpha", "gamma")):
-        sol = _march(replace(base, **{name: complex(getattr(base, name), _COMPLEX_STEP)}), g)
-        u1 = sol.u1[i, idx]
-        G[:, k] = u1.imag / _COMPLEX_STEP
-    # u1 is the gamma march's: the alpha march's ca goes through scipy's
-    # complex gamma function, so its real part is further from the real march.
-    return u1.real, G
+    observed = _tangent_march(base, g)[idx, :, i - 1]
+    return observed[:, 0], observed[:, 1:]
 
 
 def lm_step(G: np.ndarray, residual: np.ndarray, kappa: float) -> np.ndarray:
@@ -214,7 +208,7 @@ def invert_orders(
     """Recover (alpha, gamma) from one observation series.
 
     Each iteration takes the forward series (hence the residual) and the
-    sensitivity matrix from the two marches of :func:`sensitivity_jacobian`
+    sensitivity matrix from the one march of :func:`sensitivity_jacobian`
     and applies the homotopy-weighted update, clamping the result to the
     admissible square.  Stops on a small update norm (``converged``), on
     three consecutive residual-norm rises once the homotopy weight is
@@ -254,6 +248,7 @@ def invert_orders(
                 kappa=kappa,
                 residual_norm=res_norm,
                 step_norm=step_norm,
+                sigma_min=float(np.linalg.svd(G, compute_uv=False)[-1]),
             )
         )
         if step_norm <= cfg.step_tol:

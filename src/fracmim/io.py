@@ -378,6 +378,7 @@ _HISTORY_FIELDS = {
     "kappa": lambda rec: rec.kappa,
     "residual_norm": lambda rec: rec.residual_norm,
     "step_norm": lambda rec: rec.step_norm,
+    "sigma_min": lambda rec: rec.sigma_min,
 }
 
 

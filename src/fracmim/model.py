@@ -159,6 +159,8 @@ class GridSpec:
         named, since silently snapping would bias whatever is read there.
         """
         pos = x0 * self.m
+        if not math.isfinite(pos):
+            raise GridError(f"x0={x0!r} must be an interior node, inside (0,1)")
         i = int(round(pos))
         if abs(pos - i) > 1e-9 * self.m:
             lo = math.floor(pos) * self.h
@@ -267,6 +269,8 @@ class ObservationSeries:
             raise ValidationError("times must be strictly increasing and positive")
         if not np.all(np.isfinite(values)):
             raise ValidationError("observation values must be finite")
+        if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):
+            raise ValidationError(f"x0 must be a finite number inside (0, 1), got {self.x0!r}")
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
             raise ValidationError("noise_level must be finite and nonnegative")
 

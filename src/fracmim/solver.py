@@ -16,8 +16,10 @@ LAPACK ``getrs`` on those factors.  The L1 history weights are one
 difference of the power table, read backwards.  Finiteness is checked
 once, after the march, which reports the first non-finite time step.
 
-A complex order makes the constants, matrix and fields complex: that is
-how the order recovery differentiates the march by a complex step.
+The order recovery needs the march's derivatives in both orders.  The
+tangent-linear march advances the state and those two derivatives
+together, on the same real factors (forward-mode differentiation of the
+march itself, so the derivatives are exact to roundoff).
 """
 
 from __future__ import annotations
@@ -79,12 +81,6 @@ class SchemeConstants:
         return self.B - self.A - self.r1 - 2.0 * self.D, self.F - 2.0 * self.E
 
 
-def _gamma_fn(x):
-    # scipy's real gamma differs from math.gamma in the last bit on most
-    # inputs, so it is kept to complex orders and real marches stay fixed.
-    return scipy.special.gamma(x) if isinstance(x, complex) else math.gamma(x)
-
-
 def scheme_constants(params: ModelParams, grid: GridSpec) -> SchemeConstants:
     """Evaluate the scheme coefficients for one parameter set and grid.
 
@@ -97,13 +93,12 @@ def scheme_constants(params: ModelParams, grid: GridSpec) -> SchemeConstants:
         B  = 1 + A + r1 + 2D + ca*lam/(beta*R1)
         F  = 1 + 2E + r2*mu
 
-    All nine values are strictly positive for admissible parameters.  A
-    complex order makes the constants that depend on it complex.
+    All nine values are strictly positive for admissible parameters.
     """
     h = grid.h
     tau = grid.tau
-    ca = tau**params.alpha * _gamma_fn(2.0 - params.alpha)
-    cg = tau**params.gamma * _gamma_fn(2.0 - params.gamma)
+    ca = tau**params.alpha * math.gamma(2.0 - params.alpha)
+    cg = tau**params.gamma * math.gamma(2.0 - params.gamma)
     br1 = params.beta * params.R1
     r1 = ca / (params.P * br1 * h * h)
     r2 = cg / ((1.0 - params.beta) * params.R2)
@@ -154,13 +149,12 @@ def assemble_block_system(c: SchemeConstants, m: int) -> BlockSystem:
 
     The forcing vector carries the inlet contributions +A and +E into
     the first row of each block; the immobile inlet value is zero so no
-    coupling term enters.  Both arrays are complex when a constant is.
+    coupling term enters.
     """
     if not (isinstance(m, int) and m >= 3):
         raise GridError("m must be an integer >= 3")
     q = m - 1
-    dtype = np.result_type(c.ca, c.cg)  # every other constant derives from these
-    M = np.zeros((2 * q, 2 * q), dtype)
+    M = np.zeros((2 * q, 2 * q))
 
     i = np.arange(q)
     M[i, i] = c.B
@@ -177,7 +171,7 @@ def assemble_block_system(c: SchemeConstants, m: int) -> BlockSystem:
     M[q + i[1:], i[1:] - 1] = -c.E
     M[2 * q - 1, q - 1] = -c.E
 
-    forcing = np.zeros(2 * q, dtype)
+    forcing = np.zeros(2 * q)
     forcing[0] = c.A
     forcing[q] = c.E
     return BlockSystem(matrix=M, boundary_forcing=forcing)
@@ -220,37 +214,50 @@ def solve_forward(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> So
     return _march(params, grid, inlet)
 
 
+def _march_setup(params: ModelParams, grid: GridSpec):
+    """What both marches fix before their first step.
+
+    Returns the unit-inlet forcing, the LU factors of the step matrix
+    with LAPACK ``dgetrs`` for them, and the L1 weight tables: for the
+    mobile (``weights[0]``) and the immobile (``weights[1]``) order, row 0
+    is the differenced power table of i^(1-order) and row 1 that of its
+    order derivative -ln(i) i^(1-order).
+    """
+    system = assemble_block_system(scheme_constants(params, grid), grid.m)
+    lu, piv = scipy.linalg.lu_factor(system.matrix)
+    # getrs's info is nonzero only for an illegal argument, which fixed
+    # shapes and dtypes rule out.
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+    powers = np.stack([l1_power_table(order, grid.n) for order in (params.alpha, params.gamma)])
+    log_i = np.log(np.arange(grid.n + 2).clip(1))  # i = 0 gives 0, as 0^e does
+    weights = np.diff(np.stack([powers, -log_i * powers], axis=1))
+    return system.boundary_forcing, lu, piv, getrs, weights
+
+
 def _march(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> SolutionGrid:
-    # solve_forward's march without its checks; complex orders give complex arrays.
+    # solve_forward's march without its checks.
     m, n = grid.m, grid.n
     q = m - 1
-
-    system = assemble_block_system(scheme_constants(params, grid), m)
-    lu, piv = scipy.linalg.lu_factor(system.matrix)
-    # dgetrs or zgetrs, following the factors' dtype.  Its info is nonzero
-    # only for an illegal argument, which fixed shapes and dtypes rule out;
-    # rhs is rebuilt every step, so it may be solved in place.
-    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+    forcing, lu, piv, getrs, weights = _march_setup(params, grid)
 
     # Step k weighs increment j = 0..k-1 by (k+1-j)^e - (k-j)^e, which is
     # the reversed view d[k:0:-1] of the differenced power table.  A
     # contiguous copy of that view would change the matmul's last bits.
-    d1 = np.diff(l1_power_table(params.alpha, n))
-    d2 = np.diff(l1_power_table(params.gamma, n))
+    d1, d2 = weights[:, 0]
 
-    dtype = system.matrix.dtype
-    u1 = np.zeros((m + 1, n + 1), dtype)
-    u2 = np.zeros((m + 1, n + 1), dtype)
+    u1 = np.zeros((m + 1, n + 1))
+    u2 = np.zeros((m + 1, n + 1))
     # Increment history (u^{j+1} - u^j) per interior node, filled as the
     # march proceeds; column j is consumed by every later step.
-    du1 = np.zeros((q, n), dtype)
-    du2 = np.zeros((q, n), dtype)
+    du1 = np.zeros((q, n))
+    du2 = np.zeros((q, n))
 
-    rhs = np.empty(2 * q, dtype)
+    # rhs is rebuilt every step, so getrs may solve it in place.
+    rhs = np.empty(2 * q)
     # No per-step finiteness check: an overflow or NaN runs on to the end
     # of the march, and the first non-finite time step is found after it.
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = inlet * system.boundary_forcing
+        forcing = inlet * forcing
         for k in range(n):
             rhs[:q] = u1[1:m, k] - du1[:, :k] @ d1[k:0:-1]
             rhs[q:] = u2[1:m, k] - du2[:, :k] @ d2[k:0:-1]
@@ -272,6 +279,71 @@ def _march(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> SolutionG
     if not finite.all():
         raise SolverError(f"non-finite solution values at time step {np.argmin(finite)}")
     return SolutionGrid(u1=u1, u2=u2, grid=grid)
+
+
+def _tangent_march(params: ModelParams, grid: GridSpec) -> np.ndarray:
+    """Unit-inlet march of the interior state and its two order derivatives.
+
+    Returns S of shape (n+1, 3, 2(m-1)), ordered like U: S[k, 0] is the
+    state U^k (the march of :func:`solve_forward` up to roundoff),
+    S[k, 1] = dU^k/d alpha and S[k, 2] = dU^k/d gamma, exact derivatives
+    of the discrete march up to roundoff.
+
+    The step matrix is M = I + C K, where C is ca on the mobile rows and
+    cg on the immobile rows and K is free of the orders, and the inlet
+    forcing is C times a fixed vector.  So differentiating
+    M U^{k+1} = U^k - H^k + f in alpha needs no derivative of M:
+
+        M V^{k+1} = V^k - H[V]^k - H_a[U]^k + l_a (U^{k+1} - U^k + H^k),
+
+    the last two terms on the mobile rows only.  H[V] is the L1 history
+    sum of V, H_a[U] is that of U with the alpha-derivative weights, and
+    l_a = d ln(ca)/d alpha = ln(tau) - digamma(2 - alpha).  The gamma
+    derivative is the same on the immobile rows.  Each step solves for
+    the state and then for both derivatives on the one set of factors.
+    """
+    n, q = grid.n, grid.m - 1
+    forcing, lu, piv, getrs, weights = _march_setup(params, grid)
+    orders = np.array([[params.alpha], [params.gamma]])
+    ell = np.log(grid.tau) - scipy.special.digamma(2.0 - orders)  # l_a, l_g
+    # Per zone, row 0 gives the history sum H and row 1 the folded
+    # l H - H_order of the zone's own order; reversed, so that step k's
+    # weights are the contiguous columns n-k..n-1.
+    rev = np.stack([weights[:, 0], ell * weights[:, 0] - weights[:, 1]], axis=1)[..., ::-1].copy()
+
+    S = np.zeros((n + 1, 3, 2 * q))
+    states = S.reshape(n + 1, 3, 2, q)  # [step, quantity, zone, node]
+    # Increments S[j+1] - S[j], time-major per zone, so that one matmul
+    # per zone gives every history sum of a step.
+    inc = np.zeros((n, 2, 3, q))  # [step, zone, quantity, node]
+    inc_zone = [inc[:, z].reshape(n, 3 * q) for z in range(2)]
+    sums = np.empty((2, 2, 3 * q))  # [zone, weight row, (quantity, node)]
+    hist = sums[:, 0].reshape(2, 3, q).transpose(1, 0, 2)  # H, laid out like states
+    folded = sums[:, 1, :q]  # l H - H_order[U], per zone
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            for z in range(2):
+                np.matmul(rev[z, :, n - k:n], inc_zone[z][:k], out=sums[z])
+            old, new = states[k], states[k + 1]
+            np.subtract(old, hist, out=new)
+            u, du_da, du_dg = S[k + 1]
+            u += forcing
+            getrs(lu, piv, u, overwrite_b=True)  # every solve is in place
+
+            step = inc[k, :, 0]
+            np.subtract(new[0], old[0], out=step)
+            coupling = step * ell + folded  # l (U^{k+1} - U^k + H) - H_order[U]
+            du_da[:q] += coupling[0]
+            du_dg[q:] += coupling[1]
+            getrs(lu, piv, du_da, overwrite_b=True)
+            getrs(lu, piv, du_dg, overwrite_b=True)
+            np.subtract(new[1:], old[1:], out=inc[k, :, 1:].transpose(1, 0, 2))
+
+    finite = np.isfinite(S).all(axis=(1, 2))
+    if not finite.all():
+        raise SolverError(f"non-finite solution values at time step {np.argmin(finite)}")
+    return S
 
 
 def extract_observation(

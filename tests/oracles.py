@@ -13,14 +13,18 @@ functions is a genuine two-route check:
   one scalar power at a time, against the solver's vectorized power
   table;
 * the order sensitivities by central differences of real forward
-  solves, against the complex-step Jacobian of the order recovery.
+  solves, against the tangent-linear Jacobian of the order recovery.
   This one oracle runs the package's own march: it checks the
-  differentiation, not the march.
+  differentiation, not the march;
+* the same sensitivities by a complex step through a small complex
+  march of its own, exact to roundoff like the tangent-linear march.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
+from scipy.special import gamma as gamma_fn
 from scipy.special import rgamma
 
 from fracmim import extract_observation, solve_forward
@@ -106,13 +110,15 @@ def dense_block_matrix(A, B, D, E, F, r1, m):
     """Marching matrix written directly from its printed block pattern.
 
     Independent of the production assembly: builds each of the four
-    (m-1)x(m-1) blocks entry by entry with explicit index loops.
+    (m-1)x(m-1) blocks entry by entry with explicit index loops.  Complex
+    entries give a complex matrix.
     """
     q = m - 1
-    M11 = np.zeros((q, q))
-    M12 = np.zeros((q, q))
-    M21 = np.zeros((q, q))
-    M22 = np.zeros((q, q))
+    dtype = np.result_type(A, B, D, E, F, r1)  # complex for the complex-step march
+    M11 = np.zeros((q, q), dtype)
+    M12 = np.zeros((q, q), dtype)
+    M21 = np.zeros((q, q), dtype)
+    M22 = np.zeros((q, q), dtype)
     for i in range(q):
         M11[i, i] = B
         M22[i, i] = F
@@ -181,4 +187,57 @@ def central_difference_jacobian(z, p_base, grid, obs_times, x0, h):
         step = np.zeros(2)
         step[k] = h
         G[:, k] = (observe(z + step) - observe(z - step)) / (2.0 * h)
+    return G
+
+
+def _complex_observed(p, alpha, gamma, grid, node, steps):
+    # The L1 march with complex orders, from the printed scheme: constants
+    # tau^order Gamma(2-order), the block matrix, and per step the history
+    # sum over the increments with weights (i+1)^(1-order) - i^(1-order).
+    m, n = grid.m, grid.n
+    h, tau = 1.0 / m, grid.T / n
+    q = m - 1
+    ca = tau**alpha * gamma_fn(2.0 - alpha)
+    cg = tau**gamma * gamma_fn(2.0 - gamma)
+    br1 = p.beta * p.R1
+    r1 = ca / (p.P * br1 * h * h)
+    r2 = cg / ((1.0 - p.beta) * p.R2)
+    A = ca / (br1 * h) + r1
+    D = p.omega * ca / (2.0 * br1)
+    E = r2 * p.omega / 2.0
+    B = 1.0 + A + r1 + 2.0 * D + ca * p.lam / br1
+    F = 1.0 + 2.0 * E + r2 * p.mu
+    factors = scipy.linalg.lu_factor(dense_block_matrix(A, B, D, E, F, r1, m))
+    forcing = np.zeros(2 * q, complex)
+    forcing[0], forcing[q] = A, E
+
+    i = np.arange(1.0, n + 1.0)
+    w1 = (i + 1.0) ** (1.0 - alpha) - i ** (1.0 - alpha)
+    w2 = (i + 1.0) ** (1.0 - gamma) - i ** (1.0 - gamma)
+    U = np.zeros((n + 1, 2 * q), complex)
+    for k in range(n):
+        back = k - 1 - np.arange(k)  # weight index k-j-1 of increment j
+        inc = U[1:k + 1] - U[:k]
+        rhs = U[k] + forcing
+        rhs[:q] -= w1[back] @ inc[:, :q]
+        rhs[q:] -= w2[back] @ inc[:, q:]
+        U[k + 1] = scipy.linalg.lu_solve(factors, rhs)
+    return U[steps, node - 1]
+
+
+def complex_step_jacobian(z, p_base, grid, obs_times, x0, h=1e-30):
+    """Order sensitivities of the observed series by the complex step.
+
+    Column k is Im u1(x0, t; z + i h e_k) / h from a complex march
+    written here from the scheme's definition; it differs from the
+    derivative of the discrete march by O(h^2) and involves no difference
+    of nearby values, so at h = 1e-30 it is exact to roundoff.
+    """
+    node = int(round(x0 * grid.m))
+    steps = np.rint(np.asarray(obs_times) * grid.n / grid.T).astype(int)
+    G = np.empty((len(steps), 2))
+    for k in range(2):
+        orders = [complex(v) for v in z]
+        orders[k] += h * 1j
+        G[:, k] = _complex_observed(p_base, *orders, grid, node, steps).imag / h
     return G

@@ -123,8 +123,11 @@ def test_invert_recovers_orders_from_clean_file(tmp_path, config_path, capsys):
     assert report["z_inv"]["gamma"] == pytest.approx(0.25, abs=1e-4)
     assert report["rel_error"] <= 1e-6  # exact_orders present in the config
     header, trace = read_csv(out / "convergence_trace.csv")
-    assert header == ["iteration", "alpha", "gamma", "kappa", "residual_norm", "step_norm"]
+    assert header == [
+        "iteration", "alpha", "gamma", "kappa", "residual_norm", "step_norm", "sigma_min"
+    ]
     assert trace.shape[0] == report["iterations"]
+    assert np.all(trace[:, 6] > 0.0)
     assert "recovered (alpha, gamma)" in capsys.readouterr().out
 
 
@@ -160,6 +163,29 @@ def test_invert_broken_sidecar_exits_one(tmp_path, config_path, capsys):
                 "--obs", out / "obs_clean.csv", "--quiet") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "obs_clean.json: invalid JSON" in err
+
+
+@pytest.mark.parametrize("x0", ["NaN", "Infinity", "1e400"])
+def test_invert_non_finite_sidecar_x0_exits_one(tmp_path, config_path, capsys, x0):
+    out = tmp_path / "inv"
+    _run("make-obs", "--config", config_path, "--out", out, "--quiet")
+    sidecar = out / "obs_clean.json"
+    sidecar.write_text(f'{{"x0": {x0}, "noise_level": 0.0, "seed": null}}', encoding="utf-8")
+    assert _run("invert", "--config", config_path, "--out", out,
+                "--obs", out / "obs_clean.csv", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "obs_clean.csv: x0 must be a finite number" in err
+    assert not (out / "inversion_report.json").exists()
+
+
+def test_make_obs_colliding_noise_labels_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "labels.json"
+    cfg.write_text(json.dumps(dict(CONFIG, noise_levels=[0.5, 0.5000001])), encoding="utf-8")
+    out = tmp_path / "obs"
+    assert _run("make-obs", "--config", cfg, "--out", out, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "noise levels 0.5 and 0.5000001 share the label" in err
+    assert not out.exists()
 
 
 def test_invert_out_of_range_exact_orders_exits_one(tmp_path, config_path, capsys):

@@ -1,9 +1,10 @@
 """Order recovery: homotopy schedule, LM algebra, noise model, round trips.
 
-The complex-step Jacobian is checked against central differences of
-real marches, which converge to it at rate h^2, and the LM step against a
-hand-solved 2x2 system, so no recovery test can silently validate a wrong
-linearization.
+The tangent-linear Jacobian is checked against a complex-step oracle,
+which is exact to roundoff, and against central differences of real
+marches, which converge to it at rate h^2; the LM step is checked against
+a hand-solved 2x2 system.  So no recovery test can silently validate a
+wrong linearization.
 """
 
 import dataclasses
@@ -26,14 +27,14 @@ from fracmim import (
     run_replicates,
     solve_forward,
 )
-from fracmim import inversion
+from fracmim import inversion, solver
 from fracmim.inversion import (
     _replicate_seeds,
     homotopy_kappa,
     lm_step,
     sensitivity_jacobian,
 )
-from oracles import central_difference_jacobian
+from oracles import central_difference_jacobian, complex_step_jacobian
 
 
 def _clean_series(params, grid, x0=0.5):
@@ -164,9 +165,25 @@ def test_jacobian_matches_central_difference_oracle(name, z):
     assert np.all(rel <= 1e-5), rel
 
 
-def test_oracle_converges_to_complex_step_at_rate_h2(bench_params, tiny_grid):
+_CORNERS = [(0.01, 0.01), (0.99, 0.99), (0.01, 0.99), (0.99, 0.01)]
+
+
+@pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
+def test_jacobian_matches_complex_step_oracle(name):
+    # At the true orders and the four corners of the clamped square; the
+    # two routes agree to about 1e-12 relative.
+    spec = builtin_experiment(name)
+    obs = _clean_series(spec.params, spec.grid, spec.x0)
+    for z in [(spec.params.alpha, spec.params.gamma), *_CORNERS]:
+        _, G = sensitivity_jacobian(z, spec.params, spec.grid, obs.times, obs.x0)
+        oracle = complex_step_jacobian(z, spec.params, spec.grid, obs.times, obs.x0)
+        rel = np.linalg.norm(G - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
+        assert np.all(rel <= 1e-10), (z, rel)
+
+
+def test_oracle_converges_to_tangent_jacobian_at_rate_h2(bench_params, tiny_grid):
     # central differences: F(h) = G + c h^2, so each halving of h must
-    # shrink the distance to the complex-step Jacobian by about 4
+    # shrink the distance to the tangent-linear Jacobian by about 4
     obs = _clean_series(bench_params, tiny_grid)
     z = (0.8, 0.25)
     _, G = sensitivity_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0)
@@ -182,12 +199,11 @@ def test_oracle_converges_to_complex_step_at_rate_h2(bench_params, tiny_grid):
 
 @pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
 def test_jacobian_series_matches_real_march(name):
-    # The residual is read from the gamma march's real part, which must be
-    # the real march up to O(h^2) and roundoff: at the true orders and at
-    # the four corners of the clamped square.
+    # The residual is read from the tangent-linear march's state, which
+    # must be the real march up to roundoff: at the true orders and at the
+    # four corners of the clamped square.
     spec = builtin_experiment(name)
-    corners = [(0.01, 0.01), (0.99, 0.99), (0.01, 0.99), (0.99, 0.01)]
-    for z in [(spec.params.alpha, spec.params.gamma), *corners]:
+    for z in [(spec.params.alpha, spec.params.gamma), *_CORNERS]:
         obs = _clean_series(spec.params.with_orders(*z), spec.grid, spec.x0)
         series, _ = sensitivity_jacobian(z, spec.params, spec.grid, obs.times, obs.x0)
         assert np.max(np.abs(series - obs.values)) <= 1e-12, z
@@ -276,27 +292,38 @@ def test_recovery_round_trip_property():
     assert len(failures) <= 2
 
 
-def test_each_iteration_runs_two_complex_marches(bench_params, tiny_grid, monkeypatch):
-    # Residual and sensitivities come from the same two complex-step
-    # marches; no real forward solve runs inside the iteration.
+def test_each_iteration_runs_one_tangent_march(bench_params, tiny_grid, monkeypatch):
+    # Residual and sensitivities come from one tangent-linear march; no
+    # real forward march runs inside the iteration.
     obs = _clean_series(bench_params, tiny_grid)
-    march = inversion._march
+    march = inversion._tangent_march
     orders = []
 
-    def counted(params, grid, *args):
+    def counted(params, grid):
         orders.append((params.alpha, params.gamma))
-        return march(params, grid, *args)
+        return march(params, grid)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("invert_orders called solve_forward")
+        raise AssertionError("invert_orders ran a real forward march")
 
-    monkeypatch.setattr(inversion, "_march", counted)
+    monkeypatch.setattr(inversion, "_tangent_march", counted)
     monkeypatch.setattr(inversion, "solve_forward", forbidden)
+    monkeypatch.setattr(solver, "_march", forbidden)
     res = invert_orders(obs, bench_params, tiny_grid, InversionConfig(z0=(0.5, 0.5)))
     assert res.iterations >= 2
-    assert len(orders) == 2 * res.iterations
-    for alpha, gamma in orders:  # exactly one order carries the complex step
-        assert [isinstance(v, complex) for v in (alpha, gamma)] in ([True, False], [False, True])
+    assert len(orders) == res.iterations
+    # iteration j marches at the iterate that iteration j-1 produced
+    assert orders[1:] == [rec.z for rec in res.history[:-1]]
+
+
+def test_history_records_smallest_singular_value(bench_params, tiny_grid):
+    obs = _clean_series(bench_params, tiny_grid)
+    res = invert_orders(obs, bench_params, tiny_grid, InversionConfig(z0=(0.5, 0.5), max_iter=3))
+    z = (0.5, 0.5)
+    for rec in res.history:
+        _, G = sensitivity_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0)
+        assert rec.sigma_min == np.linalg.svd(G, compute_uv=False)[-1] > 0.0
+        z = rec.z
 
 
 def test_iteration_cap_stop(bench_params, tiny_grid):
@@ -371,8 +398,8 @@ def test_spec_rejects_levels_sharing_a_seed_stream():
     base = builtin_experiment("ex51")
     with pytest.raises(ConfigError, match="share one seed stream"):
         dataclasses.replace(base, noise_levels=(0.01, 4e-10, 0.0))
-    # a level alone on its key, or the same level twice, is accepted
-    dataclasses.replace(base, noise_levels=(4e-10, 0.01, 0.01))
+    # a level alone on its key is accepted
+    dataclasses.replace(base, noise_levels=(4e-10, 0.01))
 
 
 @pytest.mark.parametrize(

@@ -118,7 +118,9 @@ _specs = st.builds(
     grid=st.builds(GridSpec, m=st.integers(3, 500), n=st.integers(1, 5000),
                    T=_unit(1e-3, 1e4)),
     node=st.integers(0, 10**6),
-    noise_levels=st.lists(_unit(), max_size=5, unique_by=_noise_key).map(tuple),
+    noise_levels=st.lists(
+        _unit(), max_size=5, unique_by=(_noise_key, lambda d: f"{d:g}")
+    ).map(tuple),
     replicates=st.integers(1, 50),
     inversion=st.builds(
         InversionConfig, z0=_pairs, j0=st.integers(1, 20), sigma=_unit(1e-3, 10.0),
@@ -188,6 +190,11 @@ def test_config_document_round_trips(spec):
          'field "noise_levels" in "config" is too large for a float'),
         (lambda d: d.update(noise_levels=[1.8e299]),
          'noise level 1.8e\\+299 is too large to key a seed stream'),
+        (lambda d: d.update(noise_levels=[0.5, 0.5000001]),
+         'noise levels 0.5 and 0.5000001 share the label 0.5, which names one '
+         'observation file and one table row'),
+        (lambda d: d.update(noise_levels=[0.01, 0.0, 0.01]),
+         'noise levels 0.01 and 0.01 share the label 0.01'),
         (lambda d: d.update(exact_orders=[math.nan, -5.0]),
          'exact_orders \\(nan, -5.0\\) must be orders in \\(0, 1\\]'),
         (lambda d: d.update(exact_orders=[0.0, 0.5]),
@@ -426,8 +433,10 @@ def test_reference_csv_header(tmp_path):
 
 def _result(rel_error):
     history = [
-        IterationRecord(z=(0.5, 0.5), kappa=0.989, residual_norm=0.1, step_norm=0.2),
-        IterationRecord(z=(0.7, 0.3), kappa=0.973, residual_norm=0.05, step_norm=0.1),
+        IterationRecord(z=(0.5, 0.5), kappa=0.989, residual_norm=0.1, step_norm=0.2,
+                        sigma_min=0.5),
+        IterationRecord(z=(0.7, 0.3), kappa=0.973, residual_norm=0.05, step_norm=0.1,
+                        sigma_min=0.25),
     ]
     return InversionResult(
         z_inv=(0.8, 0.25), rel_error=rel_error, iterations=2,
@@ -446,8 +455,12 @@ def test_inversion_report_keys(tmp_path):
     assert doc["rel_error"] == 1e-6
     assert [h["kappa"] for h in doc["history"]] == [0.989, 0.973]
     header, data = read_csv(trace_path)
-    assert header == ["iteration", "alpha", "gamma", "kappa", "residual_norm", "step_norm"]
-    assert data.shape == (2, 6)
+    assert header == [
+        "iteration", "alpha", "gamma", "kappa", "residual_norm", "step_norm", "sigma_min"
+    ]
+    assert data.shape == (2, 7)
+    assert list(data[:, 6]) == [0.5, 0.25]
+    assert [h["sigma_min"] for h in doc["history"]] == [0.5, 0.25]
     assert list(data[:, 0]) == [0.0, 1.0]
 
 

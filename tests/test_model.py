@@ -185,6 +185,13 @@ def test_grid_steps_and_nodes():
     assert np.allclose(g.time_nodes(), [0.0, 0.4, 0.8, 1.2, 1.6, 2.0])
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf, 1e308])
+def test_interior_node_rejects_non_finite_position(x0):
+    # 1e308 * m overflows: a position that cannot be rounded to a node.
+    with pytest.raises(GridError, match=re.escape(f"x0={x0!r} must be an interior node")):
+        GridSpec(m=40, n=5, T=1.0).interior_node(x0)
+
+
 @pytest.mark.parametrize(
     "kwargs,message",
     [
@@ -242,6 +249,9 @@ def test_observation_series_validation():
             ObservationSeries(x0=0.5, times=[1.0], values=[0.1], noise_level=level)
     with pytest.raises(ValidationError, match="at least one sample"):
         ObservationSeries(x0=0.5, times=[], values=[])
+    for x0 in (math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, True):
+        with pytest.raises(ValidationError, match=re.escape(f"inside (0, 1), got {x0!r}")):
+            ObservationSeries(x0=x0, times=[1.0], values=[0.1])
     obs = ObservationSeries(x0=0.5, times=[1.0, 2.0, 3.0], values=[0.1, 0.2, 0.3])
     assert len(obs) == 3 and obs.noise_level == 0.0 and obs.seed is None
 

@@ -29,9 +29,16 @@ from fracmim import (
     invert_at,
     solve_forward,
 )
+from fracmim.inversion import sensitivity_jacobian
 from fracmim.solver import _march, assemble_block_system, scheme_constants
 from conftest import admissible_draw
-from oracles import backward_euler_classical, dense_block_matrix, l1_bracket, psi_weight
+from oracles import (
+    backward_euler_classical,
+    complex_step_jacobian,
+    dense_block_matrix,
+    l1_bracket,
+    psi_weight,
+)
 
 # Hand-sized grid: h = 0.1, tau = 0.5.
 COARSE_GRID = GridSpec(m=10, n=200, T=100.0)
@@ -257,44 +264,44 @@ def test_history_forms_agree_and_solution_satisfies_system(p, g):
     # form (2 - 2^e) u^k + sum_j psi_j u^j + ((k+1)^e - k^e) u^0.  Both
     # must produce the residual vector that the marched solution satisfies
     # through the assembled matrix, M U^{k+1} = rhs^k + inlet * f, to
-    # roundoff relative to ||M||_inf.  The same holds for the imaginary
-    # parts of a complex-step march, which carry 1e-30 times the
-    # derivative in alpha.
-    h = 1e-30
-    for params, part in (
-        (p, np.real),
-        (dataclasses.replace(p, alpha=p.alpha + h * 1j), lambda z: np.imag(z) / h),
-    ):
-        sol = _march(params, g)
-        system = assemble_block_system(scheme_constants(params, g), g.m)
-        tol = 1e-13 * np.linalg.norm(system.matrix, np.inf)
-        e1, e2 = 1.0 - params.alpha, 1.0 - params.gamma
+    # roundoff relative to ||M||_inf.  The tangent-linear march must carry
+    # the same state and match the complex-step derivatives of an
+    # independent complex march.
+    sol = _march(p, g)
+    system = assemble_block_system(scheme_constants(p, g), g.m)
+    tol = 1e-13 * np.linalg.norm(system.matrix, np.inf)
+    e1, e2 = 1.0 - p.alpha, 1.0 - p.gamma
 
-        def direct(u, order, k):
-            out = u[1:g.m, k].copy()
-            for j in range(k):
-                out -= l1_bracket(order, k, j) * (u[1:g.m, j + 1] - u[1:g.m, j])
-            return out
+    def direct(u, order, k):
+        out = u[1:g.m, k].copy()
+        for j in range(k):
+            out -= l1_bracket(order, k, j) * (u[1:g.m, j + 1] - u[1:g.m, j])
+        return out
 
-        def per_level(u, order, e, k):
-            out = (2.0 - 2.0**e) * u[1:g.m, k]
-            for j in range(1, k):
-                out += psi_weight(order, k, j) * u[1:g.m, j]
-            out += ((k + 1.0) ** e - k**e) * u[1:g.m, 0]
-            return out
+    def per_level(u, order, e, k):
+        out = (2.0 - 2.0**e) * u[1:g.m, k]
+        for j in range(1, k):
+            out += psi_weight(order, k, j) * u[1:g.m, j]
+        out += ((k + 1.0) ** e - k**e) * u[1:g.m, 0]
+        return out
 
-        for k in range(g.n):
-            rhs_direct = np.concatenate(
-                [direct(sol.u1, params.alpha, k), direct(sol.u2, params.gamma, k)]
+    for k in range(g.n):
+        rhs_direct = np.concatenate([direct(sol.u1, p.alpha, k), direct(sol.u2, p.gamma, k)])
+        if k >= 1:
+            rhs_level = np.concatenate(
+                [per_level(sol.u1, p.alpha, e1, k), per_level(sol.u2, p.gamma, e2, k)]
             )
-            if k >= 1:
-                rhs_level = np.concatenate(
-                    [per_level(sol.u1, params.alpha, e1, k),
-                     per_level(sol.u2, params.gamma, e2, k)]
-                )
-                assert np.max(np.abs(part(rhs_direct - rhs_level))) <= tol
-            lhs = system.matrix @ np.concatenate([sol.u1[1:g.m, k + 1], sol.u2[1:g.m, k + 1]])
-            assert np.max(np.abs(part(lhs - rhs_direct - system.boundary_forcing))) <= tol
+            assert np.max(np.abs(rhs_direct - rhs_level)) <= tol
+        lhs = system.matrix @ np.concatenate([sol.u1[1:g.m, k + 1], sol.u2[1:g.m, k + 1]])
+        assert np.max(np.abs(lhs - rhs_direct - system.boundary_forcing)) <= tol
+
+    node = g.m // 2
+    times = g.time_nodes()[1:]
+    series, G = sensitivity_jacobian((p.alpha, p.gamma), p, g, times, node * g.h)
+    assert np.max(np.abs(series - sol.u1[node, 1:])) <= 1e-13
+    oracle = complex_step_jacobian((p.alpha, p.gamma), p, g, times, node * g.h)
+    rel = np.linalg.norm(G - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
+    assert np.all(rel <= 1e-10), rel
 
 
 def test_grid_refinement_moves_toward_reference(bench_params):
@@ -331,8 +338,9 @@ def test_observation_odd_grid_rejects_midpoint(bench_params):
 
 def test_observation_rejects_non_interior_point(bench_params, tiny_grid):
     sol = solve_forward(bench_params, tiny_grid)
-    with pytest.raises(GridError, match="interior"):
-        extract_observation(sol, 1.0)
+    for x0 in (1.0, math.nan, math.inf):
+        with pytest.raises(GridError, match="interior"):
+            extract_observation(sol, x0)
 
 
 def test_observation_explicit_times_subset(bench_params, tiny_grid):
