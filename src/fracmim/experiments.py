@@ -68,18 +68,6 @@ class ExperimentSpec:
         self.grid.interior_node(self.x0)
         if not all(_is_number(d) and math.isfinite(d) and d >= 0 for d in self.noise_levels):
             raise ConfigError("noise_levels must be finite and nonnegative")
-        keyed: dict[int, float] = {}
-        for d in self.noise_levels:
-            try:
-                key = _noise_key(d)
-            except OverflowError:
-                raise ConfigError(f"noise level {d:g} is too large to key a seed stream") from None
-            other = keyed.setdefault(key, d)
-            if other != d:
-                raise ConfigError(
-                    f"noise levels {other:g} and {d:g} round to the same multiple "
-                    "of 1e-9 and would share one seed stream"
-                )
         first: dict[str, int] = {}
         for j, d in enumerate(self.noise_levels):
             # The label names the level's make-obs file and table row.
@@ -89,6 +77,20 @@ class ExperimentSpec:
                     f"noise levels {self.noise_levels[k]!r} and {d!r} share the label "
                     f"{d:g}, which names one observation file and one table row"
                 )
+        # Labels are distinct here, so two levels on one key (even equal
+        # ones, such as 0.0 and -0.0) would replay one noise draw twice.
+        keyed: dict[int, float] = {}
+        for d in self.noise_levels:
+            try:
+                key = _noise_key(d)
+            except OverflowError:
+                raise ConfigError(f"noise level {d:g} is too large to key a seed stream") from None
+            if key in keyed:
+                raise ConfigError(
+                    f"noise levels {keyed[key]:g} and {d:g} share one seed stream: levels "
+                    "are keyed to the nearest multiple of 1e-9"
+                )
+            keyed[key] = d
         if not (_is_integer(self.replicates) and self.replicates >= 1):
             raise ConfigError("replicates must be an integer >= 1")
         if not _is_integer(self.seed):

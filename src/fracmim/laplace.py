@@ -3,9 +3,17 @@
 The transformed mobile equation is a constant-coefficient two-point
 boundary value problem in x whose solution is a combination of two
 exponentials.  This module evaluates that closed form (safely, without
-overflowing exponentials), inverts it back to the time domain with a
-deformed-contour (Talbot-type) quadrature at 16 and 32 nodes, whose
-difference is the error estimate.
+overflowing exponentials) at a scalar frequency or a numpy array of them,
+and inverts it back to the time domain with a deformed-contour
+(Talbot-type) quadrature at 16 and 32 nodes, whose difference is the
+error estimate.
+
+The contour depends on t only through s = s_unit / t, and its weights not
+at all, so both node sets are module constants built at import.  One
+inversion point is one array evaluation of the closed form on all 48
+nodes and two weighted sums.  :func:`invert_transform` takes a scalar
+callable, evaluates it node by node into the same node array and shares
+the same sums and error estimate.
 
 Everything here is independent of the finite-difference solver; the two
 routes are compared against each other by the acceptance suite and must
@@ -14,7 +22,6 @@ never be collapsed into one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,6 +47,31 @@ __all__ = [
 # 32-node sum is within 2e-11 of 40-digit values, a 48-node sum off by 1e-8.
 _NODES = 16
 
+
+def _unit_contour(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Talbot nodes and weights at t = 1, on the upper half contour.
+
+    Contour s(theta) = r*theta*(cot(theta) + i), theta in [0, pi), r =
+    2*nodes/5.  At time t the nodes are s/t and the weights
+    e^{t s}(1 + i sigma) do not change, so f(t) = Re(sum w f(s/t)) / t.
+    Conjugate symmetry of the transform folds the two halves into twice
+    the real part (the theta = 0 node, on the real axis, is counted
+    once), so the imaginary residue is identically zero by construction.
+    """
+    r = 2.0 * nodes / 5.0
+    theta = np.arange(1, nodes) * (math.pi / nodes)
+    cot = np.cos(theta) / np.sin(theta)
+    sigma = theta + (theta * cot - 1.0) * cot
+    s = np.concatenate(([r], r * theta * (cot + 1j)))
+    weights = np.exp(s) * np.concatenate(([0.5], 1.0 + 1j * sigma)) * (r / nodes)
+    return s, weights
+
+
+# Both contours at t = 1, as one node array: the coarse nodes first.
+_S_COARSE, _W_COARSE = _unit_contour(_NODES)
+_S_FINE, _W_FINE = _unit_contour(2 * _NODES)
+_S_UNIT = np.concatenate((_S_COARSE, _S_FINE))
+
 # Relative-error floor: concentrations are normalized to an O(1) inlet
 # value, so differences are measured against at least this scale to keep
 # near-zero samples (early times far from the inlet) from tripping the
@@ -47,85 +79,109 @@ _NODES = 16
 _SCALE_FLOOR = 1e-3
 
 
-def _check_branch(s: complex) -> complex:
-    s = complex(s)
-    if s.imag == 0.0 and s.real <= 0.0:
+def _frequencies(s) -> np.ndarray:
+    """`s` as a complex array of at least one dimension, checked off the cut.
+
+    A scalar becomes a one-element array: numpy's complex scalars
+    multiply with other roundoff than its array loops, and working on
+    arrays keeps a scalar call bit-equal to the same node in an array.
+    """
+    s = np.asarray(s, dtype=complex)
+    if s.ndim == 0:
+        s = s.reshape(1)
+    if ((s.imag == 0.0) & (s.real <= 0.0)).any():
         raise ValidationError(
             "s must lie off the branch cut (the closed negative real axis)"
         )
     return s
 
 
-def coeff_b(s: complex, p: ModelParams) -> complex:
+def _like(s, v: np.ndarray):
+    """``v`` shaped like the frequency argument ``s``: a scalar for a scalar."""
+    return v[0] if np.ndim(s) == 0 else v
+
+
+def coeff_b(s, p: ModelParams):
     """Zeroth-order coefficient of the transformed mobile equation.
 
     b(s) = -beta*R1*s^alpha - omega - lam + omega^2 / ((1-beta)*R2*s^gamma
     + omega + mu), with principal branches of the fractional powers.  Has
     negative real part on the right half plane and extends analytically
     to the cut plane, which is what the deformed inversion contour uses.
+    ``s`` is a scalar or an array; the result has its shape.
     """
-    s = _check_branch(s)
+    return _like(s, _coeff_b(_frequencies(s), p))
+
+
+def _coeff_b(s: np.ndarray, p: ModelParams) -> np.ndarray:
     return -p.beta * p.R1 * s**p.alpha - p.omega - p.lam + p.omega**2 / _immobile_denom(s, p)
 
 
-def _immobile_denom(s: complex, p: ModelParams) -> complex:
+def _immobile_denom(s: np.ndarray, p: ModelParams) -> np.ndarray:
     # (1-beta) R2 s^gamma + omega + mu: u2_hat = omega u1_hat / this.
     return (1.0 - p.beta) * p.R2 * s**p.gamma + p.omega + p.mu
 
 
 @dataclass(frozen=True)
 class LaplaceCoefficients:
-    """Characteristic data of the transformed mobile equation at one s.
+    """Characteristic data of the transformed mobile equation at s.
 
     ``a`` = 1/P multiplies the second derivative; ``b`` is the
     zeroth-order coefficient; ``eta1``/``eta2`` solve a*eta^2 - eta + b
     = 0 with Re(eta1) >= Re(eta2) (eta1 + eta2 = 1/a, eta1*eta2 = b/a);
     ``c1``/``c2`` fit the unit-step inlet and reflecting outflow:
-    c1 + c2 = 1/s and c1*eta1*e^eta1 + c2*eta2*e^eta2 = 0.
+    c1 + c2 = 1/s and c1*eta1*e^eta1 + c2*eta2*e^eta2 = 0.  Every field
+    but ``a`` is a scalar or an array shaped like ``s``.
     """
 
-    s: complex
+    s: complex | np.ndarray
     a: float
-    b: complex
-    eta1: complex
-    eta2: complex
-    c1: complex
-    c2: complex
+    b: complex | np.ndarray
+    eta1: complex | np.ndarray
+    eta2: complex | np.ndarray
+    c1: complex | np.ndarray
+    c2: complex | np.ndarray
 
 
-def laplace_coefficients(s: complex, p: ModelParams) -> LaplaceCoefficients:
-    """Evaluate roots and boundary-fit constants at one frequency.
+def laplace_coefficients(s, p: ModelParams) -> LaplaceCoefficients:
+    """Evaluate roots and boundary-fit constants at a frequency or an array.
 
-    The square root takes its principal branch and the roots are ordered
-    so Re(eta1) >= Re(eta2); on the right half plane this gives
+    The square root takes its principal branch, whose real part is never
+    negative, so Re(eta1) >= Re(eta2); on the right half plane this gives
     Re(eta1) > 0 > Re(eta2).  The fit constants are computed in a
     pre-factored form (every exponential argument has bounded real part)
     so large |s| cannot overflow.
     """
-    s = _check_branch(s)
+    z = _frequencies(s)
+    return LaplaceCoefficients(
+        _like(s, z), 1.0 / p.P, *(_like(s, v) for v in _roots_and_fit(z, p))
+    )
+
+
+def _roots_and_fit(s: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
+    """b, eta1, eta2, c1 and c2 at frequencies already checked off the cut."""
     a = 1.0 / p.P
-    b = coeff_b(s, p)
-    root = cmath.sqrt(1.0 - 4.0 * a * b)
+    b = _coeff_b(s, p)
+    root = np.sqrt(1.0 - 4.0 * a * b)
     eta1 = (1.0 + root) / (2.0 * a)
     eta2 = (1.0 - root) / (2.0 * a)
-    if eta1.real < eta2.real:
-        eta1, eta2 = eta2, eta1
     # c1 = -eta2 e^{eta2} / (s (eta1 e^{eta1} - eta2 e^{eta2})), divided
     # through by e^{eta1}; g is bounded because Re(eta2 - eta1) <= 0.
-    g = cmath.exp(eta2 - eta1)
+    g = np.exp(eta2 - eta1)
     denom = s * (eta1 - eta2 * g)
-    if denom == 0:
-        raise QuadratureError(f"degenerate boundary-fit system at s={s!r}")
-    c1 = -eta2 * g / denom
-    c2 = eta1 / denom
-    return LaplaceCoefficients(s=s, a=a, b=b, eta1=eta1, eta2=eta2, c1=c1, c2=c2)
+    if not denom.all():
+        raise QuadratureError(
+            f"degenerate boundary-fit system at s={complex(s[denom == 0][0])!r}"
+        )
+    return b, eta1, eta2, -eta2 * g / denom, eta1 / denom
 
 
-def laplace_profile(x: float, s: complex, p: ModelParams) -> tuple[complex, complex]:
+def laplace_profile(x: float, s, p: ModelParams) -> tuple:
     """Transformed concentrations (u1_hat, u2_hat) at position x.
 
-    Satisfies u1_hat(0) = 1/s exactly (short-circuited, since the fitted
-    combination reproduces it only to roundoff) and the reflecting
+    ``s`` is a scalar frequency or an array of them; each result has its
+    shape.  Satisfies u1_hat(0) = 1/s exactly (short-circuited, since the
+    fitted combination reproduces it only to roundoff) and the reflecting
     condition d/dx u1_hat(1) = 0 analytically.  The two-exponential
     combination is evaluated in a factored form whose exponents all have
     real part bounded by a parameter-dependent constant, so no
@@ -133,18 +189,18 @@ def laplace_profile(x: float, s: complex, p: ModelParams) -> tuple[complex, comp
     """
     if not 0.0 <= x <= 1.0:
         raise ValidationError("x must lie in [0,1]")
-    s = _check_branch(s)
+    z = _frequencies(s)
     if x == 0.0:
-        u1 = 1.0 / s
+        # bit-equal to Python's 1.0 / complex(s), which numpy's divide is not
+        u1 = np.reciprocal(z)
     else:
-        co = laplace_coefficients(s, p)
-        eta1, eta2 = co.eta1, co.eta2
+        _, eta1, eta2, _, c2 = _roots_and_fit(z, p)
         # u1_hat = c1 e^{eta1 x} + c2 e^{eta2 x}, and c1 = -c2 (eta2/eta1)
         # e^{eta2 - eta1}, so u1_hat = c2 (e^{eta2 x} - (eta2/eta1)
         # e^{eta1 (x-1) + eta2});  Re(eta1 (x-1)) <= 0 and Re(eta2) <= P/2,
         # so both exponents stay bounded.
-        u1 = co.c2 * (cmath.exp(eta2 * x) - eta2 / eta1 * cmath.exp(eta1 * (x - 1.0) + eta2))
-    return u1, p.omega * u1 / _immobile_denom(s, p)
+        u1 = c2 * (np.exp(eta2 * x) - eta2 / eta1 * np.exp(eta1 * (x - 1.0) + eta2))
+    return _like(s, u1), _like(s, p.omega * u1 / _immobile_denom(z, p))
 
 
 @dataclass(frozen=True)
@@ -162,36 +218,24 @@ class ContourQuadrature:
             raise ValidationError("quadrature tolerance must lie in (0, 1e-2]")
 
 
-def _talbot(fbar: Callable[[complex], np.ndarray], t: float, nodes: int) -> np.ndarray:
-    """Fixed deformed-contour sum with `nodes` points on the half contour.
-
-    Contour s(theta) = (r/t)*theta*(cot(theta) + i), theta in (-pi, pi),
-    r = 2*nodes/5; conjugate symmetry of the transform folds the two
-    halves into twice the real part, so the imaginary residue of the
-    inversion is identically zero by construction.
-    """
-    r = 2.0 * nodes / (5.0 * t)
-    total = 0.5 * math.exp(r * t) * np.real(np.asarray(fbar(complex(r)), dtype=complex))
-    for k in range(1, nodes):
-        theta = k * math.pi / nodes
-        cot = math.cos(theta) / math.sin(theta)
-        s = r * theta * complex(cot, 1.0)
-        sigma = theta + (theta * cot - 1.0) * cot
-        weight = cmath.exp(t * s) * complex(1.0, sigma)
-        total = total + np.real(weight * np.asarray(fbar(s), dtype=complex))
-    return (r / nodes) * total
-
-
-def _invert_vector(
-    fbar: Callable[[complex], np.ndarray], t: float, q: ContourQuadrature | None
+def _invert(
+    evaluate: Callable[[np.ndarray], np.ndarray], t: float, q: ContourQuadrature | None
 ) -> tuple[np.ndarray, float]:
+    """The 32-node sum and its relative move from the 16-node sum.
+
+    ``evaluate`` maps the 48 contour nodes to transform values with the
+    nodes on the last axis.
+    """
     q = q or ContourQuadrature()
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
         raise ValidationError("t must be a positive finite time")
-    coarse = _talbot(fbar, t, _NODES)
-    fine = _talbot(fbar, t, 2 * _NODES)
-    scale = max(float(np.max(np.abs(fine))), _SCALE_FLOOR)
-    err = float(np.max(np.abs(fine - coarse))) / scale
+    f = evaluate(_S_UNIT / t)
+    # Multiply and sum along the node axis, so that each component of a
+    # stacked evaluation is summed exactly as a lone one would be.
+    coarse = np.real(f[..., :_NODES] * _W_COARSE).sum(axis=-1) / t
+    fine = np.real(f[..., _NODES:] * _W_FINE).sum(axis=-1) / t
+    scale = max(float(np.abs(fine).max()), _SCALE_FLOOR)
+    err = float(np.abs(fine - coarse).max()) / scale
     if err > q.tolerance:
         raise QuadratureError(
             f"inversion at t={t} did not converge: {_NODES} and {2 * _NODES} nodes "
@@ -207,14 +251,17 @@ def invert_transform(
 
     The transform must be analytic off the closed negative real axis and
     real-valued on the positive real axis (conjugate-symmetric), which
-    every transform in this package is.
+    every transform in this package is.  ``fbar`` is called with one
+    Python complex at a time, once per contour node.
 
     Raises
     ------
     QuadratureError
         When the 16- and 32-node sums disagree beyond tolerance.
     """
-    value, _ = _invert_vector(fbar, t, q)
+    value, _ = _invert(
+        lambda nodes: np.array([fbar(s) for s in nodes.tolist()], dtype=complex), t, q
+    )
     return float(value)
 
 
@@ -226,10 +273,11 @@ def invert_with_error(
     Returns (u1, u2, est_rel_err) where the estimate is the relative
     move from the 16- to the 32-node sum, measured component-wise against
     the 32-node values with an absolute floor at the 1e-3 concentration
-    scale.  Both components share one contour evaluation per node.
+    scale.  Both components come from one array evaluation of the
+    closed form on all 48 nodes.
     """
     validate_params(p)
-    value, err = _invert_vector(lambda s: laplace_profile(x, s, p), t, q)
+    value, err = _invert(lambda nodes: np.array(laplace_profile(x, nodes, p)), t, q)
     return float(value[0]), float(value[1]), err
 
 

@@ -241,7 +241,7 @@ class ObservationSeries:
     x0 : float
         Observation point, strictly inside (0, 1), on a grid node.
     times : np.ndarray
-        Strictly increasing positive time stamps t_1..t_n, n >= 1.
+        Finite, positive, strictly increasing time stamps t_1..t_n, n >= 1.
     values : np.ndarray
         Mobile-zone samples u1(x0, t_k).
     noise_level : float
@@ -265,8 +265,8 @@ class ObservationSeries:
             raise ValidationError("times and values must be 1-D arrays of equal length")
         if times.size == 0:
             raise ValidationError("an observation series needs at least one sample")
-        if times[0] <= 0 or np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be strictly increasing and positive")
+        if not (np.all(np.isfinite(times)) and times[0] > 0 and np.all(np.diff(times) > 0)):
+            raise ValidationError("times must be finite, positive and strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValidationError("observation values must be finite")
         if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):

@@ -188,6 +188,17 @@ def test_make_obs_colliding_noise_labels_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_make_obs_signed_zero_noise_levels_exit_one(tmp_path, capsys):
+    # 0.0 and -0.0 key one seed stream under two labels: two identical files
+    cfg = tmp_path / "zeros.json"
+    cfg.write_text(json.dumps(dict(CONFIG, noise_levels=[0.0, -0.0])), encoding="utf-8")
+    out = tmp_path / "obs"
+    assert _run("make-obs", "--config", cfg, "--out", out, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "noise levels 0 and -0 share one seed stream" in err
+    assert not out.exists()
+
+
 def test_invert_out_of_range_exact_orders_exits_one(tmp_path, config_path, capsys):
     out = tmp_path / "inv"
     _run("make-obs", "--config", config_path, "--out", out, "--quiet")

@@ -398,6 +398,9 @@ def test_spec_rejects_levels_sharing_a_seed_stream():
     base = builtin_experiment("ex51")
     with pytest.raises(ConfigError, match="share one seed stream"):
         dataclasses.replace(base, noise_levels=(0.01, 4e-10, 0.0))
+    # -0.0 equals 0.0 but is labelled "-0": it would replay level 0 under another name
+    with pytest.raises(ConfigError, match="noise levels 0 and -0 share one seed stream"):
+        dataclasses.replace(base, noise_levels=(0.0, 0.01, -0.0))
     # a level alone on its key is accepted
     dataclasses.replace(base, noise_levels=(4e-10, 0.01))
 

@@ -195,6 +195,8 @@ def test_config_document_round_trips(spec):
          'observation file and one table row'),
         (lambda d: d.update(noise_levels=[0.01, 0.0, 0.01]),
          'noise levels 0.01 and 0.01 share the label 0.01'),
+        (lambda d: d.update(noise_levels=[-0.0, 0.0]),
+         'noise levels -0 and 0 share one seed stream'),
         (lambda d: d.update(exact_orders=[math.nan, -5.0]),
          'exact_orders \\(nan, -5.0\\) must be orders in \\(0, 1\\]'),
         (lambda d: d.update(exact_orders=[0.0, 0.5]),

@@ -146,6 +146,33 @@ def test_profile_large_frequency_no_overflow(bench_params):
         assert cmath.isfinite(u1) and cmath.isfinite(u2)
 
 
+def test_profile_takes_arrays(bench_params):
+    # An array of frequencies gives arrays of its shape that match the
+    # scalar calls to roundoff; x = 0 gives exactly 1/s and the real ray
+    # exactly real values, as the scalar calls do.
+    rng = np.random.default_rng(3)
+    s = np.array([_frequency_draw(rng) for _ in range(60)]).reshape(3, 4, 5)
+    for x in (0.0, 0.3, 1.0):
+        u1, u2 = laplace_profile(x, s, bench_params)
+        assert u1.shape == u2.shape == s.shape
+        for k, z in np.ndenumerate(s):
+            v1, v2 = laplace_profile(x, complex(z), bench_params)
+            assert abs(u1[k] - v1) <= 1e-14 * abs(v1) and abs(u2[k] - v2) <= 1e-14 * abs(v2)
+    u1, _ = laplace_profile(0.0, s, bench_params)
+    assert all(u1[k] == 1.0 / complex(z) for k, z in np.ndenumerate(s))
+    ray = np.logspace(-2, 4, 40).astype(complex)
+    for x in (0.0, 0.5, 1.0):
+        u1, u2 = laplace_profile(x, ray, bench_params)
+        assert np.all(u1.imag == 0.0) and np.all(u2.imag == 0.0)
+
+
+def test_array_on_branch_cut_rejected(bench_params):
+    for s in ([1.0, 2.0 + 1.0j, -3.0], [[0.5j, 0.0]], np.array([-1e-300 + 0j])):
+        for f in (coeff_b, laplace_coefficients, lambda s, p: laplace_profile(0.5, s, p)):
+            with pytest.raises(ValidationError, match="branch cut"):
+                f(np.asarray(s), bench_params)
+
+
 # ---------------------------------------------------------------------------
 # bound_constant
 
@@ -221,6 +248,15 @@ def test_invert_with_error_consistency(bench_params):
     assert 0.0 <= err <= ContourQuadrature().tolerance
     assert invert_at(0.5, 50.0, bench_params) == (u1, u2)
     assert 0.0 < u2 < u1 < 1.0
+
+
+def test_invert_with_error_matches_scalar_callable(bench_params):
+    # the array evaluation and the node-by-node scalar callable share one sum
+    for x in (0.0, 0.25, 1.0):
+        for t in (0.5, 5.0, 100.0):
+            u1, _, _ = invert_with_error(x, t, bench_params)
+            ref = invert_transform(lambda s: laplace_profile(x, s, bench_params)[0], t)
+            assert abs(u1 - ref) <= 1e-12 * max(abs(ref), 1e-3), (x, t, u1 - ref)
 
 
 # u1 at t = 0.5, 5, 50, 100 for each builtin problem and x, cut to 17

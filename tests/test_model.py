@@ -249,6 +249,9 @@ def test_observation_series_validation():
             ObservationSeries(x0=0.5, times=[1.0], values=[0.1], noise_level=level)
     with pytest.raises(ValidationError, match="at least one sample"):
         ObservationSeries(x0=0.5, times=[], values=[])
+    for times in ([1.0, math.nan], [math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]):
+        with pytest.raises(ValidationError, match="times must be finite"):
+            ObservationSeries(x0=0.5, times=times, values=[0.1, 0.2])
     for x0 in (math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, True):
         with pytest.raises(ValidationError, match=re.escape(f"inside (0, 1), got {x0!r}")):
             ObservationSeries(x0=x0, times=[1.0], values=[0.1])
