@@ -227,7 +227,7 @@ def _invert(
     nodes on the last axis.
     """
     q = q or ContourQuadrature()
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
+    if not (_is_number(t) and math.isfinite(t) and t > 0):
         raise ValidationError("t must be a positive finite time")
     f = evaluate(_S_UNIT / t)
     # Multiply and sum along the node axis, so that each component of a
@@ -236,7 +236,7 @@ def _invert(
     fine = np.real(f[..., _NODES:] * _W_FINE).sum(axis=-1) / t
     scale = max(float(np.abs(fine).max()), _SCALE_FLOOR)
     err = float(np.abs(fine - coarse).max()) / scale
-    if err > q.tolerance:
+    if not err <= q.tolerance:  # a NaN estimate fails too
         raise QuadratureError(
             f"inversion at t={t} did not converge: {_NODES} and {2 * _NODES} nodes "
             f"disagree by {err:.3e} > tolerance {q.tolerance:.3e}"

@@ -18,8 +18,10 @@ once, after the march, which reports the first non-finite time step.
 
 The order recovery needs the march's derivatives in both orders.  The
 tangent-linear march advances the state and those two derivatives
-together, on the same real factors (forward-mode differentiation of the
-march itself, so the derivatives are exact to roundoff).
+together (forward-mode differentiation of the march itself, so the
+derivatives are exact to roundoff).  It forms the inverse of the step
+matrix once from the same LU factors and applies it by matrix products,
+so none of its steps calls LAPACK.
 """
 
 from __future__ import annotations
@@ -218,10 +220,12 @@ def _march_setup(params: ModelParams, grid: GridSpec):
     """What both marches fix before their first step.
 
     Returns the unit-inlet forcing, the LU factors of the step matrix
-    with LAPACK ``dgetrs`` for them, and the L1 weight tables: for the
-    mobile (``weights[0]``) and the immobile (``weights[1]``) order, row 0
-    is the differenced power table of i^(1-order) and row 1 that of its
-    order derivative -ln(i) i^(1-order).
+    with LAPACK ``dgetrs`` for them (:func:`_march` solves every step
+    with it, :func:`_tangent_march` forms the inverse with it once), and
+    the L1 weight tables: for the mobile (``weights[0]``) and the
+    immobile (``weights[1]``) order, row 0 is the differenced power table
+    of i^(1-order) and row 1 that of its order derivative
+    -ln(i) i^(1-order).
     """
     system = assemble_block_system(scheme_constants(params, grid), grid.m)
     lu, piv = scipy.linalg.lu_factor(system.matrix)
@@ -299,46 +303,61 @@ def _tangent_march(params: ModelParams, grid: GridSpec) -> np.ndarray:
     the last two terms on the mobile rows only.  H[V] is the L1 history
     sum of V, H_a[U] is that of U with the alpha-derivative weights, and
     l_a = d ln(ca)/d alpha = ln(tau) - digamma(2 - alpha).  The gamma
-    derivative is the same on the immobile rows.  Each step solves for
-    the state and then for both derivatives on the one set of factors.
+    derivative is the same on the immobile rows.
+
+    The march applies the inverse Minv of M, formed once from the LU
+    factors, and solves nothing per step.  U^0 = 0, so U^k is the sum of
+    all earlier increments and -l_a U^k folds into the history weights:
+    F_a = l_a H^k - H_a[U]^k - l_a U^k weighs each increment by
+    l_a w - dw/d alpha - l_a.  With P_a the mobile rows,
+
+        U^{k+1} = Minv (U^k - H^k + f)
+        V^{k+1} = Minv (V^k - H[V]^k + P_a F_a) + l_a Minv P_a U^{k+1},
+
+    and likewise for gamma with P_g, the immobile rows.  A step is one
+    batched history matmul for both zones, the right-hand sides, one
+    product with Minv for the state and both tangents, one coupling
+    product for both tangents and the increment write.
     """
     n, q = grid.n, grid.m - 1
     forcing, lu, piv, getrs, weights = _march_setup(params, grid)
+    forcing = forcing.reshape(2, q)
+    minv_t = getrs(lu, piv, np.eye(2 * q))[0].T.copy()
     orders = np.array([[params.alpha], [params.gamma]])
     ell = np.log(grid.tau) - scipy.special.digamma(2.0 - orders)  # l_a, l_g
-    # Per zone, row 0 gives the history sum H and row 1 the folded
-    # l H - H_order of the zone's own order; reversed, so that step k's
-    # weights are the contiguous columns n-k..n-1.
-    rev = np.stack([weights[:, 0], ell * weights[:, 0] - weights[:, 1]], axis=1)[..., ::-1].copy()
+    # Per zone, row 0 gives the history sum H and row 1 the folded sum F
+    # of the zone's own order; reversed, so that step k's weights are the
+    # contiguous columns n-k..n-1.
+    w = weights[:, 0]
+    rev = np.stack([w, ell * w - weights[:, 1] - ell], axis=1)[..., ::-1].copy()
+    # The couplings l_a Minv P_a and l_g Minv P_g, transposed, so that
+    # zone z's state times coupling_t[z] is its tangent's correction.
+    coupling_t = ell[:, :, None] * minv_t.reshape(2, q, 2 * q)
 
     S = np.zeros((n + 1, 3, 2 * q))
     states = S.reshape(n + 1, 3, 2, q)  # [step, quantity, zone, node]
-    # Increments S[j+1] - S[j], time-major per zone, so that one matmul
-    # per zone gives every history sum of a step.
-    inc = np.zeros((n, 2, 3, q))  # [step, zone, quantity, node]
-    inc_zone = [inc[:, z].reshape(n, 3 * q) for z in range(2)]
+    # Increments S[j+1] - S[j], zone-major, so that one batched matmul
+    # gives every history sum of a step.
+    inc = np.zeros((2, n, 3 * q))  # [zone, step, (quantity, node)]
+    inc_steps = inc.reshape(2, n, 3, q).transpose(1, 2, 0, 3)  # like states
     sums = np.empty((2, 2, 3 * q))  # [zone, weight row, (quantity, node)]
     hist = sums[:, 0].reshape(2, 3, q).transpose(1, 0, 2)  # H, laid out like states
-    folded = sums[:, 1, :q]  # l H - H_order[U], per zone
+    folded = sums[:, 1, :q]  # F per zone
+    rhs = np.empty((3, 2, q))
+    correction = np.empty((2, 1, 2 * q))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            for z in range(2):
-                np.matmul(rev[z, :, n - k:n], inc_zone[z][:k], out=sums[z])
+            np.matmul(rev[:, :, n - k:n], inc[:, :k], out=sums)
             old, new = states[k], states[k + 1]
-            np.subtract(old, hist, out=new)
-            u, du_da, du_dg = S[k + 1]
-            u += forcing
-            getrs(lu, piv, u, overwrite_b=True)  # every solve is in place
-
-            step = inc[k, :, 0]
-            np.subtract(new[0], old[0], out=step)
-            coupling = step * ell + folded  # l (U^{k+1} - U^k + H) - H_order[U]
-            du_da[:q] += coupling[0]
-            du_dg[q:] += coupling[1]
-            getrs(lu, piv, du_da, overwrite_b=True)
-            getrs(lu, piv, du_dg, overwrite_b=True)
-            np.subtract(new[1:], old[1:], out=inc[k, :, 1:].transpose(1, 0, 2))
+            np.subtract(old, hist, out=rhs)
+            rhs[0] += forcing
+            rhs[1, 0] += folded[0]
+            rhs[2, 1] += folded[1]
+            np.matmul(rhs.reshape(3, 2 * q), minv_t, out=S[k + 1])
+            np.matmul(new[0, :, None], coupling_t, out=correction)
+            S[k + 1, 1:] += correction[:, 0]
+            np.subtract(new, old, out=inc_steps[k])
 
     finite = np.isfinite(S).all(axis=(1, 2))
     if not finite.all():

@@ -229,11 +229,28 @@ def test_invert_mittag_leffler_pair():
         assert got == pytest.approx(mittag_leffler(alpha, -(t**alpha)), rel=1e-6)
 
 
-def test_invert_rejects_bad_time():
+def test_invert_rejects_bad_time(bench_params):
     with pytest.raises(ValidationError, match="positive finite time"):
         invert_transform(lambda s: 1.0 / s, 0.0)
     with pytest.raises(ValidationError, match="positive finite time"):
         invert_transform(lambda s: 1.0 / s, math.inf)
+    # bool is an int subclass; True must not be read as t = 1
+    with pytest.raises(ValidationError, match="positive finite time"):
+        invert_transform(lambda s: 1.0 / s, True)
+    with pytest.raises(ValidationError, match="positive finite time"):
+        invert_at(0.5, True, bench_params)
+
+
+@pytest.mark.parametrize(
+    "fbar",
+    [lambda s: float("nan"), lambda s: complex(math.nan, 0.0) if s.imag > 0 else 1.0 / s],
+    ids=["every-node", "upper-half-nodes"],
+)
+def test_invert_rejects_nan_transform(fbar):
+    # a NaN sum makes the error estimate NaN, which must not pass the
+    # tolerance test
+    with pytest.raises(QuadratureError, match="did not converge"):
+        invert_transform(fbar, 1.0)
 
 
 def test_invert_reports_non_convergence():

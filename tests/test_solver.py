@@ -25,12 +25,13 @@ from fracmim import (
     ModelParams,
     ParameterError,
     SolverError,
+    builtin_experiment,
     extract_observation,
     invert_at,
     solve_forward,
 )
 from fracmim.inversion import sensitivity_jacobian
-from fracmim.solver import _march, assemble_block_system, scheme_constants
+from fracmim.solver import _march, _tangent_march, assemble_block_system, scheme_constants
 from conftest import admissible_draw
 from oracles import (
     backward_euler_classical,
@@ -302,6 +303,38 @@ def test_history_forms_agree_and_solution_satisfies_system(p, g):
     oracle = complex_step_jacobian((p.alpha, p.gamma), p, g, times, node * g.h)
     rel = np.linalg.norm(G - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
     assert np.all(rel <= 1e-10), rel
+
+
+@pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
+@pytest.mark.parametrize("m, n", [(40, 200), (160, 800)])
+def test_tangent_march_state_matches_march_at_every_node(name, m, n):
+    # The tangent march applies a precomputed inverse of the step matrix
+    # where _march solves with its LU factors; the states must agree at
+    # every interior node of both zones and every time.  160x800 gives
+    # q = 159, the largest inverse the test grids build.
+    spec = builtin_experiment(name)
+    g = GridSpec(m=m, n=n, T=spec.grid.T)
+    sol = _march(spec.params, g)
+    state = _tangent_march(spec.params, g)[:, 0]
+    q = m - 1
+    assert np.max(np.abs(state[:, :q] - sol.u1[1:m].T)) <= 1e-12
+    assert np.max(np.abs(state[:, q:] - sol.u2[1:m].T)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
+def test_tangent_columns_match_complex_step_oracle_across_nodes(name):
+    # Not only the observed node: near the inlet, in the middle and at
+    # the last interior node of the mobile zone.
+    spec = builtin_experiment(name)
+    p, g = spec.params, spec.grid
+    S = _tangent_march(p, g)
+    times = g.time_nodes()[1:]
+    for x0 in (0.25, 0.5, 1.0 - g.h):
+        node = int(round(x0 * g.m))
+        G = S[1:, 1:, node - 1]
+        oracle = complex_step_jacobian((p.alpha, p.gamma), p, g, times, x0)
+        rel = np.linalg.norm(G - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
+        assert np.all(rel <= 1e-10), (x0, rel)
 
 
 def test_grid_refinement_moves_toward_reference(bench_params):
