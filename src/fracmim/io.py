@@ -3,14 +3,19 @@
 One JSON document describes an experiment; physical parameters are
 always explicit while grid and algorithm knobs fall back to the package
 defaults.  :func:`parse_config` reads that document and
-:func:`config_document` writes it.  Every CSV artifact has a mandatory header, 17-significant-
-digit decimal fields, and bare "\\n" line endings, so emitted files
-round-trip through :func:`read_csv` bit-cleanly.
+:func:`config_document` writes it.
+
+Every CSV artifact has a mandatory header line, then one line per row of
+decimal fields with 17 significant digits (``"%.17g"``: "nan", "inf" and
+"-0" spelled so), separated by "," with bare "\\n" line endings, so
+emitted files round-trip through :func:`read_csv` bit for bit.  Both
+work on blocks of rows, not on single cells.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -38,11 +43,10 @@ __all__ = [
     "write_experiment_table",
 ]
 
-_FMT = "{:.17g}"
-
-
-def _fmt(v: float) -> str:
-    return _FMT.format(float(v))
+# Rows per formatted or parsed block: large enough that the per-block
+# Python overhead vanishes, small enough that a block's strings stay a
+# few hundred KB.
+_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -239,45 +243,93 @@ def load_config(path: str | Path) -> ExperimentSpec:
 # CSV primitives
 
 
+def _table(path: Path, width: int, rows) -> np.ndarray:
+    """``rows`` as one (N, width) float array; the first row of another width is named."""
+    if isinstance(rows, np.ndarray):
+        widths = map(len, rows[:1])  # an array's rows all share one width
+    else:
+        rows = [[float(v) for v in row] for row in rows]
+        widths = map(len, rows)
+    for r, n in enumerate(widths, start=1):
+        if n != width:
+            raise ValidationError(f"{path}: row {r} has {n} fields, expected {width}")
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[float]]) -> None:
-    """Write numeric rows as decimal CSV: header line, 17 significant digits."""
+    """Write numeric rows as decimal CSV: header line, 17 significant digits.
+
+    Cells are converted with ``float``.  A row whose width differs from
+    the header's is named in a :class:`ValidationError` before the file
+    is opened.
+    """
+    path = Path(path)
+    table = _table(path, len(header), rows)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def _parse_block(path: Path, header: list[str], lines: list[str], first_row: int) -> np.ndarray:
+    """The data lines of rows ``first_row``, ``first_row + 1``, ... as an array.
+
+    ``np.array`` of strings parses each cell with ``float``.  Only when
+    the block is malformed are its rows scanned one cell at a time, to
+    raise for the first wrong width or non-numeric cell in row order.
+    """
+    width = len(header)
+    if all(ln.count(",") == width - 1 for ln in lines):
+        try:
+            return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), width)
+        except ValueError:  # a non-numeric cell, named below
+            pass
+    for r, line in enumerate(lines, start=first_row):
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != width:
+            raise ValidationError(f"{path}: row {r} has {len(cells)} fields, expected {width}")
+        for cell, name in zip(cells, header):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: row {r}: non-numeric value {cell!r} in column {name!r}"
+                ) from None
+    raise AssertionError("a malformed block has a malformed row")
 
 
 def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV written by this package; returns (header, array).
 
-    Any non-numeric cell is rejected with its row number ("row 1" is the
-    first data row after the header).
+    Blank and whitespace-only lines are skipped and not counted.  A row
+    whose width differs from the header's, or any non-numeric cell, is
+    rejected with its row number ("row 1" is the first data row after
+    the header); a file that is not UTF-8 is rejected as such, wherever
+    the bad byte lies.  A header-only file gives shape (0, columns).
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
+            lines = (ln for ln in f if not ln.isspace())
+            first = next(lines, None)
+            if first is None:
+                raise ValidationError(f"{path}: empty file, expected a CSV header")
+            header = first.rstrip("\n").split(",")
+            blocks = [np.empty((0, len(header)))]
+            row = 1
+            try:
+                while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+                    blocks.append(_parse_block(path, header, block, row))
+                    row += len(block)
+            except ValidationError:
+                for _ in f:  # decode the rest, so that a bad byte anywhere wins
+                    pass
+                raise
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path}: not a UTF-8 text file: {e}") from None
-    if not lines:
-        raise ValidationError(f"{path}: empty file, expected a CSV header")
-    header = lines[0].split(",")
-    data = np.empty((len(lines) - 1, len(header)))
-    for r, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValidationError(
-                f"{path}: row {r} has {len(cells)} fields, expected {len(header)}"
-            )
-        for cidx, cell in enumerate(cells):
-            try:
-                data[r - 1, cidx] = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {r}: non-numeric value {cell!r} "
-                    f"in column {header[cidx]!r}"
-                ) from None
-    return header, data
+    return header, np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +340,10 @@ def write_solution_csv(path: str | Path, sol: SolutionGrid) -> None:
     """Full space-time fields as rows (x, t, u1, u2), time-major order."""
     xs = sol.grid.space_nodes()
     ts = sol.grid.time_nodes()
-
-    def rows():
-        for k, t in enumerate(ts):
-            for i, x in enumerate(xs):
-                yield (x, t, sol.u1[i, k], sol.u2[i, k])
-
-    write_csv(path, ["x", "t", "u1", "u2"], rows())
+    table = np.column_stack(
+        [np.tile(xs, len(ts)), np.repeat(ts, len(xs)), sol.u1.T.ravel(), sol.u2.T.ravel()]
+    )
+    write_csv(path, ["x", "t", "u1", "u2"], table)
 
 
 # Observation sidecar keys: (check of the JSON value, what the value must be).

@@ -323,6 +323,7 @@ def _tangent_march(params: ModelParams, grid: GridSpec) -> np.ndarray:
     forcing, lu, piv, getrs, weights = _march_setup(params, grid)
     forcing = forcing.reshape(2, q)
     minv_t = getrs(lu, piv, np.eye(2 * q))[0].T.copy()
+    del lu, piv  # the march needs only the inverse
     orders = np.array([[params.alpha], [params.gamma]])
     ell = np.log(grid.tau) - scipy.special.digamma(2.0 - orders)  # l_a, l_g
     # Per zone, row 0 gives the history sum H and row 1 the folded sum F

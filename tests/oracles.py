@@ -17,17 +17,23 @@ functions is a genuine two-route check:
   This one oracle runs the package's own march: it checks the
   differentiation, not the march;
 * the same sensitivities by a complex step through a small complex
-  march of its own, exact to roundoff like the tangent-linear march.
+  march of its own, exact to roundoff like the tangent-linear march;
+* the CSV writer and reader one cell at a time (``str.format`` and
+  ``float`` per cell), and the per-cell rows of the solution file, as
+  the byte-for-byte and message-for-message reference of the block
+  CSV layer.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 from scipy.special import gamma as gamma_fn
 from scipy.special import rgamma
 
-from fracmim import extract_observation, solve_forward
+from fracmim import ValidationError, extract_observation, solve_forward
 
 
 def backward_euler_classical(p, grid, inlet=1.0):
@@ -241,3 +247,53 @@ def complex_step_jacobian(z, p_base, grid, obs_times, x0, h=1e-30):
         orders[k] += h * 1j
         G[:, k] = _complex_observed(p_base, *orders, grid, node, steps).imag / h
     return G
+
+
+def percell_write_csv(path, header, rows):
+    """Header line, then every cell as ``"{:.17g}".format(float(cell))``."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join("{:.17g}".format(float(v)) for v in row) + "\n")
+
+
+def percell_solution_rows(sol):
+    """Rows (x, t, u1, u2) of a solution, time-major, one cell at a time."""
+    xs = sol.grid.space_nodes()
+    ts = sol.grid.time_nodes()
+    for k, t in enumerate(ts):
+        for i, x in enumerate(xs):
+            yield (x, t, sol.u1[i, k], sol.u2[i, k])
+
+
+def percell_read_csv(path):
+    """(header, array) of a CSV, every cell parsed by ``float`` in row order.
+
+    Blank and whitespace-only lines are dropped before rows are counted;
+    the first wrong width or non-numeric cell raises with its row.
+    """
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not a UTF-8 text file: {e}") from None
+    if not lines:
+        raise ValidationError(f"{path}: empty file, expected a CSV header")
+    header = lines[0].split(",")
+    data = np.empty((len(lines) - 1, len(header)))
+    for r, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{path}: row {r} has {len(cells)} fields, expected {len(header)}"
+            )
+        for cidx, cell in enumerate(cells):
+            try:
+                data[r - 1, cidx] = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: row {r}: non-numeric value {cell!r} "
+                    f"in column {header[cidx]!r}"
+                ) from None
+    return header, data

@@ -31,8 +31,10 @@ from fracmim import (
     write_observation,
 )
 from fracmim.experiments import DEFAULT_GRID, DEFAULT_NOISE_LEVELS
+from fracmim import io as fio
 from fracmim.inversion import IterationRecord, _noise_key
 from fracmim.io import (
+    _BLOCK_ROWS,
     config_document,
     write_csv,
     write_experiment_table,
@@ -41,6 +43,7 @@ from fracmim.io import (
     write_solution_csv,
 )
 from conftest import admissible_draw
+from oracles import percell_read_csv, percell_solution_rows, percell_write_csv
 
 PARAMS_DOC = {
     "P": 5.0, "R1": 2.0, "R2": 2.0, "beta": 0.5, "omega": 1.5,
@@ -343,6 +346,145 @@ def test_read_csv_empty_file(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, msg",
+    [
+        ([(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)], "row 2 has 1 fields, expected 2"),
+        ([(1.0, 2.0, 3.0)], "row 1 has 3 fields, expected 2"),
+        (np.zeros((3, 3)), "row 1 has 3 fields, expected 2"),
+    ],
+    ids=["short-row", "long-row", "wide-array"],
+)
+def test_write_csv_rejects_row_of_other_width(tmp_path, rows, msg):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: {msg}")):
+        write_csv(path, ["a", "b"], rows)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cell", [None, "1.5", [1.0]])
+def test_write_csv_cells_convert_as_float_does(tmp_path, cell):
+    try:
+        expected = f"a,b\n1,{float(cell):.17g}\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "data.csv", ["a", "b"], [(1, cell)])
+    else:
+        write_csv(tmp_path / "data.csv", ["a", "b"], [(1, cell)])
+        assert (tmp_path / "data.csv").read_text(encoding="utf-8") == expected
+
+
+SPECIAL_DOUBLES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+    np.nextafter(0.0, 1.0) * 12345, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1, 1.0 / 3.0, 1e16, 123456789012345678.0,
+]
+
+
+def _random_doubles(rng, shape):
+    mantissa = rng.standard_normal(shape)
+    return mantissa * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+
+
+def test_write_csv_matches_percell_writer(tmp_path):
+    rng = np.random.default_rng(10)
+    rows = _random_doubles(rng, (2 * _BLOCK_ROWS + 7, 3))
+    rows[: len(SPECIAL_DOUBLES), 0] = SPECIAL_DOUBLES
+    rows[-len(SPECIAL_DOUBLES):, 2] = SPECIAL_DOUBLES
+    rows[5:40, 1] = rng.uniform(-1.0, 1.0, 35) * 2.2250738585072014e-308  # subnormals
+    ints = [(j, 2**60 + 1, -(2**53) - 1, True) for j in range(5)]
+    big_ints = rng.integers(-(2**62), 2**62, size=(20, 3))
+    cases = [  # (header, a maker of fresh rows)
+        (["a", "b", "c"], lambda: rows),
+        (["a", "b", "c"], lambda: [tuple(row) for row in rows[:50]]),
+        (["a", "b", "c"], lambda: big_ints),
+        (["i", "big", "neg", "flag"], lambda: ints),
+        (["i", "x"], lambda: ((j, x) for j, x in enumerate(SPECIAL_DOUBLES))),
+        (["a", "b"], lambda: (iter(row) for row in rows[:20, :2])),
+        (["a", "b"], lambda: []),
+        (["only"], lambda: np.arange(7.0)[:, None]),
+    ]
+    for k, (header, make) in enumerate(cases):
+        write_csv(tmp_path / f"new{k}.csv", header, make())
+        percell_write_csv(tmp_path / f"old{k}.csv", header, make())
+        new, old = ((tmp_path / f"{side}{k}.csv").read_bytes() for side in ("new", "old"))
+        assert new == old, f"case {k}"
+
+
+def _read_outcome(read, path):
+    try:
+        header, data = read(path)
+    except ValidationError as e:
+        return "error", str(e)
+    return header, data.shape, data.tobytes()
+
+
+def _block_file(size, edits):
+    """Header a,b,c and ``size`` numeric rows, with row r's line replaced by edits[r]."""
+    lines = ["a,b,c"] + [f"{r},{r}.5,-{r}e-3" for r in range(1, size + 1)]
+    for r, line in edits.items():
+        lines[r] = line
+    return "\n".join(lines) + "\n"
+
+
+B = _BLOCK_ROWS
+READ_CASES = {
+    "padded": "a, b\n 1 , 2\t\n\u2003-0 ,  +inf\n",
+    "blank-lines": "\n  \na,b\n\n1,2\n   \n\t\n3,4\n\n \n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "cr": "a,b\r1,2\r3,4",
+    "underscores": "a,b\n1_0,2_000.5\n",
+    "words": "a,b,c\nnan,-Infinity,infinity\n\u0661\u0662,1e999,-1e-999\n",
+    "no-final-newline": "a,b\n1,2\n3,4",
+    "header-only": "a,b,c\n",
+    "header-only-no-newline": "a,b",
+    "header-only-padded": "  \n a,b \n\n",
+    "empty": "",
+    "whitespace-only": " \n\t\n\r\n",
+    "trailing-comma": "a,b\n1,2,\n",
+    "empty-cell": "a,b\n1,\n",
+    "hex": "a,b\n1,0x10\n",
+    "compensating-rows": "a,b\n1,2,3\n4\n",
+    "bad-cell-then-short-row": "a,b\n1,2\n3,x\n4\n",
+    "short-row-then-bad-cell": "a,b\n1,2\n3\n4,x\n",
+    "bad-cells-in-one-row": "a,b,c\n1,y,z\n",
+    "many-rows": _block_file(2 * B + 3, {}),
+    "bad-cell-after-first-block": _block_file(2 * B + 3, {B + 7: "1,oops,3"}),
+    "short-row-after-first-block": _block_file(2 * B + 3, {B + 9: "1,2"}),
+    "bad-cell-first-of-second-block": _block_file(2 * B, {B + 1: "1,2,?"}),
+    "short-row-last-of-first-block": _block_file(2 * B, {B: "1"}),
+    "bad-cell-before-short-row-in-block": _block_file(2 * B, {B + 2: "1,2,x", B + 5: "1"}),
+    "short-row-before-bad-cell-in-block": _block_file(2 * B, {B + 2: "1", B + 5: "1,2,x"}),
+    "blank-lines-before-bad-cell": _block_file(B + 20, {r: "  " for r in range(3, 40)} | {B + 10: "x,1,2"}),
+}
+
+
+@pytest.mark.parametrize("name", READ_CASES)
+def test_read_csv_matches_percell_reader(tmp_path, name):
+    path = tmp_path / "data.csv"
+    path.write_bytes(READ_CASES[name].encode("utf-8"))
+    assert _read_outcome(read_csv, path) == _read_outcome(percell_read_csv, path)
+
+
+def test_read_csv_header_only_shape(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b,c\n", encoding="utf-8")
+    header, data = read_csv(path)
+    assert header == ["a", "b", "c"] and data.shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad_row", [3, 2 * _BLOCK_ROWS])
+def test_read_csv_undecodable_byte_wins_over_earlier_bad_row(tmp_path, bad_row):
+    # The bad byte lies far past the first decoded chunk, and a malformed
+    # row comes before it.
+    text = _block_file(3 * _BLOCK_ROWS, {bad_row: "1,2"})
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8")[:-40] + b"\xff" + text.encode("utf-8")[-40:])
+    outcome = _read_outcome(read_csv, path)
+    assert outcome == _read_outcome(percell_read_csv, path)
+    assert "not a UTF-8 text file" in outcome[1]
+
+
 # ---------------------------------------------------------------------------
 # artifact writers
 
@@ -360,6 +502,46 @@ def test_solution_csv_layout(tmp_path, bench_params):
     assert np.all(data[: grid.m + 1, 1] == 0.0)
     assert data[-1, 0] == 1.0 and data[-1, 1] == 6.0
     assert data[-1, 2] == sol.u1[-1, -1] and data[-1, 3] == sol.u2[-1, -1]
+
+
+def test_solution_csv_matches_percell_writer(tmp_path, bench_params):
+    grid = GridSpec(40, 2 * _BLOCK_ROWS // 41 + 3, 100.0)  # rows span three blocks
+    sol = solve_forward(bench_params, grid)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, sol)
+    percell_write_csv(tmp_path / "percell.csv", ["x", "t", "u1", "u2"], percell_solution_rows(sol))
+    assert path.read_bytes() == (tmp_path / "percell.csv").read_bytes()
+
+
+def test_artifact_csvs_match_percell_writer(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    obs = ObservationSeries(
+        x0=0.5, times=np.cumsum(rng.uniform(1e-3, 1.0, 300)),
+        values=_random_doubles(rng, 300), noise_level=0.01, seed=3,
+    )
+    reference = [(0.5, 10.0, 0.03, 0.02, 1e-8), (1.0, 0.5, math.nan, math.nan, math.nan)]
+    table = ExperimentTable(
+        name="demo", z_exact=(0.8, 0.25),
+        rows=[
+            ReplicateSummary(delta=0.05, replicates=10, failures=1, z_mean=(0.81, 1 / 3),
+                             rel_error_mean=0.03, iterations_mean=14.5),
+            ReplicateSummary(delta=0.01, replicates=10, failures=10, z_mean=None,
+                             rel_error_mean=None, iterations_mean=None),
+        ],
+    )
+    writers = [
+        (write_observation, obs),
+        (write_reference_csv, reference),
+        (lambda path, res: write_inversion_report(tmp_path / "r.json", res, path), _result(1e-6)),
+        (lambda path, t: write_experiment_table(path, tmp_path / "t.md", t), table),
+    ]
+    for k, (write, arg) in enumerate(writers):
+        write(tmp_path / "new.csv", arg)
+        with monkeypatch.context() as m:  # the same writer on the per-cell CSV layer
+            m.setattr(fio, "write_csv", percell_write_csv)
+            write(tmp_path / "old.csv", arg)
+        new, old = ((tmp_path / f"{side}.csv").read_bytes() for side in ("new", "old"))
+        assert new == old, f"writer {k}"
 
 
 def test_observation_round_trip_with_sidecar(tmp_path):
