@@ -11,17 +11,19 @@ parameter set and step size.
 Unknown ordering inside a step is mobile interior values first, then
 immobile interior values: U = (u1_1..u1_{m-1}, u2_1..u2_{m-1}).
 
-The matrix is LU-factored once per march and every step solves with
-LAPACK ``getrs`` on those factors.  The L1 history weights are one
-difference of the power table, read backwards.  Finiteness is checked
-once, after the march, which reports the first non-finite time step.
+The inverse of the step matrix is formed once per march and every step
+applies it by one matrix product, so no step calls LAPACK.  Forming it
+is safe: every row of the matrix has diagonal-dominance slack above 1,
+so by Varah's bound the inverse has infinity norm below 1.  The L1
+history weights are one difference of the power table, read backwards.
+Finiteness is checked once, after the march, which reports the first
+non-finite time step.
 
-The order recovery needs the march's derivatives in both orders.  The
-tangent-linear march advances the state and those two derivatives
-together (forward-mode differentiation of the march itself, so the
-derivatives are exact to roundoff).  It forms the inverse of the step
-matrix once from the same LU factors and applies it by matrix products,
-so none of its steps calls LAPACK.
+One march serves the forward solve and the order recovery.  The forward
+solve advances the state alone.  The recovery also needs the state's
+derivatives in both orders, which the same march advances together
+with the state (forward-mode differentiation of the march itself, so
+the derivatives are exact to roundoff).
 """
 
 from __future__ import annotations
@@ -213,85 +215,51 @@ def solve_forward(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> So
     _validate_for_solve(params)
     if not (_is_number(inlet) and math.isfinite(inlet)):
         raise ParameterError("inlet must be a finite number")
-    return _march(params, grid, inlet)
-
-
-def _march_setup(params: ModelParams, grid: GridSpec):
-    """What both marches fix before their first step.
-
-    Returns the unit-inlet forcing, the LU factors of the step matrix
-    with LAPACK ``dgetrs`` for them (:func:`_march` solves every step
-    with it, :func:`_tangent_march` forms the inverse with it once), and
-    the L1 weight tables: for the mobile (``weights[0]``) and the
-    immobile (``weights[1]``) order, row 0 is the differenced power table
-    of i^(1-order) and row 1 that of its order derivative
-    -ln(i) i^(1-order).
-    """
-    system = assemble_block_system(scheme_constants(params, grid), grid.m)
-    lu, piv = scipy.linalg.lu_factor(system.matrix)
-    # getrs's info is nonzero only for an illegal argument, which fixed
-    # shapes and dtypes rule out.
-    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-    powers = np.stack([l1_power_table(order, grid.n) for order in (params.alpha, params.gamma)])
-    log_i = np.log(np.arange(grid.n + 2).clip(1))  # i = 0 gives 0, as 0^e does
-    weights = np.diff(np.stack([powers, -log_i * powers], axis=1))
-    return system.boundary_forcing, lu, piv, getrs, weights
-
-
-def _march(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> SolutionGrid:
-    # solve_forward's march without its checks.
-    m, n = grid.m, grid.n
-    q = m - 1
-    forcing, lu, piv, getrs, weights = _march_setup(params, grid)
-
-    # Step k weighs increment j = 0..k-1 by (k+1-j)^e - (k-j)^e, which is
-    # the reversed view d[k:0:-1] of the differenced power table.  A
-    # contiguous copy of that view would change the matmul's last bits.
-    d1, d2 = weights[:, 0]
-
-    u1 = np.zeros((m + 1, n + 1))
-    u2 = np.zeros((m + 1, n + 1))
-    # Increment history (u^{j+1} - u^j) per interior node, filled as the
-    # march proceeds; column j is consumed by every later step.
-    du1 = np.zeros((q, n))
-    du2 = np.zeros((q, n))
-
-    # rhs is rebuilt every step, so getrs may solve it in place.
-    rhs = np.empty(2 * q)
-    # No per-step finiteness check: an overflow or NaN runs on to the end
-    # of the march, and the first non-finite time step is found after it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        forcing = inlet * forcing
-        for k in range(n):
-            rhs[:q] = u1[1:m, k] - du1[:, :k] @ d1[k:0:-1]
-            rhs[q:] = u2[1:m, k] - du2[:, :k] @ d2[k:0:-1]
-            rhs += forcing
-
-            sol, _ = getrs(lu, piv, rhs, overwrite_b=True)
-
-            u1[1:m, k + 1] = sol[:q]
-            u2[1:m, k + 1] = sol[q:]
-            du1[:, k] = u1[1:m, k + 1] - u1[1:m, k]
-            du2[:, k] = u2[1:m, k + 1] - u2[1:m, k]
-
+    m = grid.m
+    state = _tangent_march(params, grid, inlet, tangents=False)
+    u1 = np.zeros((m + 1, grid.n + 1))
+    u2 = np.zeros((m + 1, grid.n + 1))
+    u1[1:m] = state[:, 0, :m - 1].T
+    u2[1:m] = state[:, 0, m - 1:].T
     # Inlet value and reflecting outflow (ghost node equals its neighbour).
     u1[0, 1:] = inlet
     u1[m, 1:] = u1[m - 1, 1:]
     u2[m, 1:] = u2[m - 1, 1:]
-
-    finite = np.isfinite(u1).all(axis=0) & np.isfinite(u2).all(axis=0)
-    if not finite.all():
-        raise SolverError(f"non-finite solution values at time step {np.argmin(finite)}")
     return SolutionGrid(u1=u1, u2=u2, grid=grid)
 
 
-def _tangent_march(params: ModelParams, grid: GridSpec) -> np.ndarray:
-    """Unit-inlet march of the interior state and its two order derivatives.
+def _march_setup(params: ModelParams, grid: GridSpec):
+    """What the march fixes before its first step.
+
+    Returns the unit-inlet forcing, the transpose of the inverse of the
+    step matrix (formed once, by LAPACK ``getrs`` on its LU factors and
+    the identity; every step is a product with it), and the L1 weight
+    tables: for the mobile (``weights[0]``) and the immobile
+    (``weights[1]``) order, row 0 is the differenced power table of
+    i^(1-order) and row 1 that of its order derivative -ln(i) i^(1-order).
+    """
+    system = assemble_block_system(scheme_constants(params, grid), grid.m)
+    factors = scipy.linalg.lu_factor(system.matrix)
+    # Solved in place on a Fortran-order identity, so the transpose is
+    # C-contiguous without a copy.
+    identity = np.eye(2 * grid.m - 2, order="F")
+    minv_t = scipy.linalg.lu_solve(factors, identity, overwrite_b=True).T
+    powers = np.stack([l1_power_table(order, grid.n) for order in (params.alpha, params.gamma)])
+    log_i = np.log(np.arange(grid.n + 2).clip(1))  # i = 0 gives 0, as 0^e does
+    weights = np.diff(np.stack([powers, -log_i * powers], axis=1))
+    return system.boundary_forcing, minv_t, weights
+
+
+def _tangent_march(
+    params: ModelParams, grid: GridSpec, inlet: float = 1.0, tangents: bool = True
+) -> np.ndarray:
+    """March of the interior state and, with ``tangents``, its order derivatives.
 
     Returns S of shape (n+1, 3, 2(m-1)), ordered like U: S[k, 0] is the
-    state U^k (the march of :func:`solve_forward` up to roundoff),
-    S[k, 1] = dU^k/d alpha and S[k, 2] = dU^k/d gamma, exact derivatives
-    of the discrete march up to roundoff.
+    state U^k for the inlet value ``inlet``, S[k, 1] = dU^k/d alpha and
+    S[k, 2] = dU^k/d gamma, exact derivatives of the discrete march up
+    to roundoff.  Without ``tangents`` S has shape (n+1, 1, 2(m-1)): the
+    march carries the state alone, for :func:`solve_forward`.
 
     The step matrix is M = I + C K, where C is ca on the mobile rows and
     cg on the immobile rows and K is free of the orders, and the inlet
@@ -305,11 +273,11 @@ def _tangent_march(params: ModelParams, grid: GridSpec) -> np.ndarray:
     l_a = d ln(ca)/d alpha = ln(tau) - digamma(2 - alpha).  The gamma
     derivative is the same on the immobile rows.
 
-    The march applies the inverse Minv of M, formed once from the LU
-    factors, and solves nothing per step.  U^0 = 0, so U^k is the sum of
-    all earlier increments and -l_a U^k folds into the history weights:
-    F_a = l_a H^k - H_a[U]^k - l_a U^k weighs each increment by
-    l_a w - dw/d alpha - l_a.  With P_a the mobile rows,
+    The march applies the inverse Minv of M, formed once by
+    :func:`_march_setup`, and solves nothing per step.  U^0 = 0, so U^k
+    is the sum of all earlier increments and -l_a U^k folds into the
+    history weights: F_a = l_a H^k - H_a[U]^k - l_a U^k weighs each
+    increment by l_a w - dw/d alpha - l_a.  With P_a the mobile rows,
 
         U^{k+1} = Minv (U^k - H^k + f)
         V^{k+1} = Minv (V^k - H[V]^k + P_a F_a) + l_a Minv P_a U^{k+1},
@@ -317,47 +285,50 @@ def _tangent_march(params: ModelParams, grid: GridSpec) -> np.ndarray:
     and likewise for gamma with P_g, the immobile rows.  A step is one
     batched history matmul for both zones, the right-hand sides, one
     product with Minv for the state and both tangents, one coupling
-    product for both tangents and the increment write.
+    product for both tangents and the increment write.  The state alone
+    takes the history row H, the right-hand side and the product.
     """
     n, q = grid.n, grid.m - 1
-    forcing, lu, piv, getrs, weights = _march_setup(params, grid)
-    forcing = forcing.reshape(2, q)
-    minv_t = getrs(lu, piv, np.eye(2 * q))[0].T.copy()
-    del lu, piv  # the march needs only the inverse
+    r = 3 if tangents else 1  # quantities carried
+    forcing, minv_t, weights = _march_setup(params, grid)
     orders = np.array([[params.alpha], [params.gamma]])
     ell = np.log(grid.tau) - scipy.special.digamma(2.0 - orders)  # l_a, l_g
-    # Per zone, row 0 gives the history sum H and row 1 the folded sum F
-    # of the zone's own order; reversed, so that step k's weights are the
-    # contiguous columns n-k..n-1.
+    # Per zone, row 0 gives the history sum H and row 1, which only the
+    # tangents need, the folded sum F of the zone's own order; reversed,
+    # so that step k's weights are the contiguous columns n-k..n-1.
     w = weights[:, 0]
-    rev = np.stack([w, ell * w - weights[:, 1] - ell], axis=1)[..., ::-1].copy()
+    rows = [w, ell * w - weights[:, 1] - ell] if tangents else [w]
+    rev = np.stack(rows, axis=1)[..., ::-1].copy()
     # The couplings l_a Minv P_a and l_g Minv P_g, transposed, so that
     # zone z's state times coupling_t[z] is its tangent's correction.
-    coupling_t = ell[:, :, None] * minv_t.reshape(2, q, 2 * q)
+    coupling_t = ell[:, :, None] * minv_t.reshape(2, q, 2 * q) if tangents else None
 
-    S = np.zeros((n + 1, 3, 2 * q))
-    states = S.reshape(n + 1, 3, 2, q)  # [step, quantity, zone, node]
+    S = np.zeros((n + 1, r, 2 * q))
+    states = S.reshape(n + 1, r, 2, q)  # [step, quantity, zone, node]
     # Increments S[j+1] - S[j], zone-major, so that one batched matmul
     # gives every history sum of a step.
-    inc = np.zeros((2, n, 3 * q))  # [zone, step, (quantity, node)]
-    inc_steps = inc.reshape(2, n, 3, q).transpose(1, 2, 0, 3)  # like states
-    sums = np.empty((2, 2, 3 * q))  # [zone, weight row, (quantity, node)]
-    hist = sums[:, 0].reshape(2, 3, q).transpose(1, 0, 2)  # H, laid out like states
-    folded = sums[:, 1, :q]  # F per zone
-    rhs = np.empty((3, 2, q))
+    inc = np.zeros((2, n, r * q))  # [zone, step, (quantity, node)]
+    inc_steps = inc.reshape(2, n, r, q).transpose(1, 2, 0, 3)  # like states
+    sums = np.empty((2, len(rows), r * q))  # [zone, weight row, (quantity, node)]
+    hist = sums[:, 0].reshape(2, r, q).transpose(1, 0, 2)  # H, laid out like states
+    folded = sums[:, -1, :q]  # F per zone
+    rhs = np.empty((r, 2, q))
     correction = np.empty((2, 1, 2 * q))
 
     with np.errstate(over="ignore", invalid="ignore"):
+        forcing = inlet * forcing.reshape(2, q)
         for k in range(n):
             np.matmul(rev[:, :, n - k:n], inc[:, :k], out=sums)
             old, new = states[k], states[k + 1]
             np.subtract(old, hist, out=rhs)
             rhs[0] += forcing
-            rhs[1, 0] += folded[0]
-            rhs[2, 1] += folded[1]
-            np.matmul(rhs.reshape(3, 2 * q), minv_t, out=S[k + 1])
-            np.matmul(new[0, :, None], coupling_t, out=correction)
-            S[k + 1, 1:] += correction[:, 0]
+            if tangents:
+                rhs[1, 0] += folded[0]
+                rhs[2, 1] += folded[1]
+            np.matmul(rhs.reshape(r, 2 * q), minv_t, out=S[k + 1])
+            if tangents:
+                np.matmul(new[0, :, None], coupling_t, out=correction)
+                S[k + 1, 1:] += correction[:, 0]
             np.subtract(new, old, out=inc_steps[k])
 
     finite = np.isfinite(S).all(axis=(1, 2))

@@ -18,6 +18,10 @@ functions is a genuine two-route check:
   differentiation, not the march;
 * the same sensitivities by a complex step through a small complex
   march of its own, exact to roundoff like the tangent-linear march;
+* the L1 march solving every step with LAPACK ``getrs`` on the LU
+  factors of the oracle matrix (it shares only the scheme constants and
+  the power table with the package), against the package's march, which
+  applies a precomputed inverse;
 * the CSV writer and reader one cell at a time (``str.format`` and
   ``float`` per cell), and the per-cell rows of the solution file, as
   the byte-for-byte and message-for-message reference of the block
@@ -34,6 +38,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import rgamma
 
 from fracmim import ValidationError, extract_observation, solve_forward
+from fracmim.model import l1_power_table
+from fracmim.solver import scheme_constants
 
 
 def backward_euler_classical(p, grid, inlet=1.0):
@@ -247,6 +253,43 @@ def complex_step_jacobian(z, p_base, grid, obs_times, x0, h=1e-30):
         orders[k] += h * 1j
         G[:, k] = _complex_observed(p_base, *orders, grid, node, steps).imag / h
     return G
+
+
+def getrs_march(p, grid, inlet=1.0):
+    """Fields (u1, u2) of the L1 march, each step solved with ``getrs``.
+
+    The set-up is its own: the matrix of :func:`dense_block_matrix` with
+    ``lu_factor``, and history weights differenced from the power table.
+    Step k weighs increment j = 0..k-1 by (k+1-j)^e - (k-j)^e, the
+    reversed view d[k:0:-1] of the differenced table.
+    """
+    m, n = grid.m, grid.n
+    q = m - 1
+    c = scheme_constants(p, grid)
+    lu, piv = scipy.linalg.lu_factor(dense_block_matrix(c.A, c.B, c.D, c.E, c.F, c.r1, m))
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+    d1 = np.diff(l1_power_table(p.alpha, n))
+    d2 = np.diff(l1_power_table(p.gamma, n))
+    forcing = np.zeros(2 * q)
+    forcing[0], forcing[q] = inlet * c.A, inlet * c.E
+    u1 = np.zeros((m + 1, n + 1))
+    u2 = np.zeros((m + 1, n + 1))
+    du1 = np.zeros((q, n))  # increments u^{j+1} - u^j per interior node
+    du2 = np.zeros((q, n))
+    for k in range(n):
+        rhs = np.concatenate(
+            [u1[1:m, k] - du1[:, :k] @ d1[k:0:-1], u2[1:m, k] - du2[:, :k] @ d2[k:0:-1]]
+        )
+        sol, info = getrs(lu, piv, rhs + forcing)
+        assert info == 0
+        u1[1:m, k + 1], u2[1:m, k + 1] = sol[:q], sol[q:]
+        du1[:, k] = u1[1:m, k + 1] - u1[1:m, k]
+        du2[:, k] = u2[1:m, k + 1] - u2[1:m, k]
+    # Inlet value and reflecting outflow (ghost node equals its neighbour).
+    u1[0, 1:] = inlet
+    u1[m, 1:] = u1[m - 1, 1:]
+    u2[m, 1:] = u2[m - 1, 1:]
+    return u1, u2
 
 
 def percell_write_csv(path, header, rows):

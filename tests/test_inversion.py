@@ -306,9 +306,15 @@ def test_each_iteration_runs_one_tangent_march(bench_params, tiny_grid, monkeypa
     def forbidden(*args, **kwargs):
         raise AssertionError("invert_orders ran a real forward march")
 
+    def state_only_forbidden(params, grid, inlet=1.0, tangents=True):
+        if not tangents:
+            forbidden()
+        return march(params, grid, inlet, tangents)
+
     monkeypatch.setattr(inversion, "_tangent_march", counted)
     monkeypatch.setattr(inversion, "solve_forward", forbidden)
-    monkeypatch.setattr(solver, "_march", forbidden)
+    # solve_forward's march: the tangent march with the state alone.
+    monkeypatch.setattr(solver, "_tangent_march", state_only_forbidden)
     res = invert_orders(obs, bench_params, tiny_grid, InversionConfig(z0=(0.5, 0.5)))
     assert res.iterations >= 2
     assert len(orders) == res.iterations

@@ -31,12 +31,13 @@ from fracmim import (
     solve_forward,
 )
 from fracmim.inversion import sensitivity_jacobian
-from fracmim.solver import _march, _tangent_march, assemble_block_system, scheme_constants
+from fracmim.solver import _march_setup, _tangent_march, assemble_block_system, scheme_constants
 from conftest import admissible_draw
 from oracles import (
     backward_euler_classical,
     complex_step_jacobian,
     dense_block_matrix,
+    getrs_march,
     l1_bracket,
     psi_weight,
 )
@@ -212,6 +213,19 @@ def test_dominance_margins_property(p, grid):
     assert m1 > 1.0 and m2 > 1.0
 
 
+@given(_draws, _tiny_grids)
+def test_inverse_norm_within_varah_bound_property(p, grid):
+    # Why the march may apply an explicit inverse: a matrix whose rows
+    # all have dominance slack at least s > 0 has ||M^-1||_inf <= 1/s
+    # (Varah 1975), and s > 1 here, so the inverse the march forms is
+    # bounded below 1 and never amplifies a right-hand side.  The factor
+    # 1 + 1e-12 allows for the roundoff of forming it.
+    _, minv_t, _ = _march_setup(p, grid)
+    bound = 1.0 / min(scheme_constants(p, grid).dominance_margins())
+    assert bound < 1.0
+    assert np.abs(minv_t).sum(axis=0).max() <= bound * (1.0 + 1e-12)
+
+
 def test_zero_inlet_gives_zero_solution(bench_params, tiny_grid):
     sol = solve_forward(bench_params, tiny_grid, inlet=0.0)
     assert np.all(sol.u1 == 0.0) and np.all(sol.u2 == 0.0)
@@ -268,7 +282,7 @@ def test_history_forms_agree_and_solution_satisfies_system(p, g):
     # roundoff relative to ||M||_inf.  The tangent-linear march must carry
     # the same state and match the complex-step derivatives of an
     # independent complex march.
-    sol = _march(p, g)
+    sol = solve_forward(p, g)
     system = assemble_block_system(scheme_constants(p, g), g.m)
     tol = 1e-13 * np.linalg.norm(system.matrix, np.inf)
     e1, e2 = 1.0 - p.alpha, 1.0 - p.gamma
@@ -308,17 +322,21 @@ def test_history_forms_agree_and_solution_satisfies_system(p, g):
 @pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
 @pytest.mark.parametrize("m, n", [(40, 200), (160, 800)])
 def test_tangent_march_state_matches_march_at_every_node(name, m, n):
-    # The tangent march applies a precomputed inverse of the step matrix
-    # where _march solves with its LU factors; the states must agree at
-    # every interior node of both zones and every time.  160x800 gives
+    # The march applies a precomputed inverse of the step matrix where
+    # the oracle march solves every step with getrs on its LU factors;
+    # the forward solve and the state of the tangent march must agree
+    # with it at every node of both zones and every time.  160x800 gives
     # q = 159, the largest inverse the test grids build.
     spec = builtin_experiment(name)
     g = GridSpec(m=m, n=n, T=spec.grid.T)
-    sol = _march(spec.params, g)
+    u1, u2 = getrs_march(spec.params, g)
+    sol = solve_forward(spec.params, g)
+    assert np.max(np.abs(sol.u1 - u1)) <= 1e-12
+    assert np.max(np.abs(sol.u2 - u2)) <= 1e-12
     state = _tangent_march(spec.params, g)[:, 0]
     q = m - 1
-    assert np.max(np.abs(state[:, :q] - sol.u1[1:m].T)) <= 1e-12
-    assert np.max(np.abs(state[:, q:] - sol.u2[1:m].T)) <= 1e-12
+    assert np.max(np.abs(state[:, :q] - u1[1:m].T)) <= 1e-12
+    assert np.max(np.abs(state[:, q:] - u2[1:m].T)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
