@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
 from .model import GridSpec, ModelParams, ObservationSeries, _is_integer, _is_number
@@ -137,7 +136,10 @@ def homotopy_kappa(j: int, j0: int, sigma: float) -> float:
     """Sigmoid weight 1/(1 + e^{sigma (j - j0)}), strictly decreasing in j."""
     if j < 0:
         raise ValidationError("iteration index j must be nonnegative")
-    return float(expit(-sigma * (j - j0)))
+    try:
+        return 1.0 / (1.0 + math.exp(sigma * (j - j0)))
+    except OverflowError:  # e^x overflows a double: the weight is 1/(1 + inf) = 0.0
+        return 0.0
 
 
 def sensitivity_jacobian(

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .errors import GridError, ParameterError, SolverError
 from .model import (
@@ -232,22 +230,39 @@ def _march_setup(params: ModelParams, grid: GridSpec):
     """What the march fixes before its first step.
 
     Returns the unit-inlet forcing, the transpose of the inverse of the
-    step matrix (formed once, by LAPACK ``getrs`` on its LU factors and
-    the identity; every step is a product with it), and the L1 weight
-    tables: for the mobile (``weights[0]``) and the immobile
+    step matrix (formed once by ``np.linalg.inv``, which is LAPACK
+    ``gesv`` on the identity; every step is a product with it), and the
+    L1 weight tables: for the mobile (``weights[0]``) and the immobile
     (``weights[1]``) order, row 0 is the differenced power table of
     i^(1-order) and row 1 that of its order derivative -ln(i) i^(1-order).
     """
     system = assemble_block_system(scheme_constants(params, grid), grid.m)
-    factors = scipy.linalg.lu_factor(system.matrix)
-    # Solved in place on a Fortran-order identity, so the transpose is
-    # C-contiguous without a copy.
-    identity = np.eye(2 * grid.m - 2, order="F")
-    minv_t = scipy.linalg.lu_solve(factors, identity, overwrite_b=True).T
+    # In C order: the last bits of the products with it depend on its layout.
+    minv_t = np.ascontiguousarray(np.linalg.inv(system.matrix).T)
     powers = np.stack([l1_power_table(order, grid.n) for order in (params.alpha, params.gamma)])
     log_i = np.log(np.arange(grid.n + 2).clip(1))  # i = 0 gives 0, as 0^e does
     weights = np.diff(np.stack([powers, -log_i * powers], axis=1))
     return system.boundary_forcing, minv_t, weights
+
+
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """The digamma function psi(x) for x in [1, 2), within 2e-15 absolute.
+
+    The recurrence psi(x) = psi(x + 8) - sum_{k<8} 1/(x + k) moves the
+    argument to y = x + 8 >= 9, where the asymptotic series
+    (Abramowitz & Stegun 6.3.18) up to y^-14 is exact to double
+    precision: ln y - 1/(2y) - sum_k B_2k / (2k y^2k).
+    """
+    y = x + 8.0
+    z = 1.0 / (y * y)
+    series = 0.0
+    # B_2k / 2k for k = 7, ..., 1, in Horner order.
+    for c in (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12):
+        series = series * z + c
+    psi = np.log(y) - 0.5 / y - series * z
+    for k in range(7, -1, -1):  # smallest terms first
+        psi = psi - 1.0 / (x + k)
+    return psi
 
 
 def _tangent_march(
@@ -292,7 +307,7 @@ def _tangent_march(
     r = 3 if tangents else 1  # quantities carried
     forcing, minv_t, weights = _march_setup(params, grid)
     orders = np.array([[params.alpha], [params.gamma]])
-    ell = np.log(grid.tau) - scipy.special.digamma(2.0 - orders)  # l_a, l_g
+    ell = np.log(grid.tau) - _digamma(2.0 - orders)  # l_a, l_g
     # Per zone, row 0 gives the history sum H and row 1, which only the
     # tangents need, the folded sum F of the zone's own order; reversed,
     # so that step k's weights are the contiguous columns n-k..n-1.

@@ -1,10 +1,16 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracmim
 from fracmim import read_csv, read_observation
 from fracmim.cli import main
 
@@ -32,6 +38,47 @@ def config_path(tmp_path):
 
 def _run(*argv):
     return main([str(a) for a in argv])
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+# Runs in a fresh interpreter where every import of scipy raises.
+_NUMPY_ONLY = """
+import sys
+sys.modules["scipy"] = None
+import fracmim
+from fracmim.cli import main
+
+cfg, out = sys.argv[1:]
+runs = [
+    ["forward", "--config", cfg, "--out", out + "/fwd"],
+    ["make-obs", "--config", cfg, "--out", out + "/inv"],
+    ["invert", "--config", cfg, "--out", out + "/inv", "--obs", out + "/inv/obs_clean.csv"],
+    ["reference", "--config", cfg, "--out", out + "/ref"],
+]
+sys.exit(max(main([*argv, "--quiet"]) for argv in runs))
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # scipy is a test dependency only: the package and every subcommand
+    # must import and run without it, and start quickly.
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(dict(CONFIG, reference_points=[[0.5, 5.0]])), encoding="utf-8")
+    src = str(Path(fracmim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY, str(cfg), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "inv" / "inversion_report.json").is_file()
+    assert read_csv(tmp_path / "ref" / "reference.csv")[1].shape == (1, 5)
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------

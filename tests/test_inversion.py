@@ -11,6 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fracmim import (
     ConfigError,
@@ -59,6 +60,18 @@ def test_kappa_strictly_decreasing_to_zero():
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[0] > 0.98
     assert values[-1] < 1e-13
+
+
+@pytest.mark.parametrize("j0", [1, 5, 50])
+@pytest.mark.parametrize("sigma", [0.1, 0.9, 2.0, 20.0])
+def test_kappa_equals_expit_bit_for_bit(sigma, j0):
+    # Past sigma (j - j0) = 709.78, e^x overflows: expit gives 1/(1 + inf)
+    # = 0.0 there, and homotopy_kappa must too, not raise OverflowError.
+    values = np.array([homotopy_kappa(j, j0, sigma) for j in range(2000)])
+    expected = np.array([expit(-sigma * (j - j0)) for j in range(2000)])
+    assert values.tobytes() == expected.tobytes()
+    if sigma >= 0.9:  # sigma = 0.1 stops at e^195
+        assert values[-1] == 0.0
 
 
 def test_kappa_rejects_negative_index():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from fracmim import (
     ContourQuadrature,
@@ -31,7 +32,13 @@ from fracmim import (
     solve_forward,
 )
 from fracmim.inversion import sensitivity_jacobian
-from fracmim.solver import _march_setup, _tangent_march, assemble_block_system, scheme_constants
+from fracmim.solver import (
+    _digamma,
+    _march_setup,
+    _tangent_march,
+    assemble_block_system,
+    scheme_constants,
+)
 from conftest import admissible_draw
 from oracles import (
     backward_euler_classical,
@@ -353,6 +360,13 @@ def test_tangent_columns_match_complex_step_oracle_across_nodes(name):
         oracle = complex_step_jacobian((p.alpha, p.gamma), p, g, times, x0)
         rel = np.linalg.norm(G - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
         assert np.all(rel <= 1e-10), (x0, rel)
+
+
+def test_digamma_matches_scipy_on_shifted_orders():
+    # The tangents scale by ln(tau) - psi(2 - order), and orders lie in
+    # (0, 1], so psi is needed on [1, 2).
+    x = np.linspace(1.0, 2.0, 10**5)
+    assert np.max(np.abs(_digamma(x) - digamma(x))) <= 4e-15
 
 
 def test_grid_refinement_moves_toward_reference(bench_params):
