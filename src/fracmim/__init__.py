@@ -14,7 +14,7 @@ provides three independent capabilities that check one another:
 plus experiment descriptors/tables (:mod:`fracmim.experiments`), file
 formats (:mod:`fracmim.io`), and a CLI (``fracmim``).  This namespace
 holds the user API; the building blocks behind it (scheme constants,
-the block system, transform coefficients, the LM step, ...) stay
+the block system, the transformed profile, the LM step, ...) stay
 importable from their own modules.
 """
 

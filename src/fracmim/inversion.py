@@ -47,11 +47,12 @@ class InversionConfig:
         admissible square are moved onto it before the first step, so
         the conventional corner starts (0,0) and (1,1) are legal.
     j0, sigma : int, float
-        Midpoint and steepness of the sigmoid homotopy weight.
+        Midpoint and steepness of the sigmoid homotopy weight; j0 * sigma
+        below about 36, or the first weight is 1 and the first step zero.
     max_iter : int
         Iteration cap.
     step_tol : float
-        Stop when the update norm falls to or below this.
+        Stop when the update norm falls to or below this; finite.
     clamp_margin : float
         Distance eps kept from the order-set boundary; iterates live in
         [eps, 1-eps]^2.
@@ -69,10 +70,15 @@ class InversionConfig:
             raise ConfigError("j0 must be an integer >= 1")
         if not (_is_number(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive")
+        if not homotopy_kappa(0, self.j0, self.sigma) < 1.0:
+            raise ConfigError(
+                f"j0 * sigma = {self.j0 * self.sigma:g} rounds the first homotopy "
+                "weight to 1, so the first step would be zero; keep it below 36"
+            )
         if not (_is_integer(self.max_iter) and self.max_iter >= 1):
             raise ConfigError("max_iter must be an integer >= 1")
-        if not (_is_number(self.step_tol) and self.step_tol > 0):
-            raise ConfigError("step_tol must be positive")
+        if not (_is_number(self.step_tol) and math.isfinite(self.step_tol) and self.step_tol > 0):
+            raise ConfigError("step_tol must be positive and finite")
         if not (_is_number(self.clamp_margin) and 0.0 < self.clamp_margin < 0.2):
             raise ConfigError("clamp_margin must lie in (0, 0.2)")
         if len(self.z0) != 2 or not all(_is_number(v) and math.isfinite(v) for v in self.z0):
@@ -119,7 +125,7 @@ def add_noise(clean: ObservationSeries, delta: float, seed: int) -> ObservationS
     The draw is independent per sample and fully determined by ``seed``;
     the noise level and seed are recorded on the returned series.
     """
-    if not (math.isfinite(delta) and delta >= 0):
+    if not (_is_number(delta) and math.isfinite(delta) and delta >= 0):
         raise ValidationError("noise level delta must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-1.0, 1.0, size=len(clean))
@@ -295,10 +301,6 @@ class ReplicateSummary:
     rel_error_mean: float | None
     iterations_mean: float | None
     results: list[InversionResult | None] = field(repr=False, default_factory=list)
-
-    @property
-    def successes(self) -> int:
-        return self.replicates - self.failures
 
 
 def _noise_key(delta: float) -> int:

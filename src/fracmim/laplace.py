@@ -11,9 +11,7 @@ error estimate.
 The contour depends on t only through s = s_unit / t, and its weights not
 at all, so both node sets are module constants built at import.  One
 inversion point is one array evaluation of the closed form on all 48
-nodes and two weighted sums.  :func:`invert_transform` takes a scalar
-callable, evaluates it node by node into the same node array and shares
-the same sums and error estimate.
+nodes and two weighted sums.
 
 Everything here is independent of the finite-difference solver; the two
 routes are compared against each other by the acceptance suite and must
@@ -32,12 +30,8 @@ from .errors import QuadratureError, ValidationError
 from .model import ModelParams, _is_number, validate_params
 
 __all__ = [
-    "LaplaceCoefficients",
     "ContourQuadrature",
-    "coeff_b",
-    "laplace_coefficients",
     "laplace_profile",
-    "invert_transform",
     "invert_at",
     "invert_with_error",
 ]
@@ -101,19 +95,11 @@ def _like(s, v: np.ndarray):
     return v[0] if np.ndim(s) == 0 else v
 
 
-def coeff_b(s, p: ModelParams):
-    """Zeroth-order coefficient of the transformed mobile equation.
-
-    b(s) = -beta*R1*s^alpha - omega - lam + omega^2 / ((1-beta)*R2*s^gamma
-    + omega + mu), with principal branches of the fractional powers.  Has
-    negative real part on the right half plane and extends analytically
-    to the cut plane, which is what the deformed inversion contour uses.
-    ``s`` is a scalar or an array; the result has its shape.
-    """
-    return _like(s, _coeff_b(_frequencies(s), p))
-
-
 def _coeff_b(s: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Zeroth-order coefficient b(s) of the transformed mobile equation.
+
+    Principal branches of the fractional powers; Re b < 0 on Re s > 0.
+    """
     return -p.beta * p.R1 * s**p.alpha - p.omega - p.lam + p.omega**2 / _immobile_denom(s, p)
 
 
@@ -122,44 +108,12 @@ def _immobile_denom(s: np.ndarray, p: ModelParams) -> np.ndarray:
     return (1.0 - p.beta) * p.R2 * s**p.gamma + p.omega + p.mu
 
 
-@dataclass(frozen=True)
-class LaplaceCoefficients:
-    """Characteristic data of the transformed mobile equation at s.
-
-    ``a`` = 1/P multiplies the second derivative; ``b`` is the
-    zeroth-order coefficient; ``eta1``/``eta2`` solve a*eta^2 - eta + b
-    = 0 with Re(eta1) >= Re(eta2) (eta1 + eta2 = 1/a, eta1*eta2 = b/a);
-    ``c1``/``c2`` fit the unit-step inlet and reflecting outflow:
-    c1 + c2 = 1/s and c1*eta1*e^eta1 + c2*eta2*e^eta2 = 0.  Every field
-    but ``a`` is a scalar or an array shaped like ``s``.
-    """
-
-    s: complex | np.ndarray
-    a: float
-    b: complex | np.ndarray
-    eta1: complex | np.ndarray
-    eta2: complex | np.ndarray
-    c1: complex | np.ndarray
-    c2: complex | np.ndarray
-
-
-def laplace_coefficients(s, p: ModelParams) -> LaplaceCoefficients:
-    """Evaluate roots and boundary-fit constants at a frequency or an array.
-
-    The square root takes its principal branch, whose real part is never
-    negative, so Re(eta1) >= Re(eta2); on the right half plane this gives
-    Re(eta1) > 0 > Re(eta2).  The fit constants are computed in a
-    pre-factored form (every exponential argument has bounded real part)
-    so large |s| cannot overflow.
-    """
-    z = _frequencies(s)
-    return LaplaceCoefficients(
-        _like(s, z), 1.0 / p.P, *(_like(s, v) for v in _roots_and_fit(z, p))
-    )
-
-
 def _roots_and_fit(s: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
-    """b, eta1, eta2, c1 and c2 at frequencies already checked off the cut."""
+    """b, eta1, eta2, c1 and c2 at frequencies already checked off the cut.
+
+    a*eta^2 - eta + b = 0 (a = 1/P) with Re(eta1) >= Re(eta2); c1 + c2 =
+    1/s (inlet) and c1*eta1*e^eta1 + c2*eta2*e^eta2 = 0 (outflow).
+    """
     a = 1.0 / p.P
     b = _coeff_b(s, p)
     root = np.sqrt(1.0 - 4.0 * a * b)
@@ -242,27 +196,6 @@ def _invert(
             f"disagree by {err:.3e} > tolerance {q.tolerance:.3e}"
         )
     return fine, err
-
-
-def invert_transform(
-    fbar: Callable[[complex], complex], t: float, q: ContourQuadrature | None = None
-) -> float:
-    """Invert a scalar Laplace transform at time t.
-
-    The transform must be analytic off the closed negative real axis and
-    real-valued on the positive real axis (conjugate-symmetric), which
-    every transform in this package is.  ``fbar`` is called with one
-    Python complex at a time, once per contour node.
-
-    Raises
-    ------
-    QuadratureError
-        When the 16- and 32-node sums disagree beyond tolerance.
-    """
-    value, _ = _invert(
-        lambda nodes: np.array([fbar(s) for s in nodes.tolist()], dtype=complex), t, q
-    )
-    return float(value)
 
 
 def invert_with_error(

@@ -271,7 +271,8 @@ class ObservationSeries:
             raise ValidationError("observation values must be finite")
         if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):
             raise ValidationError(f"x0 must be a finite number inside (0, 1), got {self.x0!r}")
-        if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
+        if not (_is_number(self.noise_level) and math.isfinite(self.noise_level)
+                and self.noise_level >= 0):
             raise ValidationError("noise_level must be finite and nonnegative")
 
     def __len__(self) -> int:

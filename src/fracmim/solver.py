@@ -46,7 +46,6 @@ from .model import (
 
 __all__ = [
     "SchemeConstants",
-    "BlockSystem",
     "scheme_constants",
     "assemble_block_system",
     "solve_forward",
@@ -117,27 +116,8 @@ def scheme_constants(params: ModelParams, grid: GridSpec) -> SchemeConstants:
     return c
 
 
-@dataclass
-class BlockSystem:
-    """Assembled marching matrix with its unit-inlet forcing vector.
-
-    ``matrix`` has order 2(m-1); ``boundary_forcing`` is the
-    right-hand-side contribution of a unit inlet value, to be scaled by
-    the actual inlet concentration at each step.
-    """
-
-    matrix: np.ndarray
-    boundary_forcing: np.ndarray
-
-    def dominance_margin(self) -> float:
-        """Smallest diagonal dominance slack over all assembled rows."""
-        d = np.abs(np.diag(self.matrix))
-        off = np.sum(np.abs(self.matrix), axis=1) - d
-        return float(np.min(d - off))
-
-
-def assemble_block_system(c: SchemeConstants, m: int) -> BlockSystem:
-    """Build the 2(m-1) x 2(m-1) step matrix and inlet forcing vector.
+def assemble_block_system(c: SchemeConstants, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2(m-1) x 2(m-1) step matrix and its unit-inlet forcing vector.
 
     Block layout (q = m-1 interior nodes per zone):
 
@@ -149,9 +129,9 @@ def assemble_block_system(c: SchemeConstants, m: int) -> BlockSystem:
     * immobile-mobile: same pattern with -E;
     * immobile-immobile: F times the identity.
 
-    The forcing vector carries the inlet contributions +A and +E into
-    the first row of each block; the immobile inlet value is zero so no
-    coupling term enters.
+    The forcing vector, the right-hand side of a unit inlet value, holds
+    +A and +E in the first row of each block; the immobile inlet value is
+    zero so no coupling term enters.
     """
     if not (isinstance(m, int) and m >= 3):
         raise GridError("m must be an integer >= 3")
@@ -176,7 +156,7 @@ def assemble_block_system(c: SchemeConstants, m: int) -> BlockSystem:
     forcing = np.zeros(2 * q)
     forcing[0] = c.A
     forcing[q] = c.E
-    return BlockSystem(matrix=M, boundary_forcing=forcing)
+    return M, forcing
 
 
 def _validate_for_solve(params: ModelParams) -> None:
@@ -236,13 +216,13 @@ def _march_setup(params: ModelParams, grid: GridSpec):
     (``weights[1]``) order, row 0 is the differenced power table of
     i^(1-order) and row 1 that of its order derivative -ln(i) i^(1-order).
     """
-    system = assemble_block_system(scheme_constants(params, grid), grid.m)
+    matrix, forcing = assemble_block_system(scheme_constants(params, grid), grid.m)
     # In C order: the last bits of the products with it depend on its layout.
-    minv_t = np.ascontiguousarray(np.linalg.inv(system.matrix).T)
+    minv_t = np.ascontiguousarray(np.linalg.inv(matrix).T)
     powers = np.stack([l1_power_table(order, grid.n) for order in (params.alpha, params.gamma)])
     log_i = np.log(np.arange(grid.n + 2).clip(1))  # i = 0 gives 0, as 0^e does
     weights = np.diff(np.stack([powers, -log_i * powers], axis=1))
-    return system.boundary_forcing, minv_t, weights
+    return forcing, minv_t, weights
 
 
 def _digamma(x: np.ndarray) -> np.ndarray:

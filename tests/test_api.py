@@ -1,6 +1,13 @@
 """The public namespace: exactly the user API, every name importable."""
 
+import importlib
+
+import pytest
+
 import fracmim
+
+# Every module that declares an __all__ (errors.py exports all it defines).
+MODULES = ("cli", "experiments", "inversion", "io", "laplace", "model", "solver")
 
 PUBLIC_API = {
     # errors
@@ -30,3 +37,24 @@ def test_public_api_is_pinned():
     assert len(fracmim.__all__) == len(PUBLIC_API)  # no duplicates
     for name in fracmim.__all__:
         assert getattr(fracmim, name) is not None
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_all_names_resolve(module):
+    # a stale entry breaks "from fracmim.<module> import *"
+    mod = importlib.import_module(f"fracmim.{module}")
+    for name in mod.__all__:
+        getattr(mod, name)
+    exec(f"from fracmim.{module} import *", {})
+
+
+def test_removed_helpers_stay_unlisted():
+    # The closed form and the march run on private functions; these
+    # wrappers had no caller outside the tests and are gone.
+    for module, removed in (
+        ("laplace", {"coeff_b", "laplace_coefficients", "LaplaceCoefficients", "invert_transform"}),
+        ("solver", {"BlockSystem"}),
+    ):
+        mod = importlib.import_module(f"fracmim.{module}")
+        assert not removed & set(mod.__all__)
+        assert not any(hasattr(mod, name) for name in removed)

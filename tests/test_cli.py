@@ -259,6 +259,21 @@ def test_invert_out_of_range_exact_orders_exits_one(tmp_path, config_path, capsy
     assert not (out / "inversion_report.json").exists()
 
 
+@pytest.mark.parametrize("field", ["sigma", "step_tol"])
+def test_invert_start_point_convergence_config_exits_one(tmp_path, config_path, capsys, field):
+    # An infinite sigma or step_tol would report convergence at z0 after one iteration.
+    out = tmp_path / "inv"
+    _run("make-obs", "--config", config_path, "--out", out, "--quiet")
+    doc = dict(CONFIG, inversion={"z0": [0.5, 0.5], field: float("inf")})
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")  # writes Infinity, which json reads back
+    assert _run("invert", "--config", cfg, "--out", out,
+                "--obs", out / "obs_clean.csv", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("first homotopy weight" in err or "step_tol" in err)
+    assert not (out / "inversion_report.json").exists()
+
+
 def test_invert_header_only_observation_exits_one(tmp_path, config_path, capsys):
     obs = tmp_path / "empty.csv"
     obs.write_text("t,u1\n", encoding="utf-8")

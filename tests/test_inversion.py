@@ -8,6 +8,7 @@ wrong linearization.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -144,7 +145,8 @@ def test_add_noise_zero_level_identity(bench_params, tiny_grid):
 
 def test_add_noise_rejects_negative(bench_params, tiny_grid):
     clean = _clean_series(bench_params, tiny_grid)
-    for delta in (-0.01, np.nan, np.inf):
+    # True must not be read as the noise level 1.0
+    for delta in (-0.01, np.nan, np.inf, True, False, "0.01", None):
         with pytest.raises(ValidationError, match="finite and nonnegative"):
             add_noise(clean, delta, seed=0)
 
@@ -248,11 +250,28 @@ def test_jacobian_rejects_order_outside_unit_interval(bench_params, tiny_grid):
         ("step_tol", True, "step_tol must be positive"),
         ("clamp_margin", True, r"clamp_margin must lie in \(0, 0.2\)"),
         ("z0", (True, 0.5), "z0 must be a finite pair"),
+        ("step_tol", math.inf, "step_tol must be positive and finite"),
+        ("step_tol", math.nan, "step_tol must be positive and finite"),
+        ("j0", 50, r"j0 \* sigma = 45 rounds the first homotopy weight to 1"),
+        ("sigma", 20.0, r"j0 \* sigma = 100 rounds the first homotopy weight to 1"),
+        ("sigma", math.inf, r"j0 \* sigma = inf rounds the first homotopy weight to 1"),
     ],
 )
 def test_config_validation(field, value, msg):
     with pytest.raises(ConfigError, match=msg):
         InversionConfig(**{field: value})
+
+
+def test_config_first_weight_boundary():
+    # The first weight 1/(1 + e^{-j0 sigma}) rounds to 1 from j0 sigma of
+    # about 36.74 on; just below that the first step is not zero.
+    assert homotopy_kappa(0, 1, 36.7) < 1.0
+    InversionConfig(j0=1, sigma=36.7)
+    with pytest.raises(ConfigError, match="first homotopy weight"):
+        InversionConfig(j0=1, sigma=36.8)
+    for name in ("ex51", "ex52", "ex53"):
+        cfg = builtin_experiment(name).inversion
+        assert InversionConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +401,7 @@ def test_replicates_deterministic(tiny_grid):
     s2 = run_replicates(spec, 3, delta=0.01)
     assert s1.z_mean == s2.z_mean
     assert s1.rel_error_mean == s2.rel_error_mean
-    assert s1.replicates == 3 and s1.failures == 0 and s1.successes == 3
+    assert s1.replicates == 3 and s1.failures == 0
 
 
 def test_replicates_noise_free_matches_single_run(tiny_grid):

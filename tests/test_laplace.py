@@ -23,12 +23,7 @@ from fracmim import (
     invert_at,
     invert_with_error,
 )
-from fracmim.laplace import (
-    coeff_b,
-    invert_transform,
-    laplace_coefficients,
-    laplace_profile,
-)
+from fracmim.laplace import _coeff_b, _frequencies, _invert, _roots_and_fit, laplace_profile
 from conftest import BENCH_PARAMS, admissible_draw, bound_constant, real_s_profile
 
 
@@ -42,13 +37,23 @@ def _frequency_draw(rng: np.random.Generator) -> complex:
     return complex(rng.uniform(0.1, 10.0), rng.uniform(-1e3, 1e3))
 
 
+def b_at(s, p: ModelParams) -> complex:
+    """b(s) at one frequency, through the path the closed form runs."""
+    return complex(_coeff_b(_frequencies(s), p)[0])
+
+
+def invert_array(fbar, t: float) -> float:
+    """The contour inversion of an array transform at time t."""
+    return float(_invert(fbar, t, None)[0])
+
+
 # ---------------------------------------------------------------------------
-# coeff_b
+# b(s)
 
 
 def test_coeff_b_static_limit(bench_params):
     # s -> 0+ limit: -omega - lam + omega^2/(omega + mu) = -0.14375.
-    assert coeff_b(1e-30, bench_params).real == pytest.approx(-0.14375, abs=1e-6)
+    assert b_at(1e-30, bench_params).real == pytest.approx(-0.14375, abs=1e-6)
 
 
 def test_coeff_b_at_one_ignores_orders(bench_params):
@@ -56,13 +61,13 @@ def test_coeff_b_at_one_ignores_orders(bench_params):
     expected = -p.beta * p.R1 - p.omega - p.lam + p.omega**2 / (
         (1.0 - p.beta) * p.R2 + p.omega + p.mu
     )
-    assert coeff_b(1.0, p) == pytest.approx(expected, rel=1e-15)
-    assert coeff_b(1.0, p.with_orders(0.1, 0.9)) == coeff_b(1.0, p)
+    assert b_at(1.0, p) == pytest.approx(expected, rel=1e-15)
+    assert b_at(1.0, p.with_orders(0.1, 0.9)) == b_at(1.0, p)
 
 
 def test_coeff_b_dominated_by_mobile_power(bench_params):
     # at s = 1000 the -beta*R1*s^alpha term alone is below -251
-    assert coeff_b(1000.0, bench_params).real < -251.0
+    assert b_at(1000.0, bench_params).real < -251.0
 
 
 def test_coeff_b_negative_real_part_on_right_half_plane():
@@ -70,11 +75,11 @@ def test_coeff_b_negative_real_part_on_right_half_plane():
     for _ in range(300):
         p = admissible_draw(rng)
         s = _frequency_draw(rng)
-        assert coeff_b(s, p).real < 0.0
+        assert b_at(s, p).real < 0.0
 
 
 # ---------------------------------------------------------------------------
-# laplace_coefficients: root and boundary-fit identities
+# roots and boundary fit: identities
 
 
 def test_root_and_fit_identities_over_draws():
@@ -85,18 +90,19 @@ def test_root_and_fit_identities_over_draws():
     for _ in range(1000):
         p = admissible_draw(rng)
         s = _frequency_draw(rng)
-        co = laplace_coefficients(s, p)
-        assert co.eta1.real > 0.0 > co.eta2.real
-        scale = abs(co.eta1) + abs(co.eta2)
-        assert abs(co.eta1 + co.eta2 - 1.0 / co.a) <= 1e-10 * scale
-        assert abs(co.eta1 * co.eta2 - co.b / co.a) <= 1e-10 * abs(co.b / co.a)
+        b, eta1, eta2, c1, c2 = (v[0] for v in _roots_and_fit(_frequencies(s), p))
+        a = 1.0 / p.P
+        assert eta1.real > 0.0 > eta2.real
+        scale = abs(eta1) + abs(eta2)
+        assert abs(eta1 + eta2 - 1.0 / a) <= 1e-10 * scale
+        assert abs(eta1 * eta2 - b / a) <= 1e-10 * abs(b / a)
         # inlet: c1 + c2 = 1/s
-        assert abs(co.c1 + co.c2 - 1.0 / s) <= 1e-10 * abs(1.0 / s)
+        assert abs(c1 + c2 - 1.0 / s) <= 1e-10 * abs(1.0 / s)
         # outflow: c1 eta1 e^{eta1} + c2 eta2 e^{eta2} = 0, tested in the
         # e^{eta1}-factored form so large roots cannot overflow
-        g = cmath.exp(co.eta2 - co.eta1)
-        t1 = co.c1 * co.eta1
-        t2 = co.c2 * co.eta2 * g
+        g = cmath.exp(eta2 - eta1)
+        t1 = c1 * eta1
+        t2 = c2 * eta2 * g
         assert abs(t1 + t2) <= 1e-10 * max(abs(t1), abs(t2))
 
 
@@ -136,7 +142,7 @@ def test_profile_rejects_bad_inputs(bench_params):
     with pytest.raises(ValidationError, match="branch cut"):
         laplace_profile(0.5, 0.0, bench_params)
     with pytest.raises(ValidationError, match="branch cut"):
-        coeff_b(complex(-2.0, 0.0), bench_params)
+        b_at(complex(-2.0, 0.0), bench_params)
 
 
 def test_profile_large_frequency_no_overflow(bench_params):
@@ -168,9 +174,10 @@ def test_profile_takes_arrays(bench_params):
 
 def test_array_on_branch_cut_rejected(bench_params):
     for s in ([1.0, 2.0 + 1.0j, -3.0], [[0.5j, 0.0]], np.array([-1e-300 + 0j])):
-        for f in (coeff_b, laplace_coefficients, lambda s, p: laplace_profile(0.5, s, p)):
-            with pytest.raises(ValidationError, match="branch cut"):
-                f(np.asarray(s), bench_params)
+        with pytest.raises(ValidationError, match="branch cut"):
+            laplace_profile(0.5, np.asarray(s), bench_params)
+        with pytest.raises(ValidationError, match="branch cut"):
+            _frequencies(np.asarray(s))
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +217,13 @@ def test_quadrature_settings_validated():
 
 
 def test_invert_constant_pair():
-    assert invert_transform(lambda s: 1.0 / s, 1.0) == pytest.approx(1.0, rel=1e-6)
+    assert invert_array(lambda s: 1.0 / s, 1.0) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_invert_exponential_pair():
     for a in (0.3, 0.7):
         for t in (0.5, 1.0, 5.0):
-            got = invert_transform(lambda s: 1.0 / (s + a), t)
+            got = invert_array(lambda s: 1.0 / (s + a), t)
             assert got == pytest.approx(math.exp(-a * t), rel=1e-6)
 
 
@@ -225,39 +232,42 @@ def test_invert_mittag_leffler_pair():
 
     alpha = 0.8
     for t in (0.5, 1.0, 5.0):
-        got = invert_transform(lambda s: s ** (alpha - 1.0) / (s**alpha + 1.0), t)
+        got = invert_array(lambda s: s ** (alpha - 1.0) / (s**alpha + 1.0), t)
         assert got == pytest.approx(mittag_leffler(alpha, -(t**alpha)), rel=1e-6)
 
 
 def test_invert_rejects_bad_time(bench_params):
     with pytest.raises(ValidationError, match="positive finite time"):
-        invert_transform(lambda s: 1.0 / s, 0.0)
+        invert_array(lambda s: 1.0 / s, 0.0)
     with pytest.raises(ValidationError, match="positive finite time"):
-        invert_transform(lambda s: 1.0 / s, math.inf)
+        invert_array(lambda s: 1.0 / s, math.inf)
     # bool is an int subclass; True must not be read as t = 1
     with pytest.raises(ValidationError, match="positive finite time"):
-        invert_transform(lambda s: 1.0 / s, True)
+        invert_array(lambda s: 1.0 / s, True)
     with pytest.raises(ValidationError, match="positive finite time"):
         invert_at(0.5, True, bench_params)
 
 
 @pytest.mark.parametrize(
     "fbar",
-    [lambda s: float("nan"), lambda s: complex(math.nan, 0.0) if s.imag > 0 else 1.0 / s],
+    [
+        lambda s: np.full(s.shape, np.nan),
+        lambda s: np.where(s.imag > 0, complex(math.nan, 0.0), 1.0 / s),
+    ],
     ids=["every-node", "upper-half-nodes"],
 )
 def test_invert_rejects_nan_transform(fbar):
     # a NaN sum makes the error estimate NaN, which must not pass the
     # tolerance test
     with pytest.raises(QuadratureError, match="did not converge"):
-        invert_transform(fbar, 1.0)
+        invert_array(fbar, 1.0)
 
 
 def test_invert_reports_non_convergence():
     # a transform-shaped function with no decaying inverse: the 16- and
     # 32-node sums disagree far beyond the tolerance
     with pytest.raises(QuadratureError, match="did not converge"):
-        invert_transform(lambda s: math.sin(1e6 * abs(s)), 1.0)
+        invert_array(lambda s: np.sin(1e6 * np.abs(s)), 1.0)
 
 
 def test_invert_with_error_consistency(bench_params):
@@ -268,11 +278,16 @@ def test_invert_with_error_consistency(bench_params):
 
 
 def test_invert_with_error_matches_scalar_callable(bench_params):
-    # the array evaluation and the node-by-node scalar callable share one sum
+    # the array evaluation and a node-by-node scalar evaluation share one sum
+    def node_by_node(x):
+        return lambda nodes: np.array(
+            [laplace_profile(x, s, bench_params)[0] for s in nodes.tolist()], dtype=complex
+        )
+
     for x in (0.0, 0.25, 1.0):
         for t in (0.5, 5.0, 100.0):
             u1, _, _ = invert_with_error(x, t, bench_params)
-            ref = invert_transform(lambda s: laplace_profile(x, s, bench_params)[0], t)
+            ref = invert_array(node_by_node(x), t)
             assert abs(u1 - ref) <= 1e-12 * max(abs(ref), 1e-3), (x, t, u1 - ref)
 
 

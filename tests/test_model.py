@@ -244,7 +244,7 @@ def test_observation_series_validation():
         ObservationSeries(x0=0.5, times=[1.0, 2.0], values=[0.1])
     with pytest.raises(ValidationError, match="nonnegative"):
         ObservationSeries(x0=0.5, times=[1.0], values=[0.1], noise_level=-0.1)
-    for level in (math.nan, math.inf):
+    for level in (math.nan, math.inf, "a", None, True, [0.1]):
         with pytest.raises(ValidationError, match="finite and nonnegative"):
             ObservationSeries(x0=0.5, times=[1.0], values=[0.1], noise_level=level)
     with pytest.raises(ValidationError, match="at least one sample"):
