@@ -20,12 +20,14 @@ from pathlib import Path
 
 from . import io as fio
 from .errors import NumericalError, QuadratureError, ValidationError
-from .experiments import ExperimentSpec, builtin_experiment, run_experiment
+from .experiments import BUILTIN_EXPERIMENTS, ExperimentSpec, builtin_experiment, run_experiment
 from .inversion import _replicate_seeds, add_noise, invert_orders
 from .laplace import invert_with_error
 from .solver import extract_observation, solve_forward
 
 __all__ = ["main"]
+
+_IDS = ", ".join(sorted(BUILTIN_EXPERIMENTS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,10 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a full noise-sweep experiment table")
     p.add_argument(
-        "table",
-        nargs="?",
-        default=None,
-        help="builtin experiment id (ex51, ex52, ex53); omit when using --config",
+        "table", nargs="?", help=f"builtin experiment id ({_IDS}); omit when using --config"
     )
     common(p, config_required=False)
     p.set_defaults(func=cmd_experiment)
@@ -80,23 +79,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    spec = fio.load_config(args.config)
+    table = getattr(args, "table", None)  # only ``experiment`` takes a builtin id
+    if table and args.config:
+        raise ValidationError("give either a builtin table id or --config, not both")
+    if table:
+        spec = builtin_experiment(table)
+    elif args.config:
+        spec = fio.load_config(args.config)
+    else:
+        raise ValidationError(f"experiment needs a builtin table id ({_IDS}) or --config")
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
     return spec
 
 
-def _out_dir(args, spec: ExperimentSpec | None = None) -> Path:
-    out = Path(args.out or (spec.out_dir if spec and spec.out_dir else "."))
+def _out_dir(args, spec: ExperimentSpec) -> Path:
+    out = Path(args.out or spec.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
         raise PermissionError(f"output directory {out} is not writable")
     return out
 
 
-def cmd_forward(args) -> int:
-    spec = _load_spec(args)
-    out = _out_dir(args, spec)
+def cmd_forward(args, spec: ExperimentSpec, out: Path) -> int:
     sol = solve_forward(spec.params, spec.grid)
     obs = extract_observation(sol, spec.x0)
     fio.write_solution_csv(out / "solution.csv", sol)
@@ -111,9 +116,7 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def cmd_reference(args) -> int:
-    spec = _load_spec(args)
-    out = _out_dir(args, spec)
+def cmd_reference(args, spec: ExperimentSpec, out: Path) -> int:
     rows = []
     for x, t in spec.reference_points:
         try:
@@ -128,9 +131,7 @@ def cmd_reference(args) -> int:
     return 0
 
 
-def cmd_make_obs(args) -> int:
-    spec = _load_spec(args)
-    out = _out_dir(args, spec)
+def cmd_make_obs(args, spec: ExperimentSpec, out: Path) -> int:
     clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
     fio.write_observation(out / "obs_clean.csv", clean)
     written = [out / "obs_clean.csv"]
@@ -145,9 +146,7 @@ def cmd_make_obs(args) -> int:
     return 0
 
 
-def cmd_invert(args) -> int:
-    spec = _load_spec(args)
-    out = _out_dir(args, spec)
+def cmd_invert(args, spec: ExperimentSpec, out: Path) -> int:
     obs = fio.read_observation(args.obs, x0=spec.x0)
     result = invert_orders(obs, spec.params, spec.grid, spec.inversion, spec.exact_orders)
     fio.write_inversion_report(
@@ -165,20 +164,7 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
-    if args.config and args.table:
-        raise ValidationError("give either a builtin table id or --config, not both")
-    if args.config:
-        spec = _load_spec(args)
-    elif args.table:
-        spec = builtin_experiment(args.table)
-        if args.seed is not None:
-            spec = spec.with_seed(args.seed)
-    else:
-        raise ValidationError(
-            "experiment needs a builtin table id (ex51, ex52, ex53) or --config"
-        )
-    out = _out_dir(args, spec)
+def cmd_experiment(args, spec: ExperimentSpec, out: Path) -> int:
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     table = run_experiment(spec, progress=progress)
 
@@ -196,7 +182,8 @@ def cmd_experiment(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = _load_spec(args)
+        return args.func(args, spec, _out_dir(args, spec))
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -68,6 +68,10 @@ class InversionConfig:
     def __post_init__(self):
         if not (_is_integer(self.j0) and self.j0 >= 1):
             raise ConfigError("j0 must be an integer >= 1")
+        try:
+            float(self.j0)
+        except OverflowError:
+            raise ConfigError("j0 is too large for a float") from None
         if not (_is_number(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive")
         if not homotopy_kappa(0, self.j0, self.sigma) < 1.0:
@@ -105,18 +109,25 @@ class IterationRecord:
 class InversionResult:
     """Outcome of one order-recovery run.
 
-    ``converged`` is True only for a step-norm stop; a residual-rise or
-    iteration-cap stop still yields a usable ``z_inv`` but is flagged.
-    ``rel_error`` is ||z_exact - z_inv||_2 / ||z_exact||_2 when the true
-    orders were supplied, else None.
+    ``iterations`` counts the ``history`` records.  ``converged`` is True
+    only for a step-norm stop; a residual-rise or iteration-cap stop still
+    yields a usable ``z_inv`` but is flagged.  ``rel_error`` is
+    ||z_exact - z_inv||_2 / ||z_exact||_2 when the true orders were
+    supplied, else None.
     """
 
     z_inv: tuple[float, float]
     rel_error: float | None
-    iterations: int
     history: list[IterationRecord] = field(repr=False)
-    converged: bool
     stop_reason: str
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "step_tol"
 
 
 def add_noise(clean: ObservationSeries, delta: float, seed: int) -> ObservationSeries:
@@ -143,7 +154,11 @@ def homotopy_kappa(j: int, j0: int, sigma: float) -> float:
     if j < 0:
         raise ValidationError("iteration index j must be nonnegative")
     try:
-        return 1.0 / (1.0 + math.exp(sigma * (j - j0)))
+        x = sigma * (j - j0)
+    except OverflowError:  # j - j0 is beyond a float: e^x is 0 or inf
+        x = math.inf if j > j0 else -math.inf
+    try:
+        return 1.0 / (1.0 + math.exp(x))
     except OverflowError:  # e^x overflows a double: the weight is 1/(1 + inf) = 0.0
         return 0.0
 
@@ -235,7 +250,6 @@ def invert_orders(
     rises = 0
     prev_norm = math.inf
     stop_reason = "max_iter"
-    converged = False
 
     for j in range(cfg.max_iter):
         series, G = sensitivity_jacobian(tuple(z), p_base, g, obs.times, obs.x0)
@@ -261,7 +275,6 @@ def invert_orders(
         )
         if step_norm <= cfg.step_tol:
             stop_reason = "step_tol"
-            converged = True
             break
         if kappa < _KAPPA_QUIET:
             rises = rises + 1 if res_norm > prev_norm else 0
@@ -276,12 +289,7 @@ def invert_orders(
         exact = np.asarray(z_exact, dtype=float)
         rel_error = float(np.linalg.norm(exact - z) / np.linalg.norm(exact))
     return InversionResult(
-        z_inv=z_inv,
-        rel_error=rel_error,
-        iterations=len(history),
-        history=history,
-        converged=converged,
-        stop_reason=stop_reason,
+        z_inv=z_inv, rel_error=rel_error, history=history, stop_reason=stop_reason
     )
 
 
@@ -300,7 +308,6 @@ class ReplicateSummary:
     z_mean: tuple[float, float] | None
     rel_error_mean: float | None
     iterations_mean: float | None
-    results: list[InversionResult | None] = field(repr=False, default_factory=list)
 
 
 def _noise_key(delta: float) -> int:
@@ -339,17 +346,13 @@ def run_replicates(
         clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
     z_exact = (spec.params.alpha, spec.params.gamma)
 
-    results: list[InversionResult | None] = []
+    good: list[InversionResult] = []
     for seed in _replicate_seeds(spec.seed, delta, replicates):
         noisy = add_noise(clean, delta, seed)
         try:
-            results.append(
-                invert_orders(noisy, spec.params, spec.grid, spec.inversion, z_exact)
-            )
+            good.append(invert_orders(noisy, spec.params, spec.grid, spec.inversion, z_exact))
         except NumericalError:
-            results.append(None)
-
-    good = [r for r in results if r is not None]
+            pass
     z_mean = rel_error_mean = iterations_mean = None
     if good:
         z = np.mean([r.z_inv for r in good], axis=0)
@@ -359,9 +362,8 @@ def run_replicates(
     return ReplicateSummary(
         delta=float(delta),
         replicates=replicates,
-        failures=len(results) - len(good),
+        failures=replicates - len(good),
         z_mean=z_mean,
         rel_error_mean=rel_error_mean,
         iterations_mean=iterations_mean,
-        results=results,
     )

@@ -75,9 +75,7 @@ def _take(sec: dict, section: str, key: str, kind):
     v = sec.pop(key)
     if kind is tuple:
         return _pair(v, section, key)
-    if kind in (float, int):
-        return _number(v, section, key, kind)
-    return v
+    return _number(v, section, key, kind)
 
 
 def _number(v, section: str, key: str, kind=float):

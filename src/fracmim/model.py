@@ -8,8 +8,10 @@ derivatives of order ``alpha`` (mobile) and ``gamma`` (immobile), both in
 and the power table from which the solver builds the L1 weights of the
 Caputo derivative.
 
-All types are immutable after construction and all functions are pure, so
-everything here is safe for concurrent use.
+The parameter set, the grid and the observation series are frozen after
+construction; a ``SolutionGrid`` holds its two fields as plain numpy arrays,
+which the package never writes after the march fills them.  All functions
+are pure.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Implicit L1 finite-difference marching scheme for the coupled system.
 
-One linear solve per time step with a fixed block matrix of order
+Each time step applies the inverse of one fixed block matrix of order
 2(m-1): both Caputo derivatives are discretized by the L1 rule at the
 new time level, diffusion/advection of the mobile zone and the
 zone-coupling terms are taken fully implicitly, and the inter-zone

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import fracmim
-from fracmim import read_csv, read_observation
+from fracmim import cli, read_csv, read_observation
 from fracmim.cli import main
+from fracmim.experiments import BUILTIN_EXPERIMENTS, ExperimentTable
 
 CONFIG = {
     "params": {
@@ -127,6 +129,20 @@ def test_reference_no_points_writes_header_only(tmp_path):
     header, data = read_csv(out / "reference.csv")
     assert header == ["x", "t", "u1_ref", "u2_ref", "est_rel_err"]
     assert data.shape == (0, 5)
+
+
+def test_reference_unconverged_point_warns_and_writes_nan(tmp_path, capsys):
+    # No contour reaches a relative tolerance of 1e-300: the point is
+    # reported and written as NaN, and the command still succeeds.
+    doc = dict(CONFIG, reference_points=[[0.5, 5.0]], quadrature={"tolerance": 1e-300})
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "ref"
+    assert _run("reference", "--config", cfg, "--out", out) == 0
+    assert "warning: (0.5, 5): " in capsys.readouterr().err
+    _, data = read_csv(out / "reference.csv")
+    assert data.shape == (1, 5) and list(data[0, :2]) == [0.5, 5.0]
+    assert np.all(np.isnan(data[0, 2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +336,32 @@ def test_experiment_sidecar_reruns_the_table(tmp_path, config_path):
         assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
+def test_experiment_builtin_id_takes_the_seed_override(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run(spec, progress=None):
+        seen.append(spec)
+        return ExperimentTable(name=spec.name, z_exact=(spec.params.alpha, spec.params.gamma))
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    assert BUILTIN_EXPERIMENTS["ex51"].seed != 7
+    assert _run("experiment", "ex51", "--seed", 7, "--out", tmp_path, "--quiet") == 0
+    (spec,) = seen
+    assert spec.seed == 7
+    assert spec.params == BUILTIN_EXPERIMENTS["ex51"].params
+    sidecar = json.loads((tmp_path / "table_ex51.json").read_text(encoding="utf-8"))
+    assert sidecar["name"] == "ex51" and sidecar["seed"] == 7
+
+
+def test_experiment_help_lists_the_builtin_ids(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    ids = re.search(r"builtin experiment id \(([^)]*)\)", text).group(1)
+    assert ids.split(", ") == sorted(BUILTIN_EXPERIMENTS)
+
+
 def test_experiment_unknown_id(capsys):
     assert _run("experiment", "ex99") == 1
     assert "valid ids: ex51, ex52, ex53" in capsys.readouterr().err
@@ -344,6 +386,16 @@ def test_bad_config_json_exits_one(tmp_path, capsys):
     cfg.write_text("{not json", encoding="utf-8")
     assert _run("forward", "--config", cfg) == 1
     assert "config parse error" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_two(tmp_path, capsys):
+    doc = json.loads(json.dumps(CONFIG))
+    doc["params"]["alpha"] = 0.99
+    doc["grid"] = {"m": 1000, "n": 1, "T": 1e307}
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run("forward", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("numerical failure: scheme constants overflow")
 
 
 def test_out_dir_collision_exits_three(tmp_path, config_path, capsys):

@@ -19,7 +19,9 @@ from fracmim import (
     GridSpec,
     InversionConfig,
     InversionError,
+    InversionResult,
     ModelParams,
+    NumericalError,
     ParameterError,
     ValidationError,
     add_noise,
@@ -31,6 +33,7 @@ from fracmim import (
 )
 from fracmim import inversion, solver
 from fracmim.inversion import (
+    IterationRecord,
     _replicate_seeds,
     homotopy_kappa,
     lm_step,
@@ -73,6 +76,12 @@ def test_kappa_equals_expit_bit_for_bit(sigma, j0):
     assert values.tobytes() == expected.tobytes()
     if sigma >= 0.9:  # sigma = 0.1 stops at e^195
         assert values[-1] == 0.0
+
+
+def test_kappa_of_a_j_or_j0_beyond_a_float_is_the_limit():
+    # The exponent sigma (j - j0) is -inf or +inf, not an overflow of e^x.
+    assert homotopy_kappa(0, 10**400, 0.9) == 1.0
+    assert homotopy_kappa(10**400, 5, 0.9) == 0.0
 
 
 def test_kappa_rejects_negative_index():
@@ -255,6 +264,7 @@ def test_jacobian_rejects_order_outside_unit_interval(bench_params, tiny_grid):
         ("j0", 50, r"j0 \* sigma = 45 rounds the first homotopy weight to 1"),
         ("sigma", 20.0, r"j0 \* sigma = 100 rounds the first homotopy weight to 1"),
         ("sigma", math.inf, r"j0 \* sigma = inf rounds the first homotopy weight to 1"),
+        ("j0", 10**400, "j0 is too large for a float"),
     ],
 )
 def test_config_validation(field, value, msg):
@@ -272,6 +282,21 @@ def test_config_first_weight_boundary():
     for name in ("ex51", "ex52", "ex53"):
         cfg = builtin_experiment(name).inversion
         assert InversionConfig(**dataclasses.asdict(cfg)) == cfg
+
+
+def test_result_derives_iterations_and_converged():
+    rec = IterationRecord(z=(0.5, 0.5), kappa=0.9, residual_norm=0.1, step_norm=0.2,
+                          sigma_min=0.5)
+    res = InversionResult(z_inv=(0.5, 0.5), rel_error=None, history=[rec, rec],
+                          stop_reason="max_iter")
+    assert res.iterations == 2 and not res.converged
+    res.stop_reason = "step_tol"
+    assert res.converged
+    with pytest.raises(AttributeError):
+        res.iterations = 3
+    with pytest.raises(TypeError):
+        InversionResult(z_inv=(0.5, 0.5), rel_error=None, history=[], iterations=3,
+                        stop_reason="max_iter")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +439,35 @@ def test_replicates_noise_free_matches_single_run(tiny_grid):
     )
     assert summary.z_mean == single.z_inv
     assert summary.rel_error_mean == single.rel_error
+
+
+def test_replicates_count_a_failure_and_average_the_rest(tiny_grid, monkeypatch):
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
+    real = inversion.invert_orders
+    calls, finished = [], []
+
+    def second_one_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalError("injected")
+        finished.append(real(*args, **kwargs))
+        return finished[-1]
+
+    monkeypatch.setattr(inversion, "invert_orders", second_one_fails)
+    summary = run_replicates(spec, 3, delta=0.01)
+    assert summary.replicates == 3 and summary.failures == 1
+    assert len(finished) == 2
+    # The kept replicates are the first and third seeds' inversions.
+    seeds = _replicate_seeds(spec.seed, 0.01, 3)
+    clean = _clean_series(spec.params, tiny_grid, spec.x0)
+    z_exact = (spec.params.alpha, spec.params.gamma)
+    for r, seed in zip(finished, (seeds[0], seeds[2])):
+        alone = real(add_noise(clean, 0.01, seed), spec.params, tiny_grid, spec.inversion, z_exact)
+        assert r.z_inv == alone.z_inv
+    z = np.mean([r.z_inv for r in finished], axis=0)
+    assert summary.z_mean == (z[0], z[1])
+    assert summary.rel_error_mean == np.mean([r.rel_error for r in finished])
+    assert summary.iterations_mean == np.mean([r.iterations for r in finished])
 
 
 def test_replicates_validates_count(tiny_grid):

@@ -639,8 +639,7 @@ def _result(rel_error):
                         sigma_min=0.25),
     ]
     return InversionResult(
-        z_inv=(0.8, 0.25), rel_error=rel_error, iterations=2,
-        history=history, converged=True, stop_reason="step_tol",
+        z_inv=(0.8, 0.25), rel_error=rel_error, history=history, stop_reason="step_tol",
     )
 
 
