@@ -16,7 +16,7 @@ from typing import Callable
 from .errors import ConfigError, ValidationError
 from .inversion import InversionConfig, ReplicateSummary, _noise_key, run_replicates
 from .laplace import ContourQuadrature
-from .model import GridSpec, ModelParams, _is_integer, _is_number, validate_params
+from .model import GridSpec, ModelParams, _is_integer, _is_number, _is_pair, validate_params
 from .solver import extract_observation, solve_forward
 
 __all__ = [
@@ -66,7 +66,10 @@ class ExperimentSpec:
         if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):
             raise ConfigError("x0 must lie strictly inside (0,1)")
         self.grid.interior_node(self.x0)
-        if not all(_is_number(d) and math.isfinite(d) and d >= 0 for d in self.noise_levels):
+        if not (
+            isinstance(self.noise_levels, (list, tuple))
+            and all(_is_number(d) and math.isfinite(d) and d >= 0 for d in self.noise_levels)
+        ):
             raise ConfigError("noise_levels must be finite and nonnegative")
         first: dict[str, int] = {}
         for j, d in enumerate(self.noise_levels):
@@ -93,11 +96,13 @@ class ExperimentSpec:
             keyed[key] = d
         if not (_is_integer(self.replicates) and self.replicates >= 1):
             raise ConfigError("replicates must be an integer >= 1")
-        if not _is_integer(self.seed):
-            raise ConfigError("seed must be an integer")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ConfigError("seed must be an integer >= 0")
         exact = [] if self.exact_orders is None else [self.exact_orders]
-        pairs = [*self.reference_points, *exact]
-        if not all(len(pt) == 2 and all(map(_is_number, pt)) for pt in pairs):
+        if not (
+            isinstance(self.reference_points, (list, tuple))
+            and all(map(_is_pair, [*self.reference_points, *exact]))
+        ):
             raise ConfigError("reference_points and exact_orders must hold pairs of numbers")
         if exact and not all(0.0 < v <= 1.0 for v in self.exact_orders):
             raise ConfigError(f"exact_orders {self.exact_orders!r} must be orders in (0, 1]")
@@ -108,7 +113,7 @@ class ExperimentSpec:
                 )
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 def _standard(name, P, omega, lam, mu, alpha, gamma, z0=(0.0, 0.0)) -> ExperimentSpec:

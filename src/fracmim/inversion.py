@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
-from .model import GridSpec, ModelParams, ObservationSeries, _is_integer, _is_number
+from .model import GridSpec, ModelParams, ObservationSeries, _is_integer, _is_number, _is_pair
 from .solver import _tangent_march, _validate_for_solve, extract_observation, solve_forward
 
 __all__ = [
@@ -47,12 +47,12 @@ class InversionConfig:
         admissible square are moved onto it before the first step, so
         the conventional corner starts (0,0) and (1,1) are legal.
     j0, sigma : int, float
-        Midpoint and steepness of the sigmoid homotopy weight; j0 * sigma
-        below about 36, or the first weight is 1 and the first step zero.
+        Midpoint and steepness of the sigmoid homotopy weight.
     max_iter : int
         Iteration cap.
     step_tol : float
-        Stop when the update norm falls to or below this; finite.
+        Stop when the undamped update norm, ||dz|| / (1 - kappa), falls
+        below this; finite.
     clamp_margin : float
         Distance eps kept from the order-set boundary; iterates live in
         [eps, 1-eps]^2.
@@ -72,20 +72,15 @@ class InversionConfig:
             float(self.j0)
         except OverflowError:
             raise ConfigError("j0 is too large for a float") from None
-        if not (_is_number(self.sigma) and self.sigma > 0):
-            raise ConfigError("sigma must be positive")
-        if not homotopy_kappa(0, self.j0, self.sigma) < 1.0:
-            raise ConfigError(
-                f"j0 * sigma = {self.j0 * self.sigma:g} rounds the first homotopy "
-                "weight to 1, so the first step would be zero; keep it below 36"
-            )
+        if not (_is_number(self.sigma) and math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError("sigma must be positive and finite")
         if not (_is_integer(self.max_iter) and self.max_iter >= 1):
             raise ConfigError("max_iter must be an integer >= 1")
         if not (_is_number(self.step_tol) and math.isfinite(self.step_tol) and self.step_tol > 0):
             raise ConfigError("step_tol must be positive and finite")
         if not (_is_number(self.clamp_margin) and 0.0 < self.clamp_margin < 0.2):
             raise ConfigError("clamp_margin must lie in (0, 0.2)")
-        if len(self.z0) != 2 or not all(_is_number(v) and math.isfinite(v) for v in self.z0):
+        if not (_is_pair(self.z0) and all(map(math.isfinite, self.z0))):
             raise ConfigError("z0 must be a finite pair (alpha0, gamma0)")
 
 
@@ -138,6 +133,8 @@ def add_noise(clean: ObservationSeries, delta: float, seed: int) -> ObservationS
     """
     if not (_is_number(delta) and math.isfinite(delta) and delta >= 0):
         raise ValidationError("noise level delta must be finite and nonnegative")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValidationError("noise seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-1.0, 1.0, size=len(clean))
     return ObservationSeries(
@@ -233,7 +230,8 @@ def invert_orders(
     Each iteration takes the forward series (hence the residual) and the
     sensitivity matrix from the one march of :func:`sensitivity_jacobian`
     and applies the homotopy-weighted update, clamping the result to the
-    admissible square.  Stops on a small update norm (``converged``), on
+    admissible square.  Stops when the undamped step ||dz|| / (1 - kappa)
+    falls below ``step_tol`` (``converged``; a weight of 1 never does), on
     three consecutive residual-norm rises once the homotopy weight is
     spent (noise floor reached), or at the iteration cap.
 
@@ -273,7 +271,7 @@ def invert_orders(
                 sigma_min=float(np.linalg.svd(G, compute_uv=False)[-1]),
             )
         )
-        if step_norm <= cfg.step_tol:
+        if step_norm < cfg.step_tol * (1.0 - kappa):
             stop_reason = "step_tol"
             break
         if kappa < _KAPPA_QUIET:

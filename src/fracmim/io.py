@@ -27,7 +27,7 @@ from .errors import ConfigError, ValidationError
 from .experiments import DEFAULT_GRID, ExperimentSpec, ExperimentTable
 from .inversion import InversionConfig, InversionResult
 from .laplace import ContourQuadrature
-from .model import ModelParams, ObservationSeries, SolutionGrid, _is_integer, _is_number
+from .model import ModelParams, ObservationSeries, SolutionGrid, _is_integer, _is_number, _is_pair
 
 __all__ = [
     "parse_config",
@@ -102,7 +102,7 @@ def _no_leftovers(sec: dict, section: str) -> None:
 
 
 def _pair(v, section: str, key: str) -> tuple[float, float]:
-    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
+    if not _is_pair(v):
         raise ConfigError(f'field "{key}" in "{section}" must be a pair of numbers')
     return _number(v[0], section, key), _number(v[1], section, key)
 

@@ -82,6 +82,10 @@ def _is_integer(v) -> bool:
     return _is_number(v) and isinstance(v, int)
 
 
+def _is_pair(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+
+
 # Admissibility checks, in reporting order.  Each entry is
 # (predicate on ModelParams, message for the first violated bound).
 _ADMISSIBILITY = [
@@ -175,12 +179,17 @@ class GridSpec:
     def time_indices(self, times: np.ndarray) -> np.ndarray:
         """Indices k in 1..n of the grid times t_k = k*tau; others raise GridError."""
         times = np.asarray(times, dtype=float)
-        ratio = times / self.tau
-        idx = np.round(ratio).astype(int)
-        bad = times[(np.abs(ratio - idx) > 1e-9 * self.n) | (idx < 1) | (idx > self.n)]
-        if bad.size:
-            raise GridError(f"times not aligned with grid times: {bad[:3].tolist()}")
-        return idx
+        with np.errstate(over="ignore"):  # a huge time gives an infinite ratio, rejected below
+            ratio = times / self.tau
+        near = np.round(ratio)
+        # Range first: NaN and inf fail it and are zeroed, so that neither
+        # the subtraction (inf - inf) nor the cast to int sees them.
+        ok = (near >= 1) & (near <= self.n)
+        near = np.where(ok, near, 0.0)
+        ok &= np.abs(np.where(ok, ratio, 0.0) - near) <= 1e-9 * self.n
+        if not ok.all():
+            raise GridError(f"times not aligned with grid times: {times[~ok][:3].tolist()}")
+        return near.astype(int)
 
     def space_nodes(self) -> np.ndarray:
         """Grid points x_i = i*h, i = 0..m."""

@@ -277,7 +277,7 @@ def test_invert_out_of_range_exact_orders_exits_one(tmp_path, config_path, capsy
 
 @pytest.mark.parametrize("field", ["sigma", "step_tol"])
 def test_invert_start_point_convergence_config_exits_one(tmp_path, config_path, capsys, field):
-    # An infinite sigma or step_tol would report convergence at z0 after one iteration.
+    # Neither can ever give a finite step test; both are rejected at parse time.
     out = tmp_path / "inv"
     _run("make-obs", "--config", config_path, "--out", out, "--quiet")
     doc = dict(CONFIG, inversion={"z0": [0.5, 0.5], field: float("inf")})
@@ -286,8 +286,18 @@ def test_invert_start_point_convergence_config_exits_one(tmp_path, config_path, 
     assert _run("invert", "--config", cfg, "--out", out,
                 "--obs", out / "obs_clean.csv", "--quiet") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and ("first homotopy weight" in err or "step_tol" in err)
+    assert err.startswith("error: ") and f"{field} must be positive and finite" in err
     assert not (out / "inversion_report.json").exists()
+
+
+def test_invert_huge_observation_time_exits_one(tmp_path, config_path, capsys):
+    # A finite time far beyond the grid must be named, not cast to int first.
+    obs = tmp_path / "huge.csv"
+    obs.write_text("t,u1\n1e300,0.2\n", encoding="utf-8")
+    assert _run("invert", "--config", config_path, "--out", tmp_path / "inv",
+                "--obs", obs, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "times not aligned with grid times: [1e+300]" in err
 
 
 def test_invert_header_only_observation_exits_one(tmp_path, config_path, capsys):
@@ -403,6 +413,28 @@ def test_out_dir_collision_exits_three(tmp_path, config_path, capsys):
     blocker.write_text("file, not a directory", encoding="utf-8")
     assert _run("forward", "--config", config_path, "--out", blocker) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_unwritable_out_dir_exits_three(tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "ro"
+    assert _run("forward", "--config", config_path, "--out", out) == 3
+    assert capsys.readouterr().err == f"i/o error: output directory {out} is not writable\n"
+    assert not (out / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["id", "config"])
+def test_negative_seed_exits_one(tmp_path, capsys, source):
+    # The seed feeds np.random.SeedSequence, which takes no negative entropy.
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps(dict(CONFIG, seed=-1)), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = (["experiment", "ex51", "--seed", -1] if source == "id"
+            else ["make-obs", "--config", cfg])
+    assert _run(*argv, "--out", out, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be an integer >= 0" in err
+    assert not out.exists()
 
 
 def test_invalid_params_exit_one(tmp_path, capsys):

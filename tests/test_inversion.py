@@ -160,6 +160,13 @@ def test_add_noise_rejects_negative(bench_params, tiny_grid):
             add_noise(clean, delta, seed=0)
 
 
+def test_add_noise_rejects_bad_seed(bench_params, tiny_grid):
+    clean = _clean_series(bench_params, tiny_grid)
+    for seed in (-3, 1.5, True, None, "7"):
+        with pytest.raises(ValidationError, match="noise seed must be an integer >= 0"):
+            add_noise(clean, 0.01, seed)
+
+
 # ---------------------------------------------------------------------------
 # sensitivity Jacobian
 
@@ -261,10 +268,10 @@ def test_jacobian_rejects_order_outside_unit_interval(bench_params, tiny_grid):
         ("z0", (True, 0.5), "z0 must be a finite pair"),
         ("step_tol", math.inf, "step_tol must be positive and finite"),
         ("step_tol", math.nan, "step_tol must be positive and finite"),
-        ("j0", 50, r"j0 \* sigma = 45 rounds the first homotopy weight to 1"),
-        ("sigma", 20.0, r"j0 \* sigma = 100 rounds the first homotopy weight to 1"),
-        ("sigma", math.inf, r"j0 \* sigma = inf rounds the first homotopy weight to 1"),
+        ("sigma", math.inf, "sigma must be positive and finite"),
         ("j0", 10**400, "j0 is too large for a float"),
+        ("z0", 5, "z0 must be a finite pair"),
+        ("z0", None, "z0 must be a finite pair"),
     ],
 )
 def test_config_validation(field, value, msg):
@@ -273,12 +280,22 @@ def test_config_validation(field, value, msg):
 
 
 def test_config_first_weight_boundary():
-    # The first weight 1/(1 + e^{-j0 sigma}) rounds to 1 from j0 sigma of
-    # about 36.74 on; just below that the first step is not zero.
-    assert homotopy_kappa(0, 1, 36.7) < 1.0
-    InversionConfig(j0=1, sigma=36.7)
-    with pytest.raises(ConfigError, match="first homotopy weight"):
-        InversionConfig(j0=1, sigma=36.8)
+    # A first weight at or just below 1 damps the first steps to nearly
+    # nothing; the step test measures the undamped step, so a late
+    # homotopy runs longer instead of stopping at z0.
+    spec = builtin_experiment("ex51")
+    grid = GridSpec(m=8, n=20, T=100.0)
+    obs = _clean_series(spec.params, grid, spec.x0)
+    z_exact = (spec.params.alpha, spec.params.gamma)
+    assert homotopy_kappa(0, 50, 0.9) == homotopy_kappa(0, 1, 36.8) == 1.0
+    late = [InversionConfig(j0=j0) for j0 in (25, 30, 40, 50)]
+    for cfg in late + [InversionConfig(sigma=20.0), InversionConfig(j0=1, sigma=36.8)]:
+        res = invert_orders(obs, spec.params, grid, cfg, z_exact)
+        assert res.converged and res.iterations > 1, cfg
+        assert res.rel_error < 1e-10, cfg
+    # a homotopy that never leaves weight 1 ends at the cap, not converged
+    res = invert_orders(obs, spec.params, grid, InversionConfig(j0=200), z_exact)
+    assert res.stop_reason == "max_iter" and not res.converged
     for name in ("ex51", "ex52", "ex53"):
         cfg = builtin_experiment(name).inversion
         assert InversionConfig(**dataclasses.asdict(cfg)) == cfg
@@ -506,8 +523,20 @@ def test_spec_rejects_levels_sharing_a_seed_stream():
         ("seed", False, "seed must be an integer"),
         ("reference_points", ((0.5, True),), "must hold pairs of numbers"),
         ("exact_orders", (True, 0.25), "must hold pairs of numbers"),
+        ("seed", -1, "seed must be an integer >= 0"),
+        ("noise_levels", 0.01, "noise_levels must be finite and nonnegative"),
+        ("exact_orders", 5, "must hold pairs of numbers"),
+        ("reference_points", 5, "must hold pairs of numbers"),
+        ("reference_points", (5,), "must hold pairs of numbers"),
     ],
 )
 def test_spec_rejects_bool_numbers(field, value, msg):
     with pytest.raises(ConfigError, match=msg):
         dataclasses.replace(builtin_experiment("ex51"), **{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_with_seed_validates_the_seed(seed):
+    # with_seed must not round 1.5 or True to an integer seed
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        builtin_experiment("ex51").with_seed(seed)

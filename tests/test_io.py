@@ -32,7 +32,7 @@ from fracmim import (
 )
 from fracmim.experiments import DEFAULT_GRID, DEFAULT_NOISE_LEVELS
 from fracmim import io as fio
-from fracmim.inversion import IterationRecord, _noise_key, homotopy_kappa
+from fracmim.inversion import IterationRecord, _noise_key
 from fracmim.io import (
     _BLOCK_ROWS,
     config_document,
@@ -109,10 +109,7 @@ def _unit(lo=0.0, hi=1.0, **kw):
 _pairs = st.tuples(_unit(-2.0, 2.0), _unit(-2.0, 2.0))
 
 
-# (j0, sigma) pairs whose first homotopy weight is below 1, as InversionConfig requires.
-_homotopies = st.tuples(st.integers(1, 20), _unit(1e-3, 10.0)).filter(
-    lambda js: homotopy_kappa(0, *js) < 1.0
-)
+_homotopies = st.tuples(st.integers(1, 20), _unit(1e-3, 10.0))
 
 
 def _inversion(homotopy, **fields):
@@ -218,10 +215,9 @@ def test_config_document_round_trips(spec):
          'exact_orders \\(0.5, 1.5\\) must be orders in \\(0, 1\\]'),
         (lambda d: d.update(exact_orders=[math.inf, 0.5]),
          'exact_orders \\(inf, 0.5\\) must be orders in \\(0, 1\\]'),
-        (lambda d: d.update(inversion={"j0": 50}),
-         'j0 \\* sigma = 45 rounds the first homotopy weight to 1'),
         (lambda d: d.update(inversion={"sigma": math.inf}),
-         'j0 \\* sigma = inf rounds the first homotopy weight to 1'),
+         'sigma must be positive and finite'),
+        (lambda d: d.update(seed=-1), 'seed must be an integer >= 0'),
         (lambda d: d.update(inversion={"step_tol": math.inf}),
          'step_tol must be positive and finite'),
     ],

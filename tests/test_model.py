@@ -10,6 +10,7 @@ cover both the fractional and the classical system.
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,15 @@ def test_interior_node_rejects_non_finite_position(x0):
     # 1e308 * m overflows: a position that cannot be rounded to a node.
     with pytest.raises(GridError, match=re.escape(f"x0={x0!r} must be an interior node")):
         GridSpec(m=40, n=5, T=1.0).interior_node(x0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e300, 1.7e308, -1e300])
+def test_time_indices_rejects_far_times_without_warning(t):
+    # tau = 0.2: 1.7e308 / tau overflows, and NaN or inf cannot be cast to int.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=re.escape(f"not aligned with grid times: [{t!r}]")):
+            GridSpec(m=40, n=5, T=1.0).time_indices([0.2, t])
 
 
 @pytest.mark.parametrize(
