@@ -95,12 +95,13 @@ def _like(s, v: np.ndarray):
     return v[0] if np.ndim(s) == 0 else v
 
 
-def _coeff_b(s: np.ndarray, p: ModelParams) -> np.ndarray:
+def _coeff_b(s: np.ndarray, p: ModelParams, denom: np.ndarray) -> np.ndarray:
     """Zeroth-order coefficient b(s) of the transformed mobile equation.
 
-    Principal branches of the fractional powers; Re b < 0 on Re s > 0.
+    ``denom`` is :func:`_immobile_denom` at ``s``.  Principal branches of
+    the fractional powers; Re b < 0 on Re s > 0.
     """
-    return -p.beta * p.R1 * s**p.alpha - p.omega - p.lam + p.omega**2 / _immobile_denom(s, p)
+    return -p.beta * p.R1 * s**p.alpha - p.omega - p.lam + p.omega**2 / denom
 
 
 def _immobile_denom(s: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -108,14 +109,16 @@ def _immobile_denom(s: np.ndarray, p: ModelParams) -> np.ndarray:
     return (1.0 - p.beta) * p.R2 * s**p.gamma + p.omega + p.mu
 
 
-def _roots_and_fit(s: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
+def _roots_and_fit(s: np.ndarray, p: ModelParams, denom: np.ndarray) -> tuple[np.ndarray, ...]:
     """b, eta1, eta2, c1 and c2 at frequencies already checked off the cut.
+
+    ``denom`` is :func:`_immobile_denom` at ``s``.
 
     a*eta^2 - eta + b = 0 (a = 1/P) with Re(eta1) >= Re(eta2); c1 + c2 =
     1/s (inlet) and c1*eta1*e^eta1 + c2*eta2*e^eta2 = 0 (outflow).
     """
     a = 1.0 / p.P
-    b = _coeff_b(s, p)
+    b = _coeff_b(s, p, denom)
     root = np.sqrt(1.0 - 4.0 * a * b)
     eta1 = (1.0 + root) / (2.0 * a)
     eta2 = (1.0 - root) / (2.0 * a)
@@ -144,17 +147,18 @@ def laplace_profile(x: float, s, p: ModelParams) -> tuple:
     if not 0.0 <= x <= 1.0:
         raise ValidationError("x must lie in [0,1]")
     z = _frequencies(s)
+    denom = _immobile_denom(z, p)
     if x == 0.0:
         # bit-equal to Python's 1.0 / complex(s), which numpy's divide is not
         u1 = np.reciprocal(z)
     else:
-        _, eta1, eta2, _, c2 = _roots_and_fit(z, p)
+        _, eta1, eta2, _, c2 = _roots_and_fit(z, p, denom)
         # u1_hat = c1 e^{eta1 x} + c2 e^{eta2 x}, and c1 = -c2 (eta2/eta1)
         # e^{eta2 - eta1}, so u1_hat = c2 (e^{eta2 x} - (eta2/eta1)
         # e^{eta1 (x-1) + eta2});  Re(eta1 (x-1)) <= 0 and Re(eta2) <= P/2,
         # so both exponents stay bounded.
         u1 = c2 * (np.exp(eta2 * x) - eta2 / eta1 * np.exp(eta1 * (x - 1.0) + eta2))
-    return _like(s, u1), _like(s, p.omega * u1 / _immobile_denom(z, p))
+    return _like(s, u1), _like(s, p.omega * u1 / denom)
 
 
 @dataclass(frozen=True)

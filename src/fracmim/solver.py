@@ -23,7 +23,10 @@ One march serves the forward solve and the order recovery.  The forward
 solve advances the state alone.  The recovery also needs the state's
 derivatives in both orders, which the same march advances together
 with the state (forward-mode differentiation of the march itself, so
-the derivatives are exact to roundoff).
+the derivatives are exact to roundoff).  The derivatives run one step
+behind the state, so their coupling to the state is one more history
+sum of the same batched product, and the step's single product with the
+inverse advances the state and both derivatives.
 """
 
 from __future__ import annotations
@@ -269,63 +272,87 @@ def _tangent_march(
     derivative is the same on the immobile rows.
 
     The march applies the inverse Minv of M, formed once by
-    :func:`_march_setup`, and solves nothing per step.  U^0 = 0, so U^k
-    is the sum of all earlier increments and -l_a U^k folds into the
-    history weights: F_a = l_a H^k - H_a[U]^k - l_a U^k weighs each
-    increment by l_a w - dw/d alpha - l_a.  With P_a the mobile rows,
+    :func:`_march_setup`, and solves nothing per step.  The tangents run
+    one step behind the state: the march stores T[k] = (U^k, V^{k-1}),
+    V^{-1} = 0, so step k makes U^{k+1} and V^k, and the increments
+    T[j+1] - T[j] of the state and the tangents are weighed by the same
+    w[k-j] for H^k and H[V]^{k-1}.  U^k is then known when V^k is made,
+    so the tangent's whole right-hand side is history.  U^0 = 0 makes
+    U^k the sum of the increments, so
+    G^{k-1} = l_a (U^k - U^{k-1} + H^{k-1}) - H_a[U]^{k-1} weighs
+    increment j by c[k-j], c[i] = l_a w[i-1] - dw[i-1]/d alpha for
+    i >= 1: the -l_a U^{k-1} and the coupling's +l_a U^k cancel on every
+    earlier increment and leave c[1] = l_a (w[0] = 1, dw[0] = 0) on the
+    last.  With P_a the mobile rows,
 
         U^{k+1} = Minv (U^k - H^k + f)
-        V^{k+1} = Minv (V^k - H[V]^k + P_a F_a) + l_a Minv P_a U^{k+1},
+        V^k     = Minv (V^{k-1} - H[V]^{k-1} + P_a G^{k-1}),
 
     and likewise for gamma with P_g, the immobile rows.  A step is one
-    batched history matmul for both zones, the right-hand sides, one
-    product with Minv for the state and both tangents, one coupling
-    product for both tangents and the increment write.  The state alone
-    takes the history row H, the right-hand side and the product.
+    batched history matmul for both zones and both rows w and c, the
+    right-hand sides (subtract, forcing and c-sum adds), one product with
+    Minv for the state and both tangents, and the increment write.  With
+    tangents the march runs n+1 steps, the last one for V^n alone; the
+    state alone runs n steps of the w row.
     """
     n, q = grid.n, grid.m - 1
     r = 3 if tangents else 1  # quantities carried
+    steps = n + 1 if tangents else n  # the tangents run one step behind
     forcing, minv_t, weights = _march_setup(params, grid)
-    orders = np.array([[params.alpha], [params.gamma]])
-    ell = np.log(grid.tau) - _digamma(2.0 - orders)  # l_a, l_g
     # Per zone, row 0 gives the history sum H and row 1, which only the
-    # tangents need, the folded sum F of the zone's own order; reversed,
-    # so that step k's weights are the contiguous columns n-k..n-1.
+    # tangents need, the c-weighted sum G of the zone's own order;
+    # reversed, so that step k's weights are the contiguous columns
+    # n-k..n-1.
     w = weights[:, 0]
-    rows = [w, ell * w - weights[:, 1] - ell] if tangents else [w]
+    rows = [w]
+    if tangents:
+        orders = np.array([[params.alpha], [params.gamma]])
+        ell = np.log(grid.tau) - _digamma(2.0 - orders)  # l_a, l_g
+        c = np.zeros_like(w)
+        c[:, 1:] = ell * w[:, :-1] - weights[:, 1, :-1]
+        rows.append(c)
     rev = np.stack(rows, axis=1)[..., ::-1].copy()
-    # The couplings l_a Minv P_a and l_g Minv P_g, transposed, so that
-    # zone z's state times coupling_t[z] is its tangent's correction.
-    coupling_t = ell[:, :, None] * minv_t.reshape(2, q, 2 * q) if tangents else None
 
-    S = np.zeros((n + 1, r, 2 * q))
-    states = S.reshape(n + 1, r, 2, q)  # [step, quantity, zone, node]
-    # Increments S[j+1] - S[j], zone-major, so that one batched matmul
+    T = np.zeros((steps + 1, r, 2 * q))  # T[k] = (U^k, V^{k-1})
+    states = T.reshape(steps + 1, r, 2, q)  # [step, quantity, zone, node]
+    # Increments T[j+1] - T[j], zone-major, so that one batched matmul
     # gives every history sum of a step.
-    inc = np.zeros((2, n, r * q))  # [zone, step, (quantity, node)]
-    inc_steps = inc.reshape(2, n, r, q).transpose(1, 2, 0, 3)  # like states
+    inc = np.zeros((2, steps, r * q))  # [zone, step, (quantity, node)]
+    inc_steps = inc.reshape(2, steps, r, q).transpose(1, 2, 0, 3)  # like states
     sums = np.empty((2, len(rows), r * q))  # [zone, weight row, (quantity, node)]
     hist = sums[:, 0].reshape(2, r, q).transpose(1, 0, 2)  # H, laid out like states
-    folded = sums[:, -1, :q]  # F per zone
     rhs = np.empty((r, 2, q))
-    correction = np.empty((2, 1, 2 * q))
+    rhs_state = rhs[0]
+    # G of zone z adds to its own tangent on its own rows: rhs[1, 0] and
+    # rhs[2, 1], which are the last q entries of each half of rhs.
+    fold = rhs.reshape(2, 3 * q)[:, 2 * q:] if tangents else None
+    folded = sums[:, -1, :q]  # G per zone
 
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = inlet * forcing.reshape(2, q)
-        for k in range(n):
-            np.matmul(rev[:, :, n - k:n], inc[:, :k], out=sums)
-            old, new = states[k], states[k + 1]
+        per_step = zip(
+            (rev[:, :, n - k:n] for k in range(steps)),
+            (inc[:, :k] for k in range(steps)),
+            states[:-1],
+            T[1:],
+            states[1:],
+            inc_steps,
+        )
+        for weights_k, inc_k, old, new_flat, new, inc_new in per_step:
+            np.matmul(weights_k, inc_k, out=sums)
             np.subtract(old, hist, out=rhs)
-            rhs[0] += forcing
+            np.add(rhs_state, forcing, out=rhs_state)
             if tangents:
-                rhs[1, 0] += folded[0]
-                rhs[2, 1] += folded[1]
-            np.matmul(rhs.reshape(r, 2 * q), minv_t, out=S[k + 1])
-            if tangents:
-                np.matmul(new[0, :, None], coupling_t, out=correction)
-                S[k + 1, 1:] += correction[:, 0]
-            np.subtract(new, old, out=inc_steps[k])
+                np.add(fold, folded, out=fold)
+            np.matmul(rhs.reshape(r, 2 * q), minv_t, out=new_flat)
+            np.subtract(new, old, out=inc_new)
 
+    if tangents:
+        S = np.empty((n + 1, r, 2 * q))
+        S[:, 0] = T[:-1, 0]
+        S[:, 1:] = T[1:, 1:]
+    else:
+        S = T
     finite = np.isfinite(S).all(axis=(1, 2))
     if not finite.all():
         raise SolverError(f"non-finite solution values at time step {np.argmin(finite)}")

@@ -21,7 +21,13 @@ from fracmim import (
     solve_forward,
 )
 from fracmim.experiments import DEFAULT_GRID
-from fracmim.laplace import _frequencies, _invert, _roots_and_fit, laplace_profile
+from fracmim.laplace import (
+    _frequencies,
+    _immobile_denom,
+    _invert,
+    _roots_and_fit,
+    laplace_profile,
+)
 from fracmim.solver import assemble_block_system, scheme_constants
 from conftest import admissible_draw, real_s_profile
 from oracles import backward_euler_classical, l1_bracket, mittag_leffler, psi_weight
@@ -140,7 +146,8 @@ def test_criterion_05_transform_property_suite():
         else:
             s = complex(rng.uniform(0.1, 10.0), rng.uniform(-1e3, 1e3))
 
-        b, eta1, eta2, c1, c2 = (v[0] for v in _roots_and_fit(_frequencies(s), p))
+        z = _frequencies(s)
+        b, eta1, eta2, c1, c2 = (v[0] for v in _roots_and_fit(z, p, _immobile_denom(z, p)))
         a = 1.0 / p.P
         assert eta1.real > 0.0 > eta2.real
         scale = abs(eta1) + abs(eta2)

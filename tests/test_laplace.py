@@ -23,7 +23,14 @@ from fracmim import (
     invert_at,
     invert_with_error,
 )
-from fracmim.laplace import _coeff_b, _frequencies, _invert, _roots_and_fit, laplace_profile
+from fracmim.laplace import (
+    _coeff_b,
+    _frequencies,
+    _immobile_denom,
+    _invert,
+    _roots_and_fit,
+    laplace_profile,
+)
 from conftest import BENCH_PARAMS, admissible_draw, bound_constant, real_s_profile
 
 
@@ -39,7 +46,8 @@ def _frequency_draw(rng: np.random.Generator) -> complex:
 
 def b_at(s, p: ModelParams) -> complex:
     """b(s) at one frequency, through the path the closed form runs."""
-    return complex(_coeff_b(_frequencies(s), p)[0])
+    z = _frequencies(s)
+    return complex(_coeff_b(z, p, _immobile_denom(z, p))[0])
 
 
 def invert_array(fbar, t: float) -> float:
@@ -90,7 +98,8 @@ def test_root_and_fit_identities_over_draws():
     for _ in range(1000):
         p = admissible_draw(rng)
         s = _frequency_draw(rng)
-        b, eta1, eta2, c1, c2 = (v[0] for v in _roots_and_fit(_frequencies(s), p))
+        z = _frequencies(s)
+        b, eta1, eta2, c1, c2 = (v[0] for v in _roots_and_fit(z, p, _immobile_denom(z, p)))
         a = 1.0 / p.P
         assert eta1.real > 0.0 > eta2.real
         scale = abs(eta1) + abs(eta2)

@@ -262,10 +262,17 @@ def test_inlet_must_be_finite(bench_params, tiny_grid):
 @pytest.mark.parametrize("inlet", [1e308, -1.7e308])
 def test_overflowing_inlet_names_first_step(bench_params, default_grid, inlet):
     # inlet * A overflows, so the first step's solution is not finite.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SolverError, match="non-finite solution values at time step 1$"):
-            solve_forward(bench_params, default_grid, inlet=inlet)
+    # The tangent march makes the tangents of step k one step later than
+    # the state, and must still name the step of the state.
+    marches = (
+        lambda: solve_forward(bench_params, default_grid, inlet=inlet),
+        lambda: _tangent_march(bench_params, default_grid, inlet=inlet),
+    )
+    for march in marches:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="non-finite solution values at time step 1$"):
+                march()
 
 
 def test_order_one_degeneration_matches_backward_euler(bench_params):
@@ -362,6 +369,13 @@ def test_tangent_columns_match_complex_step_oracle_across_nodes(name):
         oracle = complex_step_jacobian((p.alpha, p.gamma), p, g, times, x0)
         rel = np.linalg.norm(G - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
         assert np.all(rel <= 1e-10), (x0, rel)
+        # Each time step on its own, k = 1 and k = n included: the march
+        # makes the tangents one step behind the state, so the two ends
+        # are where an off-by-one step would show.
+        step_err = np.abs(G - oracle) / np.abs(oracle).max(axis=0)
+        assert step_err.shape == (g.n, 2)
+        worst = np.unravel_index(np.argmax(step_err), step_err.shape)
+        assert np.all(step_err <= 1e-10), (x0, worst, step_err[worst])
 
 
 def test_digamma_matches_scipy_on_shifted_orders():
