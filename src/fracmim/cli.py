@@ -23,7 +23,7 @@ from .errors import NumericalError, QuadratureError, ValidationError
 from .experiments import BUILTIN_EXPERIMENTS, ExperimentSpec, builtin_experiment, run_experiment
 from .inversion import _replicate_seeds, add_noise, invert_orders
 from .laplace import invert_with_error
-from .solver import extract_observation, solve_forward
+from .solver import extract_observation, scheme_constants, solve_forward
 
 __all__ = ["main"]
 
@@ -107,10 +107,15 @@ def cmd_forward(args, spec: ExperimentSpec, out: Path) -> int:
     fio.write_solution_csv(out / "solution.csv", sol)
     fio.write_observation(out / "observation.csv", obs)
     if not args.quiet:
+        mobile, immobile = scheme_constants(spec.params, spec.grid).dominance_margins()
         print(
             f"grid {spec.grid.m}x{spec.grid.n}, T={spec.grid.T:g}: "
             f"u1 in [{sol.u1.min():.6g}, {sol.u1.max():.6g}], "
             f"u2 in [{sol.u2.min():.6g}, {sol.u2.max():.6g}]"
+        )
+        print(
+            f"{spec.grid.n} time steps, dominance margins {mobile:.6g} (mobile) "
+            f"and {immobile:.6g} (immobile)"
         )
         print(f"wrote {out / 'solution.csv'} and {out / 'observation.csv'}")
     return 0

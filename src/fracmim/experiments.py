@@ -167,8 +167,9 @@ class ExperimentTable:
             f"Recovered orders for {self.name}: "
             f"true (alpha, gamma) = ({self.z_exact[0]:.8f}, {self.z_exact[1]:.8f})",
             "",
-            "| noise level | recovered orders (mean) | relative error (mean) | iterations (mean) |",
-            "|---|---|---|---|",
+            "| noise level | recovered orders (mean) | relative error (mean) | iterations (mean) "
+            "| stops (step_tol / residual_rise / max_iter) |",
+            "|---|---|---|---|---|",
         ]
         for r in self.rows:
             if r.z_mean is None:
@@ -178,7 +179,8 @@ class ExperimentTable:
                 if r.failures:
                     z += f" [{r.failures}/{r.replicates} failed]"
                 cells = [z, f"{r.rel_error_mean:.2e}", f"{r.iterations_mean:.1f}"]
-            lines.append(f"| {r.delta:g} | {cells[0]} | {cells[1]} | {cells[2]} |")
+            stops = f"{r.step_tol} / {r.residual_rise} / {r.max_iter}"
+            lines.append(f"| {r.delta:g} | {cells[0]} | {cells[1]} | {cells[2]} | {stops} |")
         return "\n".join(lines) + "\n"
 
 

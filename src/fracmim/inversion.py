@@ -14,6 +14,7 @@ on its boundary.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,6 +299,8 @@ class ReplicateSummary:
     Means are taken over the successful replicates only; ``failures``
     counts replicates that aborted with a numerical error.  ``z_mean``
     and the other means are None when every replicate failed.
+    ``step_tol``, ``residual_rise`` and ``max_iter`` count the successful
+    replicates by :attr:`InversionResult.stop_reason`.
     """
 
     delta: float
@@ -306,6 +309,9 @@ class ReplicateSummary:
     z_mean: tuple[float, float] | None
     rel_error_mean: float | None
     iterations_mean: float | None
+    step_tol: int = 0
+    residual_rise: int = 0
+    max_iter: int = 0
 
 
 def _noise_key(delta: float) -> int:
@@ -364,4 +370,5 @@ def run_replicates(
         z_mean=z_mean,
         rel_error_mean=rel_error_mean,
         iterations_mean=iterations_mean,
+        **Counter(r.stop_reason for r in good),
     )

@@ -463,7 +463,10 @@ def write_inversion_report(
 def write_experiment_table(
     csv_path: str | Path, md_path: str | Path, table: ExperimentTable
 ) -> None:
-    """Emit one experiment table as CSV (nan for failed cells) and markdown."""
+    """Emit one experiment table as CSV (nan for failed cells) and markdown.
+
+    The last three columns count the successful replicates by stop reason.
+    """
 
     def rows():
         for r in table.rows:
@@ -471,7 +474,8 @@ def write_experiment_table(
                 means = (math.nan,) * 4
             else:
                 means = (*r.z_mean, r.rel_error_mean, r.iterations_mean)
-            yield (r.delta, *means, r.failures, r.replicates)
+            stops = (r.step_tol, r.residual_rise, r.max_iter)
+            yield (r.delta, *means, r.failures, r.replicates, *stops)
 
     write_csv(
         csv_path,
@@ -483,6 +487,9 @@ def write_experiment_table(
             "iterations_mean",
             "failures",
             "replicates",
+            "step_tol",
+            "residual_rise",
+            "max_iter",
         ],
         rows(),
     )

@@ -27,6 +27,13 @@ the derivatives are exact to roundoff).  The derivatives run one step
 behind the state, so their coupling to the state is one more history
 sum of the same batched product, and the step's single product with the
 inverse advances the state and both derivatives.
+
+A march makes one working allocation, whose two views are the state rows
+and their increments, both state-major, so the increment write and the
+history subtraction run on contiguous operands.  Separate arrays of
+this size are handed back to the kernel by glibc when freed, and a
+fresh process then faults about 245 pages in per 40x200 march; one
+array stays on the heap between marches.
 """
 
 from __future__ import annotations
@@ -294,6 +301,16 @@ def _tangent_march(
     Minv for the state and both tangents, and the increment write.  With
     tangents the march runs n+1 steps, the last one for V^n alone; the
     state alone runs n steps of the w row.
+
+    T and the increments inc[k] = T[k+1] - T[k] are two views of one
+    zeroed array, both laid out [step, quantity, (zone, node)], so the
+    increment write and the history subtraction are contiguous.  The
+    history matmul is batched over (quantity, zone), each zone's weight
+    rows broadcast over the quantities, and writes through a transposed
+    view of a [weight row, quantity, (zone, node)] buffer, so that H
+    comes out laid out like T.  The one allocation is what keeps a march
+    from faulting its pages in again: glibc returns separate arrays of
+    this size to the kernel when they are freed.
     """
     n, q = grid.n, grid.m - 1
     r = 3 if tangents else 1  # quantities carried
@@ -313,38 +330,38 @@ def _tangent_march(
         rows.append(c)
     rev = np.stack(rows, axis=1)[..., ::-1].copy()
 
-    T = np.zeros((steps + 1, r, 2 * q))  # T[k] = (U^k, V^{k-1})
-    states = T.reshape(steps + 1, r, 2, q)  # [step, quantity, zone, node]
-    # Increments T[j+1] - T[j], zone-major, so that one batched matmul
-    # gives every history sum of a step.
-    inc = np.zeros((2, steps, r * q))  # [zone, step, (quantity, node)]
-    inc_steps = inc.reshape(2, steps, r, q).transpose(1, 2, 0, 3)  # like states
-    sums = np.empty((2, len(rows), r * q))  # [zone, weight row, (quantity, node)]
-    hist = sums[:, 0].reshape(2, r, q).transpose(1, 0, 2)  # H, laid out like states
-    rhs = np.empty((r, 2, q))
+    work = np.zeros((2 * steps + 1, r, 2 * q))  # the one allocation
+    T = work[:steps + 1]  # T[k] = (U^k, V^{k-1})
+    inc = work[steps + 1:]  # inc[k] = T[k+1] - T[k]
+    # [quantity, zone, step, node] and [quantity, zone, weight row, node]
+    # views for the history matmul.
+    inc_by_zone = inc.reshape(steps, r, 2, q).transpose(1, 2, 0, 3)
+    sums = np.empty((len(rows), r, 2 * q))  # [weight row, quantity, (zone, node)]
+    sums_out = sums.reshape(len(rows), r, 2, q).transpose(1, 2, 0, 3)
+    hist = sums[0]  # H, laid out like T[k]
+    folded = sums[-1, 0].reshape(2, q)  # G per zone
+    rhs = np.empty((r, 2 * q))
     rhs_state = rhs[0]
-    # G of zone z adds to its own tangent on its own rows: rhs[1, 0] and
-    # rhs[2, 1], which are the last q entries of each half of rhs.
+    # G of zone z adds to its own tangent on its own rows: rhs[1, :q] and
+    # rhs[2, q:], which are the last q entries of each half of rhs.
     fold = rhs.reshape(2, 3 * q)[:, 2 * q:] if tangents else None
-    folded = sums[:, -1, :q]  # G per zone
 
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = inlet * forcing.reshape(2, q)
+        forcing = inlet * forcing
         per_step = zip(
             (rev[:, :, n - k:n] for k in range(steps)),
-            (inc[:, :k] for k in range(steps)),
-            states[:-1],
+            (inc_by_zone[:, :, :k] for k in range(steps)),
+            T[:-1],
             T[1:],
-            states[1:],
-            inc_steps,
+            inc,
         )
-        for weights_k, inc_k, old, new_flat, new, inc_new in per_step:
-            np.matmul(weights_k, inc_k, out=sums)
+        for weights_k, inc_k, old, new, inc_new in per_step:
+            np.matmul(weights_k, inc_k, out=sums_out)
             np.subtract(old, hist, out=rhs)
             np.add(rhs_state, forcing, out=rhs_state)
             if tangents:
                 np.add(fold, folded, out=fold)
-            np.matmul(rhs.reshape(r, 2 * q), minv_t, out=new_flat)
+            np.dot(rhs, minv_t, out=new)
             np.subtract(new, old, out=inc_new)
 
     if tangents:

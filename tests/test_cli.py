@@ -15,6 +15,7 @@ import fracmim
 from fracmim import cli, read_csv, read_observation
 from fracmim.cli import main
 from fracmim.experiments import BUILTIN_EXPERIMENTS, ExperimentTable
+from fracmim.solver import scheme_constants
 
 CONFIG = {
     "params": {
@@ -98,6 +99,15 @@ def test_forward_writes_fields_and_observation(tmp_path, config_path, capsys):
     obs = read_observation(out / "observation.csv")
     assert obs.x0 == 0.5 and len(obs) == 20
     assert "wrote" in capsys.readouterr().out
+
+
+def test_forward_reports_step_count_and_margins(tmp_path, config_path, capsys):
+    assert _run("forward", "--config", config_path, "--out", tmp_path / "run") == 0
+    spec = fracmim.load_config(config_path)
+    mobile, immobile = scheme_constants(spec.params, spec.grid).dominance_margins()
+    assert mobile > 1 and immobile > 1
+    line = f"20 time steps, dominance margins {mobile:.6g} (mobile) and {immobile:.6g} (immobile)"
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_forward_quiet_suppresses_stdout(tmp_path, config_path, capsys):
@@ -318,10 +328,13 @@ def test_experiment_from_config(tmp_path, config_path, capsys):
     assert _run("experiment", "--config", config_path, "--out", out) == 0
     header, data = read_csv(out / "table_demo.csv")
     assert header == ["delta", "alpha_mean", "gamma_mean", "rel_error_mean",
-                      "iterations_mean", "failures", "replicates"]
-    assert data.shape == (2, 7)
+                      "iterations_mean", "failures", "replicates",
+                      "step_tol", "residual_rise", "max_iter"]
+    assert data.shape == (2, 10)
     assert list(data[:, 0]) == [0.01, 0.0]
     assert np.all(data[:, 5] == 0.0)  # no failed replicates
+    # Every successful replicate is counted under one stop reason.
+    assert np.array_equal(data[:, 7:].sum(axis=1), data[:, 6] - data[:, 5])
     assert data[1, 3] <= 1e-6  # noise-free row recovers the orders
     md = (out / "table_demo.md").read_text(encoding="utf-8")
     assert "| noise level |" in md

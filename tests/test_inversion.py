@@ -487,6 +487,13 @@ def test_replicates_count_a_failure_and_average_the_rest(tiny_grid, monkeypatch)
     assert summary.iterations_mean == np.mean([r.iterations for r in finished])
 
 
+def test_replicates_count_stop_reasons():
+    # Every ex51 replicate at delta = 0.001 ends on the step test.
+    summary = run_replicates(builtin_experiment("ex51"), 10, delta=0.001)
+    assert summary.failures == 0
+    assert (summary.step_tol, summary.residual_rise, summary.max_iter) == (10, 0, 0)
+
+
 def test_replicates_validates_count(tiny_grid):
     spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
     with pytest.raises(ValidationError, match="at least 1"):

@@ -673,7 +673,7 @@ def test_experiment_table_files(tmp_path):
         rows=[
             ReplicateSummary(delta=0.05, replicates=10, failures=1,
                              z_mean=(0.81, 0.24), rel_error_mean=0.03,
-                             iterations_mean=14.5),
+                             iterations_mean=14.5, step_tol=6, residual_rise=2, max_iter=1),
             ReplicateSummary(delta=0.01, replicates=10, failures=10,
                              z_mean=None, rel_error_mean=None, iterations_mean=None),
         ],
@@ -683,10 +683,14 @@ def test_experiment_table_files(tmp_path):
     write_experiment_table(csv_path, md_path, table)
     header, data = read_csv(csv_path)
     assert header == ["delta", "alpha_mean", "gamma_mean", "rel_error_mean",
-                      "iterations_mean", "failures", "replicates"]
+                      "iterations_mean", "failures", "replicates",
+                      "step_tol", "residual_rise", "max_iter"]
     assert data[0, 1] == 0.81 and data[0, 5] == 1.0
     assert np.all(np.isnan(data[1, 1:5]))
+    assert data[:, 7:].tolist() == [[6.0, 2.0, 1.0], [0.0, 0.0, 0.0]]
     md = md_path.read_text(encoding="utf-8")
     assert "| noise level | recovered orders (mean) |" in md
+    assert "| stops (step_tol / residual_rise / max_iter) |" in md
+    assert "| 14.5 | 6 / 2 / 1 |" in md
     assert "[1/10 failed]" in md
     assert "FAILED (10/10)" in md

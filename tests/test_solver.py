@@ -10,8 +10,13 @@ to a classical backward-Euler solve).
 
 import dataclasses
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
+import fracmim
 from fracmim import (
     ContourQuadrature,
     GridError,
@@ -353,6 +359,58 @@ def test_tangent_march_state_matches_march_at_every_node(name, m, n):
     q = m - 1
     assert np.max(np.abs(state[:, :q] - u1[1:m].T)) <= 1e-12
     assert np.max(np.abs(state[:, q:] - u2[1:m].T)) <= 1e-12
+
+
+def test_marches_share_no_memory(bench_params, tiny_grid):
+    # Every march allocates its own working array: no result is a view of
+    # a buffer that the next march writes.
+    results = [
+        _tangent_march(bench_params, tiny_grid),
+        _tangent_march(bench_params, tiny_grid),
+        _tangent_march(bench_params, tiny_grid, tangents=False),
+        _tangent_march(bench_params, tiny_grid, tangents=False),
+    ]
+    for sol in (solve_forward(bench_params, tiny_grid), solve_forward(bench_params, tiny_grid)):
+        results += [sol.u1, sol.u2]
+    for i, a in enumerate(results):
+        for b in results[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+# Runs in a fresh interpreter: an earlier big march raises glibc's
+# allocation thresholds for the rest of the process and would hide a
+# march that hands its pages back to the kernel after every call.
+_FAULTS_PER_MARCH = """
+import resource
+from fracmim import builtin_experiment
+from fracmim.inversion import sensitivity_jacobian
+
+spec = builtin_experiment("ex51")
+times = spec.grid.time_nodes()[1:]
+def march():
+    sensitivity_jacobian((0.8, 0.25), spec.params, spec.grid, times, spec.x0)
+march()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    march()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_tangent_march_reuses_its_pages():
+    # One working allocation per march stays below glibc's trim threshold,
+    # so a march on the 40x200 sweep grid reuses the heap pages of the last
+    # one.  Separate state, increment and result arrays fault about 245
+    # pages in per march.
+    src = str(Path(fracmim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_MARCH],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 20
 
 
 @pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
