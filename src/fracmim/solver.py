@@ -28,16 +28,30 @@ behind the state, so their coupling to the state is one more history
 sum of the same batched product, and the step's single product with the
 inverse advances the state and both derivatives.
 
-A march makes one working allocation, whose two views are the state rows
-and their increments, both state-major, so the increment write and the
-history subtraction run on contiguous operands.  Separate arrays of
-this size are handed back to the kernel by glibc when freed, and a
-fresh process then faults about 245 pages in per 40x200 march; one
+The L1 history sum of step k weighs every earlier increment.  A march of
+more than 512 steps groups its steps into blocks of 64 and splits that
+sum at the block's first step k0: one matrix product at k0 gives every
+step of the block the far part, over the increments before k0, and each
+step sums only the near part, over the increments of its own block.  The
+far part also carries the inlet forcing (and, for the derivatives, the
+far part of their coupling to the state), so a step costs as many numpy
+calls as without blocks.  A march of up to 512 steps is one block, and
+that is the unblocked march bit for bit.  The rule follows a measured
+crossover (see ``_history_block``): blocks make the long marches 1.7-3x
+faster, would make the builtin 40x200 march about 20% slower, and are
+about even at 400 steps, where the cutoff keeps 80x400 one block.
+
+A march makes one working allocation, whose views are the state rows,
+their increments and the far terms, all state-major, so the increment
+write and the history subtractions run on contiguous operands.  Separate
+arrays of this size are handed back to the kernel by glibc when freed,
+and a fresh process then faults about 245 pages in per 40x200 march; one
 array stays on the heap between marches.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -255,6 +269,45 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _history_block(steps: int) -> int:
+    """Steps per history block of a march of ``steps`` steps.
+
+    A march of up to 512 steps is one block; a longer one runs blocks of
+    64 steps.  Median time of one march, one block against blocks of 64,
+    on a shared 2-CPU VM with OpenBLAS on 2 threads: 40x200 with
+    tangents 5.0 against 6.1 ms, 80x400 10.4 against 10.1 ms, 40x512
+    8.2 against 7.9 ms, 160x800 54 against 31 ms, 40x4000 236 against
+    85 ms, and the 40x2000 tangent march 302 against 96 ms.  So blocks
+    lose below 400 steps (40x200 with tangents by 20%), are about even
+    at 400 and win from 600 steps on.  The cutoff sits at 512 rather
+    than at 400 so that every march up to ``forward_fine``'s 80x400 grid
+    stays one block, the unblocked march bit for bit; that gives up
+    about 3% on 80x400 (and 11% on 160x400, 28.5 against 25.2 ms, a
+    grid no benchmark runs).  Blocks of 32 and 128 were within 10% of 64 from 600
+    to 4000 steps.
+    """
+    return steps if steps <= 512 else 64
+
+
+def _history_band(rev: np.ndarray, b: int, last: int) -> np.ndarray:
+    """The far-history weights of every block, read from one array.
+
+    ``rev`` holds the reversed weight rows, step k weighing increment j
+    by ``rev[..., n - k + j]``.  Returns band with
+    band[..., i, col] = rev[..., n - last + col - i] (zero where that
+    index is negative), shape (..., b, last), so that step k0 + i of the
+    block that starts at k0 weighs increment j < k0 by
+    band[..., i, last - k0 + j]: each block's far weights are the
+    contiguous slice band[..., :, last - k0:].
+    """
+    n = rev.shape[-1] - 1
+    lo = n - last - (b - 1)  # rev index of band[..., b - 1, 0]
+    padded = np.zeros(rev.shape[:-1] + (last + b - 1,))
+    padded[..., max(-lo, 0):] = rev[..., max(lo, 0):n]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, last, axis=-1)
+    return windows[..., ::-1, :].copy()
+
+
 def _tangent_march(
     params: ModelParams, grid: GridSpec, inlet: float = 1.0, tangents: bool = True
 ) -> np.ndarray:
@@ -295,26 +348,44 @@ def _tangent_march(
         U^{k+1} = Minv (U^k - H^k + f)
         V^k     = Minv (V^{k-1} - H[V]^{k-1} + P_a G^{k-1}),
 
-    and likewise for gamma with P_g, the immobile rows.  A step is one
-    batched history matmul for both zones and both rows w and c, the
-    right-hand sides (subtract, forcing and c-sum adds), one product with
-    Minv for the state and both tangents, and the increment write.  With
-    tangents the march runs n+1 steps, the last one for V^n alone; the
-    state alone runs n steps of the w row.
+    and likewise for gamma with P_g, the immobile rows.  With tangents
+    the march runs n+1 steps, the last one for V^n alone; the state
+    alone runs n steps of the w row.
+
+    The steps run in blocks of b (:func:`_history_block`).  The history
+    of step k splits at the first step k0 of its block: the far part
+    weighs the increments j < k0, the near part those in k0 <= j < k.
+    At k0 one batched matmul makes the far part of every step of the
+    block.  Its weights are the columns last - k0 onwards of a band,
+    band[i, col] = w[last + i - col], built once per march (last is the
+    first step of the last block); the c row of the fold is made for the
+    state only, since only the state's G enters.  The forcing and the far G
+    are folded into that far term, far[k] = H_far^k - f - P G_far^k, so
+    a step is one batched near-history matmul for both zones and both
+    rows w and c, the right-hand side rhs = (T[k] - H_near^k) - far[k],
+    the near G added, one product with Minv for the state and both
+    tangents, and the increment write.  A march of one block has k0 = 0
+    and far = -f, and x - (-f) is x + f exactly, so it is the unblocked
+    march bit for bit.  Blocks trade the steps' matrix-vector shaped
+    history products over the whole past for one matrix-matrix product
+    per block (:func:`_history_block` says where that pays).
 
     T and the increments inc[k] = T[k+1] - T[k] are two views of one
     zeroed array, both laid out [step, quantity, (zone, node)], so the
     increment write and the history subtraction are contiguous.  The
-    history matmul is batched over (quantity, zone), each zone's weight
-    rows broadcast over the quantities, and writes through a transposed
-    view of a [weight row, quantity, (zone, node)] buffer, so that H
-    comes out laid out like T.  The one allocation is what keeps a march
-    from faulting its pages in again: glibc returns separate arrays of
-    this size to the kernel when they are freed.
+    history matmuls are batched over (quantity, zone), each zone's weight
+    rows broadcast over the quantities, and write through transposed
+    views of [weight row, quantity, (zone, node)] and [step, quantity,
+    (zone, node)] buffers, so that H comes out laid out like T.  The one
+    allocation is what keeps a march from faulting its pages in again:
+    glibc returns separate arrays of this size to the kernel when they
+    are freed.
     """
     n, q = grid.n, grid.m - 1
     r = 3 if tangents else 1  # quantities carried
     steps = n + 1 if tangents else n  # the tangents run one step behind
+    b = _history_block(steps)
+    last = (steps - 1) // b * b  # first step of the last block
     forcing, minv_t, weights = _march_setup(params, grid)
     # Per zone, row 0 gives the history sum H and row 1, which only the
     # tangents need, the c-weighted sum G of the zone's own order;
@@ -329,40 +400,59 @@ def _tangent_march(
         c[:, 1:] = ell * w[:, :-1] - weights[:, 1, :-1]
         rows.append(c)
     rev = np.stack(rows, axis=1)[..., ::-1].copy()
+    band = _history_band(rev, b, last) if last else None
 
-    work = np.zeros((2 * steps + 1, r, 2 * q))  # the one allocation
+    # One block has one far row, the same for every step.
+    far_rows = b if last else 1
+    work = np.zeros((2 * steps + 1 + far_rows, r, 2 * q))  # the one allocation
     T = work[:steps + 1]  # T[k] = (U^k, V^{k-1})
-    inc = work[steps + 1:]  # inc[k] = T[k+1] - T[k]
-    # [quantity, zone, step, node] and [quantity, zone, weight row, node]
-    # views for the history matmul.
+    inc = work[steps + 1:2 * steps + 1]  # inc[k] = T[k+1] - T[k]
+    far = work[2 * steps + 1:]  # far[k - k0], laid out like T[k]
+    # [quantity, zone, step, node] views of the increments and the far
+    # terms and a [quantity, zone, weight row, node] view of the sums,
+    # for the history matmuls.
     inc_by_zone = inc.reshape(steps, r, 2, q).transpose(1, 2, 0, 3)
+    far_out = far.reshape(far_rows, r, 2, q).transpose(1, 2, 0, 3)
     sums = np.empty((len(rows), r, 2 * q))  # [weight row, quantity, (zone, node)]
     sums_out = sums.reshape(len(rows), r, 2, q).transpose(1, 2, 0, 3)
     hist = sums[0]  # H, laid out like T[k]
     folded = sums[-1, 0].reshape(2, q)  # G per zone
     rhs = np.empty((r, 2 * q))
-    rhs_state = rhs[0]
-    # G of zone z adds to its own tangent on its own rows: rhs[1, :q] and
-    # rhs[2, q:], which are the last q entries of each half of rhs.
-    fold = rhs.reshape(2, 3 * q)[:, 2 * q:] if tangents else None
+    if tangents:
+        # G of zone z adds to its own tangent on its own rows: rhs[1, :q]
+        # and rhs[2, q:], which are the last q entries of each half of rhs.
+        fold = rhs.reshape(2, 3 * q)[:, 2 * q:]
+        far_fold = far.reshape(far_rows, 2, 3 * q)[:, :, 2 * q:]
+        far_g = np.empty((far_rows, 2, q))  # G_far per zone
 
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = inlet * forcing
-        per_step = zip(
-            (rev[:, :, n - k:n] for k in range(steps)),
-            (inc_by_zone[:, :, :k] for k in range(steps)),
-            T[:-1],
-            T[1:],
-            inc,
-        )
-        for weights_k, inc_k, old, new, inc_new in per_step:
-            np.matmul(weights_k, inc_k, out=sums_out)
-            np.subtract(old, hist, out=rhs)
-            np.add(rhs_state, forcing, out=rhs_state)
-            if tangents:
-                np.add(fold, folded, out=fold)
-            np.dot(rhs, minv_t, out=new)
-            np.subtract(new, old, out=inc_new)
+        for k0 in range(0, steps, b):
+            size = min(b, steps - k0)
+            if k0:  # the first block has no far history: far is zero
+                band_k0 = band[..., :size, last - k0:]
+                np.matmul(band_k0[:, 0], inc_by_zone[:, :, :k0], out=far_out[:, :, :size])
+                if tangents:
+                    np.matmul(band_k0[:, 1], inc_by_zone[0, :, :k0],
+                              out=far_g[:size].transpose(1, 0, 2))
+                    np.subtract(far_fold[:size], far_g[:size], out=far_fold[:size])
+            np.subtract(far[:size, 0], forcing, out=far[:size, 0])
+            per_step = zip(
+                (rev[:, :, n - k + k0:n] for k in range(k0, k0 + size)),
+                (inc_by_zone[:, :, k0:k] for k in range(k0, k0 + size)),
+                far if last else itertools.repeat(far[0]),
+                T[k0:k0 + size],
+                T[k0 + 1:k0 + size + 1],
+                inc[k0:k0 + size],
+            )
+            for weights_k, inc_k, far_k, old, new, inc_new in per_step:
+                np.matmul(weights_k, inc_k, out=sums_out)
+                np.subtract(old, hist, out=rhs)
+                np.subtract(rhs, far_k, out=rhs)
+                if tangents:
+                    np.add(fold, folded, out=fold)
+                np.dot(rhs, minv_t, out=new)
+                np.subtract(new, old, out=inc_new)
 
     if tangents:
         S = np.empty((n + 1, r, 2 * q))

@@ -110,6 +110,19 @@ def test_forward_reports_step_count_and_margins(tmp_path, config_path, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "n, line",
+    [(20, "20 steps in one history block"), (1000, "1000 steps in 16 history blocks of 64")],
+)
+def test_forward_reports_history_blocks(tmp_path, n, line, capsys):
+    # A march of more than 512 steps sums its history in blocks of 64
+    # steps; the last block of 1000 steps holds 40.
+    cfg = tmp_path / "steps.json"
+    cfg.write_text(json.dumps(dict(CONFIG, grid={"m": 4, "n": n, "T": 10.0})), encoding="utf-8")
+    assert _run("forward", "--config", cfg, "--out", tmp_path / "run") == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_forward_quiet_suppresses_stdout(tmp_path, config_path, capsys):
     assert _run("forward", "--config", config_path, "--out", tmp_path / "q", "--quiet") == 0
     assert capsys.readouterr().out == ""

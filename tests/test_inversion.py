@@ -179,6 +179,21 @@ def test_jacobian_columns_finite_and_active(bench_params, tiny_grid):
     assert np.linalg.norm(G[:, 0]) > 0.0 and np.linalg.norm(G[:, 1]) > 0.0
 
 
+def test_jacobian_is_a_column_view_of_the_observed_rows(bench_params, tiny_grid):
+    # G is observed[:, 1:] of one (n_obs, 3) array whose column 0 is the
+    # series.  The layout is pinned because the last bits of lm_step's
+    # G.T @ residual follow it (a contiguous copy of G moves them), and so
+    # does every table row: a march that hands G back in another layout
+    # moves every recovered order by roundoff.
+    obs = _clean_series(bench_params, tiny_grid)
+    series, G = sensitivity_jacobian((0.8, 0.25), bench_params, tiny_grid, obs.times, obs.x0)
+    observed = G.base
+    assert observed is series.base and observed.shape == (len(obs), 3)
+    assert observed.flags.c_contiguous
+    assert G.strides == (3 * G.itemsize, G.itemsize)
+    assert G.ctypes.data == observed.ctypes.data + G.itemsize
+
+
 @pytest.mark.parametrize(
     "name, z",
     [("ex51", None), ("ex52", None), ("ex53", None), ("ex51", (0.99, 0.99))],

@@ -22,6 +22,7 @@ from fracmim import (
     ModelParams,
     ObservationSeries,
     ReplicateSummary,
+    SolutionGrid,
     ValidationError,
     load_config,
     parse_config,
@@ -523,6 +524,43 @@ def test_solution_csv_matches_percell_writer(tmp_path, bench_params):
     write_solution_csv(path, sol)
     percell_write_csv(tmp_path / "percell.csv", ["x", "t", "u1", "u2"], percell_solution_rows(sol))
     assert path.read_bytes() == (tmp_path / "percell.csv").read_bytes()
+
+
+def _hand_built_solution(grid, rng):
+    # Fields of any values: the writer does not care what made them.
+    shape = (grid.m + 1, grid.n + 1)
+    return SolutionGrid(_random_doubles(rng, shape), _random_doubles(rng, shape), grid)
+
+
+def _signed_zero_solution(bench_params):
+    sol = solve_forward(bench_params, GridSpec(6, 5, 3.0))
+    u1, u2 = sol.u1.copy(), sol.u2.copy()
+    u1[:, 0] = -0.0
+    u2[::2, 1:] *= -0.0  # -0.0 where the field was 0 or positive
+    return SolutionGrid(u1, u2, sol.grid)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # m + 1 = 7 does not divide _BLOCK_ROWS; 1500 steps are 24 history blocks
+        lambda p, rng: solve_forward(p, GridSpec(6, 1500, 100.0)),
+        # one time row is more than a block of rows
+        lambda p, rng: _hand_built_solution(GridSpec(_BLOCK_ROWS + 10, 2, 1.0), rng),
+        lambda p, rng: solve_forward(p, GridSpec(8, 1, 0.5)),  # n = 1
+        lambda p, rng: _signed_zero_solution(p),
+    ],
+    ids=["ragged-blocks", "long-time-rows", "one-step", "signed-zeros"],
+)
+def test_solution_csv_bytes_and_read_back(tmp_path, bench_params, make):
+    sol = make(bench_params, np.random.default_rng(12))
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, sol)
+    rows = list(percell_solution_rows(sol))
+    percell_write_csv(tmp_path / "percell.csv", ["x", "t", "u1", "u2"], rows)
+    assert path.read_bytes() == (tmp_path / "percell.csv").read_bytes()
+    data = read_csv(path)[1]
+    assert data.view(np.int64).tolist() == np.array(rows).view(np.int64).tolist()
 
 
 def test_artifact_csvs_match_percell_writer(tmp_path, monkeypatch):

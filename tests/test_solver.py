@@ -203,10 +203,16 @@ _draws = st.integers(0, 2**32 - 1).map(lambda s: admissible_draw(np.random.defau
 _tiny_grids = st.builds(
     GridSpec, m=st.integers(3, 12), n=st.integers(1, 40), T=st.floats(0.1, 200.0)
 )
+# Marches on both sides of the history-block rule: one block up to 512
+# steps, then blocks of 64, here up to three blocks past the rule.
+_block_grids = st.builds(
+    GridSpec, m=st.integers(3, 6), n=st.integers(480, 512 + 3 * 64), T=st.floats(0.1, 200.0)
+)
+_grids = _tiny_grids | _block_grids
 
 
 @settings(deadline=None)
-@given(_draws, _tiny_grids)
+@given(_draws, _grids)
 def test_solution_between_zero_and_inlet_property(p, grid):
     sol = solve_forward(p, grid)
     for u in (sol.u1, sol.u2):
@@ -214,7 +220,7 @@ def test_solution_between_zero_and_inlet_property(p, grid):
 
 
 @settings(deadline=None)
-@given(_draws, _tiny_grids, st.floats(-2.0, 2.0))
+@given(_draws, _grids, st.floats(-2.0, 2.0))
 def test_scheme_linearity_property(p, grid, inlet):
     base = solve_forward(p, grid)
     scaled = solve_forward(p, grid, inlet=inlet)
@@ -269,16 +275,16 @@ def test_inlet_must_be_finite(bench_params, tiny_grid):
 def test_overflowing_inlet_names_first_step(bench_params, default_grid, inlet):
     # inlet * A overflows, so the first step's solution is not finite.
     # The tangent march makes the tangents of step k one step later than
-    # the state, and must still name the step of the state.
-    marches = (
-        lambda: solve_forward(bench_params, default_grid, inlet=inlet),
-        lambda: _tangent_march(bench_params, default_grid, inlet=inlet),
-    )
-    for march in marches:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SolverError, match="non-finite solution values at time step 1$"):
-                march()
+    # the state, and must still name the step of the state.  On 8x700
+    # the history blocks after the first start from non-finite increments.
+    for grid in (default_grid, GridSpec(8, 700, 100.0)):
+        for march in (solve_forward, _tangent_march):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                    SolverError, match="non-finite solution values at time step 1$"
+                ):
+                    march(bench_params, grid, inlet=inlet)
 
 
 def test_order_one_degeneration_matches_backward_euler(bench_params):
@@ -294,7 +300,7 @@ def test_order_one_degeneration_matches_backward_euler(bench_params):
 
 
 @settings(deadline=None)
-@given(_draws, _tiny_grids)
+@given(_draws, _grids)
 def test_history_forms_agree_and_solution_satisfies_system(p, g):
     # Two algebraic forms of the same right-hand side: the increment form
     # sum_j bracket * (u^{j+1} - u^j) the solver uses, and the per-level
@@ -308,25 +314,26 @@ def test_history_forms_agree_and_solution_satisfies_system(p, g):
     matrix, forcing = assemble_block_system(scheme_constants(p, g), g.m)
     tol = 1e-13 * np.linalg.norm(matrix, np.inf)
     e1, e2 = 1.0 - p.alpha, 1.0 - p.gamma
+    # Both weights depend on k - j only: bracket[d] weighs increment
+    # j = k - d and psi[d] level j = k - d (psi[0] is never used).
+    brackets = [[l1_bracket(o, d, 0) for d in range(g.n + 1)] for o in (p.alpha, p.gamma)]
+    psis = [[0.0] + [psi_weight(o, d + 1, 1) for d in range(1, g.n)] for o in (p.alpha, p.gamma)]
+    (b1, b2), (psi1, psi2) = np.array(brackets), np.array(psis)
 
-    def direct(u, order, k):
-        out = u[1:g.m, k].copy()
-        for j in range(k):
-            out -= l1_bracket(order, k, j) * (u[1:g.m, j + 1] - u[1:g.m, j])
-        return out
+    def direct(u, bracket, k):
+        return u[1:g.m, k] - np.diff(u[1:g.m, :k + 1], axis=1) @ bracket[k:0:-1]
 
-    def per_level(u, order, e, k):
+    def per_level(u, psi, e, k):
         out = (2.0 - 2.0**e) * u[1:g.m, k]
-        for j in range(1, k):
-            out += psi_weight(order, k, j) * u[1:g.m, j]
+        out += u[1:g.m, 1:k] @ psi[k - 1:0:-1]
         out += ((k + 1.0) ** e - k**e) * u[1:g.m, 0]
         return out
 
     for k in range(g.n):
-        rhs_direct = np.concatenate([direct(sol.u1, p.alpha, k), direct(sol.u2, p.gamma, k)])
+        rhs_direct = np.concatenate([direct(sol.u1, b1, k), direct(sol.u2, b2, k)])
         if k >= 1:
             rhs_level = np.concatenate(
-                [per_level(sol.u1, p.alpha, e1, k), per_level(sol.u2, p.gamma, e2, k)]
+                [per_level(sol.u1, psi1, e1, k), per_level(sol.u2, psi2, e2, k)]
             )
             assert np.max(np.abs(rhs_direct - rhs_level)) <= tol
         lhs = matrix @ np.concatenate([sol.u1[1:g.m, k + 1], sol.u2[1:g.m, k + 1]])
@@ -342,13 +349,14 @@ def test_history_forms_agree_and_solution_satisfies_system(p, g):
 
 
 @pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
-@pytest.mark.parametrize("m, n", [(40, 200), (160, 800)])
+@pytest.mark.parametrize("m, n", [(40, 200), (160, 800), (8, 1500)])
 def test_tangent_march_state_matches_march_at_every_node(name, m, n):
     # The march applies a precomputed inverse of the step matrix where
     # the oracle march solves every step with getrs on its LU factors;
     # the forward solve and the state of the tangent march must agree
     # with it at every node of both zones and every time.  160x800 gives
-    # q = 159, the largest inverse the test grids build.
+    # q = 159, the largest inverse the test grids build; it and 8x1500
+    # sum their history in blocks (13 and 24 of them).
     spec = builtin_experiment(name)
     g = GridSpec(m=m, n=n, T=spec.grid.T)
     u1, u2 = getrs_march(spec.params, g)
@@ -416,24 +424,27 @@ def test_tangent_march_reuses_its_pages():
 @pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
 def test_tangent_columns_match_complex_step_oracle_across_nodes(name):
     # Not only the observed node: near the inlet, in the middle and at
-    # the last interior node of the mobile zone.
+    # the last interior node of the mobile zone.  The builtin 40x200
+    # grid is one history block; the 701 steps of the 8x700 tangent
+    # march run in 11 blocks.
     spec = builtin_experiment(name)
-    p, g = spec.params, spec.grid
-    S = _tangent_march(p, g)
-    times = g.time_nodes()[1:]
-    for x0 in (0.25, 0.5, 1.0 - g.h):
-        node = int(round(x0 * g.m))
-        G = S[1:, 1:, node - 1]
-        oracle = complex_step_jacobian((p.alpha, p.gamma), p, g, times, x0)
-        rel = np.linalg.norm(G - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
-        assert np.all(rel <= 1e-10), (x0, rel)
-        # Each time step on its own, k = 1 and k = n included: the march
-        # makes the tangents one step behind the state, so the two ends
-        # are where an off-by-one step would show.
-        step_err = np.abs(G - oracle) / np.abs(oracle).max(axis=0)
-        assert step_err.shape == (g.n, 2)
-        worst = np.unravel_index(np.argmax(step_err), step_err.shape)
-        assert np.all(step_err <= 1e-10), (x0, worst, step_err[worst])
+    p = spec.params
+    for g in (spec.grid, GridSpec(8, 700, spec.grid.T)):
+        S = _tangent_march(p, g)
+        times = g.time_nodes()[1:]
+        for x0 in (0.25, 0.5, 1.0 - g.h):
+            node = int(round(x0 * g.m))
+            G = S[1:, 1:, node - 1]
+            oracle = complex_step_jacobian((p.alpha, p.gamma), p, g, times, x0)
+            rel = np.linalg.norm(G - oracle, axis=0) / np.linalg.norm(oracle, axis=0)
+            assert np.all(rel <= 1e-10), (g, x0, rel)
+            # Each time step on its own, k = 1 and k = n included: the
+            # march makes the tangents one step behind the state, so the
+            # two ends are where an off-by-one step would show.
+            step_err = np.abs(G - oracle) / np.abs(oracle).max(axis=0)
+            assert step_err.shape == (g.n, 2)
+            worst = np.unravel_index(np.argmax(step_err), step_err.shape)
+            assert np.all(step_err <= 1e-10), (g, x0, worst, step_err[worst])
 
 
 def test_digamma_matches_scipy_on_shifted_orders():
