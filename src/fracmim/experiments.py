@@ -9,14 +9,15 @@ come from JSON configs via :mod:`fracmim.io`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigError, ValidationError
 from .inversion import InversionConfig, ReplicateSummary, _noise_key, run_replicates
 from .laplace import ContourQuadrature
-from .model import GridSpec, ModelParams, _is_integer, _is_number, _is_pair, validate_params
+from .model import (
+    GridSpec, ModelParams, _is_finite, _is_integer, _is_number, _is_pair, validate_params,
+)
 from .solver import extract_observation, solve_forward
 
 __all__ = [
@@ -42,10 +43,10 @@ DEFAULT_SEED = 1234
 class ExperimentSpec:
     """Complete description of one synthetic recovery experiment.
 
-    ``params`` carries the true orders used to generate the data;
-    ``exact_orders`` overrides the pair reported as ground truth only
-    when inverting externally supplied observations (None means "the
-    generator's own orders").
+    ``params`` carries the true orders used to generate the data.
+    ``exact_orders`` is the ground truth that ``fracmim invert`` reports
+    its error against on externally supplied observations; with None it
+    reports no error, not one against the orders in ``params``.
     """
 
     params: ModelParams
@@ -68,7 +69,7 @@ class ExperimentSpec:
         self.grid.interior_node(self.x0)
         if not (
             isinstance(self.noise_levels, (list, tuple))
-            and all(_is_number(d) and math.isfinite(d) and d >= 0 for d in self.noise_levels)
+            and all(_is_finite(d) and d >= 0 for d in self.noise_levels)
         ):
             raise ConfigError("noise_levels must be finite and nonnegative")
         first: dict[str, int] = {}
@@ -107,7 +108,7 @@ class ExperimentSpec:
         if exact and not all(0.0 < v <= 1.0 for v in self.exact_orders):
             raise ConfigError(f"exact_orders {self.exact_orders!r} must be orders in (0, 1]")
         for x, t in self.reference_points:
-            if not (0.0 <= x <= 1.0 and math.isfinite(t) and t > 0):
+            if not (0.0 <= x <= 1.0 and _is_finite(t) and t > 0):
                 raise ConfigError(
                     f"reference point ({x!r}, {t!r}) needs x in [0,1] and a positive finite t"
                 )

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
-from .model import GridSpec, ModelParams, ObservationSeries, _is_integer, _is_number, _is_pair
+from .model import (
+    GridSpec, ModelParams, ObservationSeries, _is_finite, _is_integer, _is_number, _is_pair,
+)
 from .solver import _tangent_march, _validate_for_solve, extract_observation, solve_forward
 
 __all__ = [
@@ -73,15 +75,15 @@ class InversionConfig:
             float(self.j0)
         except OverflowError:
             raise ConfigError("j0 is too large for a float") from None
-        if not (_is_number(self.sigma) and math.isfinite(self.sigma) and self.sigma > 0):
+        if not (_is_finite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive and finite")
         if not (_is_integer(self.max_iter) and self.max_iter >= 1):
             raise ConfigError("max_iter must be an integer >= 1")
-        if not (_is_number(self.step_tol) and math.isfinite(self.step_tol) and self.step_tol > 0):
+        if not (_is_finite(self.step_tol) and self.step_tol > 0):
             raise ConfigError("step_tol must be positive and finite")
         if not (_is_number(self.clamp_margin) and 0.0 < self.clamp_margin < 0.2):
             raise ConfigError("clamp_margin must lie in (0, 0.2)")
-        if not (_is_pair(self.z0) and all(map(math.isfinite, self.z0))):
+        if not (_is_pair(self.z0) and all(map(_is_finite, self.z0))):
             raise ConfigError("z0 must be a finite pair (alpha0, gamma0)")
 
 
@@ -132,7 +134,7 @@ def add_noise(clean: ObservationSeries, delta: float, seed: int) -> ObservationS
     The draw is independent per sample and fully determined by ``seed``;
     the noise level and seed are recorded on the returned series.
     """
-    if not (_is_number(delta) and math.isfinite(delta) and delta >= 0):
+    if not (_is_finite(delta) and delta >= 0):
         raise ValidationError("noise level delta must be finite and nonnegative")
     if not (_is_integer(seed) and seed >= 0):
         raise ValidationError("noise seed must be an integer >= 0")
@@ -238,10 +240,15 @@ def invert_orders(
 
     Raises
     ------
+    ValidationError
+        Before any march, unless ``z_exact`` is None or a finite pair of nonzero norm.
     InversionError
         On a non-finite residual; the partial ``history`` rides on the
         exception for post-mortem inspection.
     """
+    if z_exact is not None and not (_is_pair(z_exact) and all(map(_is_finite, z_exact))
+                                    and 0.0 < np.linalg.norm(z_exact) < math.inf):
+        raise ValidationError(f"z_exact must be a finite pair with a nonzero norm, not {z_exact!r}")
     cfg = cfg or InversionConfig()
     lo, hi = cfg.clamp_margin, 1.0 - cfg.clamp_margin
     z = np.clip(np.asarray(cfg.z0, dtype=float), lo, hi)
@@ -344,8 +351,8 @@ def run_replicates(
     Pass ``clean`` to reuse an already-computed noise-free series (it
     must match the spec's grid and observation point).
     """
-    if replicates < 1:
-        raise ValidationError("replicates must be at least 1")
+    if not (_is_integer(replicates) and replicates >= 1):
+        raise ValidationError(f"replicates must be an integer at least 1, got {replicates!r}")
     if clean is None:
         clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
     z_exact = (spec.params.alpha, spec.params.gamma)

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .model import ModelParams, _is_number, validate_params
+from .model import ModelParams, _is_finite, _is_number, validate_params
 
 __all__ = [
     "ContourQuadrature",
@@ -185,7 +185,7 @@ def _invert(
     nodes on the last axis.
     """
     q = q or ContourQuadrature()
-    if not (_is_number(t) and math.isfinite(t) and t > 0):
+    if not (_is_finite(t) and t > 0):
         raise ValidationError("t must be a positive finite time")
     f = evaluate(_S_UNIT / t)
     # Multiply and sum along the node axis, so that each component of a

@@ -82,6 +82,14 @@ def _is_integer(v) -> bool:
     return _is_number(v) and isinstance(v, int)
 
 
+def _is_finite(v) -> bool:
+    # math.isfinite raises OverflowError on an int too large for a double.
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _is_pair(v) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
 
@@ -120,7 +128,7 @@ def validate_params(p: ModelParams) -> ModelParams:
     """
     for field in dataclasses.fields(p):
         v = getattr(p, field.name)
-        if not (_is_number(v) and math.isfinite(v)):
+        if not _is_finite(v):
             raise ParameterError(f"{field.name} must be a finite number")
     for check, message in _ADMISSIBILITY:
         if not check(p):
@@ -145,7 +153,7 @@ class GridSpec:
             raise GridError("m must be an integer >= 3")
         if not (_is_integer(self.n) and self.n >= 1):
             raise GridError("n must be an integer >= 1")
-        if not (_is_number(self.T) and math.isfinite(self.T) and self.T > 0):
+        if not (_is_finite(self.T) and self.T > 0):
             raise GridError("T must be a positive finite number")
 
     @property
@@ -282,8 +290,7 @@ class ObservationSeries:
             raise ValidationError("observation values must be finite")
         if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):
             raise ValidationError(f"x0 must be a finite number inside (0, 1), got {self.x0!r}")
-        if not (_is_number(self.noise_level) and math.isfinite(self.noise_level)
-                and self.noise_level >= 0):
+        if not (_is_finite(self.noise_level) and self.noise_level >= 0):
             raise ValidationError("noise_level must be finite and nonnegative")
 
     def __len__(self) -> int:

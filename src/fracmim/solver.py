@@ -29,29 +29,25 @@ sum of the same batched product, and the step's single product with the
 inverse advances the state and both derivatives.
 
 The L1 history sum of step k weighs every earlier increment.  A march of
-more than 512 steps groups its steps into blocks of 64 and splits that
-sum at the block's first step k0: one matrix product at k0 gives every
-step of the block the far part, over the increments before k0, and each
-step sums only the near part, over the increments of its own block.  The
-far part also carries the inlet forcing (and, for the derivatives, the
-far part of their coupling to the state), so a step costs as many numpy
-calls as without blocks.  A march of up to 512 steps is one block, and
-that is the unblocked march bit for bit.  The rule follows a measured
-crossover (see ``_history_block``): blocks make the long marches 1.7-3x
-faster, would make the builtin 40x200 march about 20% slower, and are
-about even at 400 steps, where the cutoff keeps 80x400 one block.
+more than 512 steps splits it at the first step of each block of 64:
+one matrix product there gives every step of the block its far part,
+which also carries the inlet forcing (and the far part of the
+derivatives' coupling to the state), and each step sums only the
+increments of its own block, in as many numpy calls as without blocks.
+A march of up to 512 steps is one block, the unblocked march bit for
+bit (``_history_block`` says why the cutoff sits there).
 
-A march makes one working allocation, whose views are the state rows,
-their increments and the far terms, all state-major, so the increment
-write and the history subtractions run on contiguous operands.  Separate
-arrays of this size are handed back to the kernel by glibc when freed,
-and a fresh process then faults about 245 pages in per 40x200 march; one
-array stays on the heap between marches.
+A march makes one working allocation, the state rows and their
+increments, both state-major, so the increment write and the history
+subtractions run on contiguous operands.  An increment row holds its
+step's far term until the step writes the increment, and the tangent
+march's result goes into the increment rows.  glibc hands separate
+arrays of this size back to the kernel when freed, and a fresh process
+then faults about 245 pages in per 40x200 march.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +59,7 @@ from .model import (
     ModelParams,
     ObservationSeries,
     SolutionGrid,
+    _is_finite,
     _is_number,
     l1_power_table,
     validate_params,
@@ -215,7 +212,7 @@ def solve_forward(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> So
         offending time step.
     """
     _validate_for_solve(params)
-    if not (_is_number(inlet) and math.isfinite(inlet)):
+    if not _is_finite(inlet):
         raise ParameterError("inlet must be a finite number")
     m = grid.m
     state = _tangent_march(params, grid, inlet, tangents=False)
@@ -273,18 +270,14 @@ def _history_block(steps: int) -> int:
     """Steps per history block of a march of ``steps`` steps.
 
     A march of up to 512 steps is one block; a longer one runs blocks of
-    64 steps.  Median time of one march, one block against blocks of 64,
-    on a shared 2-CPU VM with OpenBLAS on 2 threads: 40x200 with
-    tangents 5.0 against 6.1 ms, 80x400 10.4 against 10.1 ms, 40x512
-    8.2 against 7.9 ms, 160x800 54 against 31 ms, 40x4000 236 against
-    85 ms, and the 40x2000 tangent march 302 against 96 ms.  So blocks
-    lose below 400 steps (40x200 with tangents by 20%), are about even
-    at 400 and win from 600 steps on.  The cutoff sits at 512 rather
-    than at 400 so that every march up to ``forward_fine``'s 80x400 grid
-    stays one block, the unblocked march bit for bit; that gives up
-    about 3% on 80x400 (and 11% on 160x400, 28.5 against 25.2 ms, a
-    grid no benchmark runs).  Blocks of 32 and 128 were within 10% of 64 from 600
-    to 4000 steps.
+    64 steps.  Blocks trade each step's matrix-vector shaped product over
+    the whole past for one matrix-matrix product per block.  On one
+    machine (BENCH_18.json ``crossover_table``) they lose below 400 steps
+    (the builtin 40x200 tangent march by 20%), are about even at 400 and
+    win from 600 steps on.  The cutoff sits at 512 rather than 400 to keep
+    every march up to ``forward_fine``'s 80x400 grid one block, the
+    unblocked march bit for bit, at about 3% on 80x400.  Blocks of 32 and
+    128 were within 10% of 64 from 600 to 4000 steps.
     """
     return steps if steps <= 512 else 64
 
@@ -366,20 +359,18 @@ def _tangent_march(
     the near G added, one product with Minv for the state and both
     tangents, and the increment write.  A march of one block has k0 = 0
     and far = -f, and x - (-f) is x + f exactly, so it is the unblocked
-    march bit for bit.  Blocks trade the steps' matrix-vector shaped
-    history products over the whole past for one matrix-matrix product
-    per block (:func:`_history_block` says where that pays).
+    march bit for bit.
 
     T and the increments inc[k] = T[k+1] - T[k] are two views of one
     zeroed array, both laid out [step, quantity, (zone, node)], so the
-    increment write and the history subtraction are contiguous.  The
-    history matmuls are batched over (quantity, zone), each zone's weight
-    rows broadcast over the quantities, and write through transposed
-    views of [weight row, quantity, (zone, node)] and [step, quantity,
-    (zone, node)] buffers, so that H comes out laid out like T.  The one
-    allocation is what keeps a march from faulting its pages in again:
-    glibc returns separate arrays of this size to the kernel when they
-    are freed.
+    increment write and the history subtraction are contiguous.  No step
+    reads inc[k] before step k writes it, so inc[k] holds far[k] until
+    then, and with tangents S is written into the n+1 increment rows
+    after the last step.  The history matmuls are batched over
+    (quantity, zone), each zone's weight rows broadcast over the
+    quantities, and write through transposed views of [weight row,
+    quantity, (zone, node)] and [step, quantity, (zone, node)] buffers,
+    so that H comes out laid out like T.
     """
     n, q = grid.n, grid.m - 1
     r = 3 if tangents else 1  # quantities carried
@@ -402,17 +393,12 @@ def _tangent_march(
     rev = np.stack(rows, axis=1)[..., ::-1].copy()
     band = _history_band(rev, b, last) if last else None
 
-    # One block has one far row, the same for every step.
-    far_rows = b if last else 1
-    work = np.zeros((2 * steps + 1 + far_rows, r, 2 * q))  # the one allocation
+    work = np.zeros((2 * steps + 1, r, 2 * q))  # the one allocation
     T = work[:steps + 1]  # T[k] = (U^k, V^{k-1})
-    inc = work[steps + 1:2 * steps + 1]  # inc[k] = T[k+1] - T[k]
-    far = work[2 * steps + 1:]  # far[k - k0], laid out like T[k]
-    # [quantity, zone, step, node] views of the increments and the far
-    # terms and a [quantity, zone, weight row, node] view of the sums,
-    # for the history matmuls.
+    inc = work[steps + 1:]  # far[k] until step k runs, then T[k+1] - T[k]
+    # [quantity, zone, step, node] and [quantity, zone, weight row, node]
+    # views of the increments and the sums, for the history matmuls.
     inc_by_zone = inc.reshape(steps, r, 2, q).transpose(1, 2, 0, 3)
-    far_out = far.reshape(far_rows, r, 2, q).transpose(1, 2, 0, 3)
     sums = np.empty((len(rows), r, 2 * q))  # [weight row, quantity, (zone, node)]
     sums_out = sums.reshape(len(rows), r, 2, q).transpose(1, 2, 0, 3)
     hist = sums[0]  # H, laid out like T[k]
@@ -422,44 +408,42 @@ def _tangent_march(
         # G of zone z adds to its own tangent on its own rows: rhs[1, :q]
         # and rhs[2, q:], which are the last q entries of each half of rhs.
         fold = rhs.reshape(2, 3 * q)[:, 2 * q:]
-        far_fold = far.reshape(far_rows, 2, 3 * q)[:, :, 2 * q:]
-        far_g = np.empty((far_rows, 2, q))  # G_far per zone
+        far_fold = inc.reshape(steps, 2, 3 * q)[:, :, 2 * q:]
+        far_g = np.empty((b, 2, q)) if last else None  # G_far per zone
 
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = inlet * forcing
         for k0 in range(0, steps, b):
             size = min(b, steps - k0)
-            if k0:  # the first block has no far history: far is zero
+            block = slice(k0, k0 + size)
+            if k0:  # the first block has no far history: its far rows stay zero
                 band_k0 = band[..., :size, last - k0:]
-                np.matmul(band_k0[:, 0], inc_by_zone[:, :, :k0], out=far_out[:, :, :size])
+                np.matmul(band_k0[:, 0], inc_by_zone[:, :, :k0], out=inc_by_zone[:, :, block])
                 if tangents:
                     np.matmul(band_k0[:, 1], inc_by_zone[0, :, :k0],
                               out=far_g[:size].transpose(1, 0, 2))
-                    np.subtract(far_fold[:size], far_g[:size], out=far_fold[:size])
-            np.subtract(far[:size, 0], forcing, out=far[:size, 0])
+                    np.subtract(far_fold[block], far_g[:size], out=far_fold[block])
+            np.subtract(inc[block, 0], forcing, out=inc[block, 0])
             per_step = zip(
                 (rev[:, :, n - k + k0:n] for k in range(k0, k0 + size)),
                 (inc_by_zone[:, :, k0:k] for k in range(k0, k0 + size)),
-                far if last else itertools.repeat(far[0]),
-                T[k0:k0 + size],
+                T[block],
                 T[k0 + 1:k0 + size + 1],
-                inc[k0:k0 + size],
+                inc[block],
             )
-            for weights_k, inc_k, far_k, old, new, inc_new in per_step:
+            for weights_k, inc_k, old, new, inc_new in per_step:
                 np.matmul(weights_k, inc_k, out=sums_out)
                 np.subtract(old, hist, out=rhs)
-                np.subtract(rhs, far_k, out=rhs)
+                np.subtract(rhs, inc_new, out=rhs)  # inc_new holds far[k]
                 if tangents:
                     np.add(fold, folded, out=fold)
                 np.dot(rhs, minv_t, out=new)
                 np.subtract(new, old, out=inc_new)
 
-    if tangents:
-        S = np.empty((n + 1, r, 2 * q))
-        S[:, 0] = T[:-1, 0]
-        S[:, 1:] = T[1:, 1:]
-    else:
-        S = T
+    if tangents:  # S[k] = (U^k, V^k), written into the n+1 increment rows
+        inc[:, 0] = T[:-1, 0]
+        inc[:, 1:] = T[1:, 1:]
+    S = inc if tangents else T
     finite = np.isfinite(S).all(axis=(1, 2))
     if not finite.all():
         raise SolverError(f"non-finite solution values at time step {np.argmin(finite)}")

@@ -345,6 +345,20 @@ def test_fixed_point_stops_immediately(bench_params, tiny_grid):
     assert res.rel_error == 0.0
 
 
+@pytest.mark.parametrize("z_exact", [(0.0, 0.0), (math.nan, 0.5), (1, 2, 3)])
+def test_invert_rejects_bad_exact_orders_before_marching(
+    bench_params, tiny_grid, monkeypatch, z_exact
+):
+    obs = _clean_series(bench_params, tiny_grid)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("marched before z_exact was checked")
+
+    monkeypatch.setattr(inversion, "_tangent_march", forbidden)
+    with pytest.raises(ValidationError, match="z_exact"):
+        invert_orders(obs, bench_params, tiny_grid, z_exact=z_exact)
+
+
 def test_recovery_from_cold_start(bench_params, tiny_grid):
     obs = _clean_series(bench_params, tiny_grid)
     res = invert_orders(
@@ -511,8 +525,9 @@ def test_replicates_count_stop_reasons():
 
 def test_replicates_validates_count(tiny_grid):
     spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
-    with pytest.raises(ValidationError, match="at least 1"):
-        run_replicates(spec, 0)
+    for count in (0, 2.5, True, "3"):
+        with pytest.raises(ValidationError, match="at least 1"):
+            run_replicates(spec, count)
 
 
 def test_replicate_seeds_vary_with_level():

@@ -16,13 +16,19 @@ import numpy as np
 import pytest
 
 from fracmim import (
+    ConfigError,
+    ExperimentSpec,
     GridSpec,
+    InversionConfig,
     ModelParams,
     ObservationSeries,
     ParameterError,
     SolutionGrid,
     ValidationError,
     GridError,
+    add_noise,
+    invert_at,
+    solve_forward,
 )
 from fracmim.model import l1_power_table, validate_params
 from conftest import BENCH_PARAMS, admissible_draw
@@ -65,6 +71,42 @@ def test_validate_params_rejects_non_finite():
     bad = dataclasses.replace(BENCH_PARAMS, P=math.nan)
     with pytest.raises(ParameterError, match="P must be a finite number"):
         validate_params(bad)
+
+
+_HUGE = 10**400  # an int beyond a double: math.isfinite raises OverflowError on it
+_SERIES = ObservationSeries(x0=0.5, times=[1.0], values=[0.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GridSpec(m=4, n=4, T=_HUGE), GridError, "T must be a positive finite number"),
+        (lambda: validate_params(dataclasses.replace(BENCH_PARAMS, P=_HUGE)),
+         ParameterError, "P must be a finite number"),
+        (lambda: ObservationSeries(x0=0.5, times=[1.0], values=[0.0], noise_level=_HUGE),
+         ValidationError, "noise_level must be finite and nonnegative"),
+        (lambda: InversionConfig(sigma=_HUGE), ConfigError, "sigma must be positive and finite"),
+        (lambda: InversionConfig(step_tol=_HUGE), ConfigError,
+         "step_tol must be positive and finite"),
+        (lambda: InversionConfig(z0=(_HUGE, 0.5)), ConfigError,
+         "z0 must be a finite pair (alpha0, gamma0)"),
+        (lambda: add_noise(_SERIES, _HUGE, 1), ValidationError,
+         "noise level delta must be finite and nonnegative"),
+        (lambda: ExperimentSpec(params=BENCH_PARAMS, noise_levels=(_HUGE,)), ConfigError,
+         "noise_levels must be finite and nonnegative"),
+        (lambda: ExperimentSpec(params=BENCH_PARAMS, reference_points=((0.5, _HUGE),)),
+         ConfigError, "needs x in [0,1] and a positive finite t"),
+        (lambda: invert_at(0.5, _HUGE, BENCH_PARAMS), ValidationError,
+         "t must be a positive finite time"),
+        (lambda: solve_forward(BENCH_PARAMS, GridSpec(m=4, n=4, T=1.0), inlet=_HUGE),
+         ParameterError, "inlet must be a finite number"),
+    ],
+    ids=["T", "P", "noise_level", "sigma", "step_tol", "z0", "delta", "noise_levels",
+         "reference_points", "invert_at", "inlet"],
+)
+def test_scalar_checks_reject_ints_beyond_a_double(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_with_orders_replaces_only_orders(bench_params):

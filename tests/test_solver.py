@@ -15,6 +15,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from fracmim import (
 from fracmim.inversion import sensitivity_jacobian
 from fracmim.solver import (
     _digamma,
+    _history_block,
     _march_setup,
     _tangent_march,
     assemble_block_system,
@@ -419,6 +421,29 @@ def test_tangent_march_reuses_its_pages():
     )
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 20
+
+
+def test_blocked_tangent_march_holds_one_array_and_its_band():
+    # The far terms live in the increment rows until each step writes its
+    # increment, and the result is written into those rows after the last
+    # step, so a warm blocked march peaks at its working array and its
+    # weight band (7318 and 3968 KB here) and little else.  A separate
+    # result array would add another 3.7 MB.
+    params = builtin_experiment("ex51").params
+    grid = GridSpec(m=40, n=2000, T=100.0)
+    steps, width = grid.n + 1, 2 * (grid.m - 1)
+    b = _history_block(steps)
+    last = (steps - 1) // b * b  # first step of the last block
+    work_bytes = (2 * steps + 1) * 3 * width * 8
+    band_bytes = 2 * 2 * b * last * 8  # zone x weight row x b x last
+    _tangent_march(params, grid)
+    tracemalloc.start()
+    try:
+        _tangent_march(params, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= work_bytes + band_bytes + 1.5 * 2**20
 
 
 @pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
