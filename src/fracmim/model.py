@@ -173,7 +173,11 @@ class GridSpec:
         named, since silently snapping would bias whatever is read there.
         """
         pos = x0 * self.m
-        if not math.isfinite(pos):
+        try:
+            finite = math.isfinite(pos)
+        except OverflowError:  # an int beyond a double
+            finite = False
+        if not finite:
             raise GridError(f"x0={x0!r} must be an interior node, inside (0,1)")
         i = int(round(pos))
         if abs(pos - i) > 1e-9 * self.m:
@@ -186,7 +190,10 @@ class GridSpec:
 
     def time_indices(self, times: np.ndarray) -> np.ndarray:
         """Indices k in 1..n of the grid times t_k = k*tau; others raise GridError."""
-        times = np.asarray(times, dtype=float)
+        try:
+            times = np.asarray(times, dtype=float)
+        except OverflowError:  # an int beyond a double is beyond every grid time
+            raise GridError("times not aligned with grid times: one is beyond a double") from None
         with np.errstate(over="ignore"):  # a huge time gives an infinite ratio, rejected below
             ratio = times / self.tau
         near = np.round(ratio)

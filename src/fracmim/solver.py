@@ -24,26 +24,25 @@ solve advances the state alone.  The recovery also needs the state's
 derivatives in both orders, which the same march advances together
 with the state (forward-mode differentiation of the march itself, so
 the derivatives are exact to roundoff).  The derivatives run one step
-behind the state, so their coupling to the state is one more history
-sum of the same batched product, and the step's single product with the
-inverse advances the state and both derivatives.
+behind the state, so their coupling to the state is one more weighted
+sum over the states, and the step's single product with the inverse
+advances the state and both derivatives.
 
-The L1 history sum of step k weighs every earlier increment.  A march of
-more than 512 steps splits it at the first step of each block of 64:
-one matrix product there gives every step of the block its far part,
-which also carries the inlet forcing (and the far part of the
-derivatives' coupling to the state), and each step sums only the
-increments of its own block, in as many numpy calls as without blocks.
-A march of up to 512 steps is one block, the unblocked march bit for
-bit (``_history_block`` says why the cutoff sits there).
+The march runs on the states, not on their increments: with zero
+initial data, summing the L1 history by parts makes each step's
+right-hand side one weighted sum over the states so far, weights
+a[d] = w[d] - w[d+1], and the derivatives' coupling one more, weights
+beta[d] = c[d+1] - c[d].  Every march splits these sums in blocks of
+steps.  At the first step of a block, one matrix product gives every
+step of the block its sum over the states before the block, and that
+far row also carries the inlet forcing.  A step then makes three numpy
+calls: one product over the states of its own block, whose weights
+interleave a and beta so that the coupling lands on the derivatives
+inside it, one add of its far row and one product with the inverse.
 
-A march makes one working allocation, the state rows and their
-increments, both state-major, so the increment write and the history
-subtractions run on contiguous operands.  An increment row holds its
-step's far term until the step writes the increment, and the tangent
-march's result goes into the increment rows.  glibc hands separate
-arrays of this size back to the kernel when freed, and a fresh process
-then faults about 245 pages in per 40x200 march.
+A march allocates one state array, its weight band and a far buffer of
+one block.  On the 40x200 sweep grid they stay on glibc's heap from one
+march to the next (``_HISTORY_BLOCK`` says what a larger band does).
 """
 
 from __future__ import annotations
@@ -235,13 +234,17 @@ def _march_setup(params: ModelParams, grid: GridSpec):
     ``gesv`` on the identity; every step is a product with it), and the
     L1 weight tables: for the mobile (``weights[0]``) and the immobile
     (``weights[1]``) order, row 0 is the differenced power table of
-    i^(1-order) and row 1 that of its order derivative -ln(i) i^(1-order).
+    i^(1-order), i = 0..n+2, and row 1 that of its order derivative
+    -ln(i) i^(1-order).  They hold w[0..n+1], one more than the L1 sums
+    of n + 1 steps read, so that the march's a[d] = w[d] - w[d+1] is
+    defined for every d <= n.
     """
     matrix, forcing = assemble_block_system(scheme_constants(params, grid), grid.m)
     # In C order: the last bits of the products with it depend on its layout.
     minv_t = np.ascontiguousarray(np.linalg.inv(matrix).T)
-    powers = np.stack([l1_power_table(order, grid.n) for order in (params.alpha, params.gamma)])
-    log_i = np.log(np.arange(grid.n + 2).clip(1))  # i = 0 gives 0, as 0^e does
+    orders = (params.alpha, params.gamma)
+    powers = np.stack([l1_power_table(order, grid.n + 1) for order in orders])
+    log_i = np.log(np.arange(grid.n + 3).clip(1))  # i = 0 gives 0, as 0^e does
     weights = np.diff(np.stack([powers, -log_i * powers], axis=1))
     return forcing, minv_t, weights
 
@@ -266,39 +269,15 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _history_block(steps: int) -> int:
-    """Steps per history block of a march of ``steps`` steps.
-
-    A march of up to 512 steps is one block; a longer one runs blocks of
-    64 steps.  Blocks trade each step's matrix-vector shaped product over
-    the whole past for one matrix-matrix product per block.  On one
-    machine (BENCH_18.json ``crossover_table``) they lose below 400 steps
-    (the builtin 40x200 tangent march by 20%), are about even at 400 and
-    win from 600 steps on.  The cutoff sits at 512 rather than 400 to keep
-    every march up to ``forward_fine``'s 80x400 grid one block, the
-    unblocked march bit for bit, at about 3% on 80x400.  Blocks of 32 and
-    128 were within 10% of 64 from 600 to 4000 steps.
-    """
-    return steps if steps <= 512 else 64
-
-
-def _history_band(rev: np.ndarray, b: int, last: int) -> np.ndarray:
-    """The far-history weights of every block, read from one array.
-
-    ``rev`` holds the reversed weight rows, step k weighing increment j
-    by ``rev[..., n - k + j]``.  Returns band with
-    band[..., i, col] = rev[..., n - last + col - i] (zero where that
-    index is negative), shape (..., b, last), so that step k0 + i of the
-    block that starts at k0 weighs increment j < k0 by
-    band[..., i, last - k0 + j]: each block's far weights are the
-    contiguous slice band[..., :, last - k0:].
-    """
-    n = rev.shape[-1] - 1
-    lo = n - last - (b - 1)  # rev index of band[..., b - 1, 0]
-    padded = np.zeros(rev.shape[:-1] + (last + b - 1,))
-    padded[..., max(-lo, 0):] = rev[..., max(lo, 0):n]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, last, axis=-1)
-    return windows[..., ::-1, :].copy()
+# Steps per history block, in every march; a march shorter than a block
+# is one block.  On one machine (BENCH_20.json ``crossover_table``)
+# blocks of 32 run the builtin 40x200 tangent march fastest and leave no
+# forward_fine grid slower than the increment-form march they replaced;
+# blocks of 64 are faster from about 1000 steps on, and blocks of 16
+# lose 19% on 40x4000.  Blocks of 64 would also give the 40x200 tangent
+# march a band as large as its state array, and glibc would then hand
+# the heap back to the kernel after every march.
+_HISTORY_BLOCK = 32
 
 
 def _tangent_march(
@@ -312,10 +291,17 @@ def _tangent_march(
     to roundoff.  Without ``tangents`` S has shape (n+1, 1, 2(m-1)): the
     march carries the state alone, for :func:`solve_forward`.
 
+    The L1 step is M U^{k+1} = U^k - H^k + f with the history
+    H^k = sum_{j<k} w[k-j] (U^{j+1} - U^j), w[d] = (d+1)^e - d^e per zone
+    (e = 1 - order, w[0] = 1).  U^0 = 0, so summing by parts puts the
+    weights on the states themselves:
+
+        U^k - H^k = sum_{i<=k} a[k-i] U^i,    a[d] = w[d] - w[d+1].
+
     The step matrix is M = I + C K, where C is ca on the mobile rows and
     cg on the immobile rows and K is free of the orders, and the inlet
-    forcing is C times a fixed vector.  So differentiating
-    M U^{k+1} = U^k - H^k + f in alpha needs no derivative of M:
+    forcing is C times a fixed vector.  So differentiating the step in
+    alpha needs no derivative of M:
 
         M V^{k+1} = V^k - H[V]^k - H_a[U]^k + l_a (U^{k+1} - U^k + H^k),
 
@@ -324,126 +310,116 @@ def _tangent_march(
     l_a = d ln(ca)/d alpha = ln(tau) - digamma(2 - alpha).  The gamma
     derivative is the same on the immobile rows.
 
-    The march applies the inverse Minv of M, formed once by
-    :func:`_march_setup`, and solves nothing per step.  The tangents run
-    one step behind the state: the march stores T[k] = (U^k, V^{k-1}),
-    V^{-1} = 0, so step k makes U^{k+1} and V^k, and the increments
-    T[j+1] - T[j] of the state and the tangents are weighed by the same
-    w[k-j] for H^k and H[V]^{k-1}.  U^k is then known when V^k is made,
-    so the tangent's whole right-hand side is history.  U^0 = 0 makes
-    U^k the sum of the increments, so
-    G^{k-1} = l_a (U^k - U^{k-1} + H^{k-1}) - H_a[U]^{k-1} weighs
-    increment j by c[k-j], c[i] = l_a w[i-1] - dw[i-1]/d alpha for
-    i >= 1: the -l_a U^{k-1} and the coupling's +l_a U^k cancel on every
-    earlier increment and leave c[1] = l_a (w[0] = 1, dw[0] = 0) on the
-    last.  With P_a the mobile rows,
+    The tangents run one step behind the state: the march stores
+    T[k] = (U^k, V^{k-1}), V^{-1} = 0, so step k makes U^{k+1} and V^k,
+    and V^{k-1} - H[V]^{k-1} is the same a-weighted sum over the tangent
+    rows of T[0..k].  U^k is then known when V^k is made, so the
+    tangent's coupling to the state is history too, and by parts
+    G^{k-1} = l_a (U^k - U^{k-1} + H^{k-1}) - H_a[U]^{k-1} is
 
-        U^{k+1} = Minv (U^k - H^k + f)
-        V^k     = Minv (V^{k-1} - H[V]^{k-1} + P_a G^{k-1}),
+        G^{k-1} = sum_{i<=k} beta[k-i] U^i,   beta[d] = c[d+1] - c[d],
 
-    and likewise for gamma with P_g, the immobile rows.  With tangents
-    the march runs n+1 steps, the last one for V^n alone; the state
-    alone runs n steps of the w row.
+    with c[0] = 0 and c[d] = l_a w[d-1] - dw[d-1]/d alpha.  With P_a the
+    mobile rows, step k is
 
-    The steps run in blocks of b (:func:`_history_block`).  The history
-    of step k splits at the first step k0 of its block: the far part
-    weighs the increments j < k0, the near part those in k0 <= j < k.
-    At k0 one batched matmul makes the far part of every step of the
-    block.  Its weights are the columns last - k0 onwards of a band,
-    band[i, col] = w[last + i - col], built once per march (last is the
-    first step of the last block); the c row of the fold is made for the
-    state only, since only the state's G enters.  The forcing and the far G
-    are folded into that far term, far[k] = H_far^k - f - P G_far^k, so
-    a step is one batched near-history matmul for both zones and both
-    rows w and c, the right-hand side rhs = (T[k] - H_near^k) - far[k],
-    the near G added, one product with Minv for the state and both
-    tangents, and the increment write.  A march of one block has k0 = 0
-    and far = -f, and x - (-f) is x + f exactly, so it is the unblocked
-    march bit for bit.
+        U^{k+1} = Minv (sum_{i<=k} a[k-i] U^i + f)
+        V^k     = Minv (sum_{i<=k} a[k-i] V^{i-1} + P_a sum_{i<=k} beta[k-i] U^i),
 
-    T and the increments inc[k] = T[k+1] - T[k] are two views of one
-    zeroed array, both laid out [step, quantity, (zone, node)], so the
-    increment write and the history subtraction are contiguous.  No step
-    reads inc[k] before step k writes it, so inc[k] holds far[k] until
-    then, and with tangents S is written into the n+1 increment rows
-    after the last step.  The history matmuls are batched over
-    (quantity, zone), each zone's weight rows broadcast over the
-    quantities, and write through transposed views of [weight row,
-    quantity, (zone, node)] and [step, quantity, (zone, node)] buffers,
-    so that H comes out laid out like T.
+    and likewise for gamma with P_g, the immobile rows; Minv, the inverse
+    of M, is formed once by :func:`_march_setup`.  With tangents the
+    march runs n+1 steps, the last one for V^n alone; the state alone
+    runs n steps.
+
+    The steps run in blocks of b (``_HISTORY_BLOCK``), and the sums
+    split at the first step k0 of each block.  At k0 one batched matmul
+    weighs the states i < k0 for every step of the block, from a band of
+    a-weights, band[i, col] = a[last + i - col], built once per march
+    (last is the first step of the last block), so that step k0 + i
+    reads its weights as the contiguous columns last - k0 onwards; one
+    more matmul weighs the state rows by beta for the tangents.  That
+    far row also carries the forcing.  A step then makes three numpy
+    calls: one matmul over the block's states T[k0..k] into the
+    right-hand side, one add of its far row and one product with Minv.
+    The near weights are interleaved, [zone, quantity, (state,
+    quantity')], so that the beta term of each zone lands on the zone's
+    own tangent inside the same product.
+
+    T is the one state array, laid out [step, quantity, (zone, node)],
+    so a right-hand side is laid out like T[k] and the near matmul reads
+    a block's states through a [zone, (step, quantity), node] view of T.
+    With tangents S is T with the tangent rows moved up one row.
     """
     n, q = grid.n, grid.m - 1
     r = 3 if tangents else 1  # quantities carried
     steps = n + 1 if tangents else n  # the tangents run one step behind
-    b = _history_block(steps)
+    b = _HISTORY_BLOCK
     last = (steps - 1) // b * b  # first step of the last block
     forcing, minv_t, weights = _march_setup(params, grid)
-    # Per zone, row 0 gives the history sum H and row 1, which only the
-    # tangents need, the c-weighted sum G of the zone's own order;
-    # reversed, so that step k's weights are the contiguous columns
-    # n-k..n-1.
+    # Per zone, row 0 weighs the states by a; row 1, which only the
+    # tangents need, weighs the state by beta for the zone's own order.
     w = weights[:, 0]
-    rows = [w]
+    rows = [w[:, :-1] - w[:, 1:]]
     if tangents:
         orders = np.array([[params.alpha], [params.gamma]])
         ell = np.log(grid.tau) - _digamma(2.0 - orders)  # l_a, l_g
         c = np.zeros_like(w)
         c[:, 1:] = ell * w[:, :-1] - weights[:, 1, :-1]
-        rows.append(c)
-    rev = np.stack(rows, axis=1)[..., ::-1].copy()
-    band = _history_band(rev, b, last) if last else None
+        rows.append(np.diff(c))
+    # Reversed behind b - 1 zeros: step k weighs T[i] by rev[..., n + b - 1 - k + i].
+    rev = np.zeros((2, len(rows), n + b))
+    rev[..., b - 1:] = np.stack(rows, axis=1)[..., ::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(rev[..., n - last:n + b - 1], last, axis=-1)
+    band = windows[..., ::-1, :].copy()  # [zone, row, i, col]
+    near = np.zeros((2, r, b, r))  # [zone, quantity, state, quantity']
+    for p in range(r):
+        near[:, p, :, p] = rev[:, 0, n:]
+    if tangents:  # beta of zone z from the state onto its tangent, quantity 1 + z
+        near[[0, 1], [1, 2], :, 0] = rev[:, 1, n:]
+    near = near.reshape(2, r, b * r)
+    near_i = [near[:, :, (b - 1 - i) * r:] for i in range(b)]  # step k0 + i's columns
 
-    work = np.zeros((2 * steps + 1, r, 2 * q))  # the one allocation
-    T = work[:steps + 1]  # T[k] = (U^k, V^{k-1})
-    inc = work[steps + 1:]  # far[k] until step k runs, then T[k+1] - T[k]
-    # [quantity, zone, step, node] and [quantity, zone, weight row, node]
-    # views of the increments and the sums, for the history matmuls.
-    inc_by_zone = inc.reshape(steps, r, 2, q).transpose(1, 2, 0, 3)
-    sums = np.empty((len(rows), r, 2 * q))  # [weight row, quantity, (zone, node)]
-    sums_out = sums.reshape(len(rows), r, 2, q).transpose(1, 2, 0, 3)
-    hist = sums[0]  # H, laid out like T[k]
-    folded = sums[-1, 0].reshape(2, q)  # G per zone
+    T = np.zeros((steps + 1, r, 2 * q))  # T[k] = (U^k, V^{k-1})
+    by_zone = T.reshape(steps + 1, r, 2, q)
+    # [zone, (step, quantity), node]: a view, since a step's quantities are its rows
+    states = by_zone.transpose(2, 0, 1, 3).reshape(2, (steps + 1) * r, q)
+    far_states = by_zone.transpose(1, 2, 0, 3)  # [quantity, zone, step, node]
+    far = np.zeros((b, r, 2 * q))  # step k0 + i's sums over T[:k0], and f
+    far_out = far.reshape(b, r, 2, q).transpose(1, 2, 0, 3)
     rhs = np.empty((r, 2 * q))
+    rhs_out = rhs.reshape(r, 2, q).transpose(1, 0, 2)
     if tangents:
-        # G of zone z adds to its own tangent on its own rows: rhs[1, :q]
-        # and rhs[2, q:], which are the last q entries of each half of rhs.
-        fold = rhs.reshape(2, 3 * q)[:, 2 * q:]
-        far_fold = inc.reshape(steps, 2, 3 * q)[:, :, 2 * q:]
-        far_g = np.empty((b, 2, q)) if last else None  # G_far per zone
+        # beta of zone z adds to its own tangent on its own rows: far[:, 1, :q]
+        # and far[:, 2, q:], the last q entries of each half of a far row.
+        far_fold = far.reshape(b, 2, 3 * q)[:, :, 2 * q:]
+        far_g = np.empty((b, 2, q))
 
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = inlet * forcing
         for k0 in range(0, steps, b):
             size = min(b, steps - k0)
-            block = slice(k0, k0 + size)
-            if k0:  # the first block has no far history: its far rows stay zero
+            if k0:  # the first block has no states before it
                 band_k0 = band[..., :size, last - k0:]
-                np.matmul(band_k0[:, 0], inc_by_zone[:, :, :k0], out=inc_by_zone[:, :, block])
+                np.matmul(band_k0[:, 0], far_states[:, :, :k0], out=far_out[:, :, :size])
                 if tangents:
-                    np.matmul(band_k0[:, 1], inc_by_zone[0, :, :k0],
+                    np.matmul(band_k0[:, 1], far_states[0, :, :k0],
                               out=far_g[:size].transpose(1, 0, 2))
-                    np.subtract(far_fold[block], far_g[:size], out=far_fold[block])
-            np.subtract(inc[block, 0], forcing, out=inc[block, 0])
+                    np.add(far_fold[:size], far_g[:size], out=far_fold[:size])
+            np.add(far[:size, 0], forcing, out=far[:size, 0])
             per_step = zip(
-                (rev[:, :, n - k + k0:n] for k in range(k0, k0 + size)),
-                (inc_by_zone[:, :, k0:k] for k in range(k0, k0 + size)),
-                T[block],
+                near_i,
+                (states[:, k0 * r:k * r] for k in range(k0 + 1, k0 + size + 1)),
+                far,
                 T[k0 + 1:k0 + size + 1],
-                inc[block],
             )
-            for weights_k, inc_k, old, new, inc_new in per_step:
-                np.matmul(weights_k, inc_k, out=sums_out)
-                np.subtract(old, hist, out=rhs)
-                np.subtract(rhs, inc_new, out=rhs)  # inc_new holds far[k]
-                if tangents:
-                    np.add(fold, folded, out=fold)
+            for weights_k, states_k, far_k, new in per_step:
+                np.matmul(weights_k, states_k, out=rhs_out)
+                np.add(rhs, far_k, out=rhs)
                 np.dot(rhs, minv_t, out=new)
-                np.subtract(new, old, out=inc_new)
 
-    if tangents:  # S[k] = (U^k, V^k), written into the n+1 increment rows
-        inc[:, 0] = T[:-1, 0]
-        inc[:, 1:] = T[1:, 1:]
-    S = inc if tangents else T
+    S = T[:n + 1]
+    if tangents:  # S[k] = (U^k, V^k)
+        for k in range(0, n + 1, b):  # in chunks: one move of all rows copies them first
+            S[k:k + b, 1:] = T[k + 1:k + b + 1, 1:]
     finite = np.isfinite(S).all(axis=(1, 2))
     if not finite.all():
         raise SolverError(f"non-finite solution values at time step {np.argmin(finite)}")

@@ -112,11 +112,14 @@ def test_forward_reports_step_count_and_margins(tmp_path, config_path, capsys):
 
 @pytest.mark.parametrize(
     "n, line",
-    [(20, "20 steps in one history block"), (1000, "1000 steps in 16 history blocks of 64")],
+    [
+        (20, "20 steps in one history block"),
+        (1000, "1000 steps in 32 history blocks of 32"),
+    ],
 )
 def test_forward_reports_history_blocks(tmp_path, n, line, capsys):
-    # A march of more than 512 steps sums its history in blocks of 64
-    # steps; the last block of 1000 steps holds 40.
+    # Every march sums its history in blocks of 32 steps; a march shorter
+    # than a block is one block, and the last block of 1000 steps holds 8.
     cfg = tmp_path / "steps.json"
     cfg.write_text(json.dumps(dict(CONFIG, grid={"m": 4, "n": n, "T": 10.0})), encoding="utf-8")
     assert _run("forward", "--config", cfg, "--out", tmp_path / "run") == 0

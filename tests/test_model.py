@@ -244,6 +244,25 @@ def test_time_indices_rejects_far_times_without_warning(t):
             GridSpec(m=40, n=5, T=1.0).time_indices([0.2, t])
 
 
+@pytest.mark.parametrize("huge", [_HUGE, -_HUGE], ids=["huge", "minus_huge"])
+def test_grid_lookups_reject_ints_beyond_a_double(huge):
+    # Converting such an int to a float raises OverflowError; both lookups
+    # must answer with their own GridError instead.
+    g = GridSpec(m=40, n=5, T=1.0)
+    with pytest.raises(GridError, match=re.escape(f"x0={huge!r} must be an interior node")):
+        g.interior_node(huge)
+    with pytest.raises(GridError, match=re.escape("not aligned with grid times")):
+        g.time_indices([0.2, huge])
+
+
+def test_grid_lookups_accept_numpy_scalars():
+    g = GridSpec(m=40, n=5, T=1.0)
+    assert g.interior_node(np.float32(0.5)) == 20
+    assert g.interior_node(np.int64(1) / 4) == 10
+    assert g.time_indices([np.float32(1.0), np.float64(0.4)]).tolist() == [5, 2]
+    assert g.time_indices(np.array([1.0], dtype=np.float32)).tolist() == [5]
+
+
 @pytest.mark.parametrize(
     "kwargs,message",
     [

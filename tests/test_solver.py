@@ -41,7 +41,7 @@ from fracmim import (
 from fracmim.inversion import sensitivity_jacobian
 from fracmim.solver import (
     _digamma,
-    _history_block,
+    _HISTORY_BLOCK,
     _march_setup,
     _tangent_march,
     assemble_block_system,
@@ -205,10 +205,12 @@ _draws = st.integers(0, 2**32 - 1).map(lambda s: admissible_draw(np.random.defau
 _tiny_grids = st.builds(
     GridSpec, m=st.integers(3, 12), n=st.integers(1, 40), T=st.floats(0.1, 200.0)
 )
-# Marches on both sides of the history-block rule: one block up to 512
-# steps, then blocks of 64, here up to three blocks past the rule.
+# Marches across the history blocks' edges: from a step short of one
+# block to 22 blocks, so that every multiple of the block size in that
+# range is drawn from both sides.
 _block_grids = st.builds(
-    GridSpec, m=st.integers(3, 6), n=st.integers(480, 512 + 3 * 64), T=st.floats(0.1, 200.0)
+    GridSpec, m=st.integers(3, 6), n=st.integers(_HISTORY_BLOCK - 1, 22 * _HISTORY_BLOCK),
+    T=st.floats(0.1, 200.0),
 )
 _grids = _tiny_grids | _block_grids
 
@@ -277,8 +279,8 @@ def test_inlet_must_be_finite(bench_params, tiny_grid):
 def test_overflowing_inlet_names_first_step(bench_params, default_grid, inlet):
     # inlet * A overflows, so the first step's solution is not finite.
     # The tangent march makes the tangents of step k one step later than
-    # the state, and must still name the step of the state.  On 8x700
-    # the history blocks after the first start from non-finite increments.
+    # the state, and must still name the step of the state.  Every block
+    # after the first starts from non-finite states.
     for grid in (default_grid, GridSpec(8, 700, 100.0)):
         for march in (solve_forward, _tangent_march):
             with warnings.catch_warnings():
@@ -357,8 +359,8 @@ def test_tangent_march_state_matches_march_at_every_node(name, m, n):
     # the oracle march solves every step with getrs on its LU factors;
     # the forward solve and the state of the tangent march must agree
     # with it at every node of both zones and every time.  160x800 gives
-    # q = 159, the largest inverse the test grids build; it and 8x1500
-    # sum their history in blocks (13 and 24 of them).
+    # q = 159, the largest inverse the test grids build; the forward
+    # marches run in 7, 25 and 47 history blocks.
     spec = builtin_experiment(name)
     g = GridSpec(m=m, n=n, T=spec.grid.T)
     u1, u2 = getrs_march(spec.params, g)
@@ -369,6 +371,40 @@ def test_tangent_march_state_matches_march_at_every_node(name, m, n):
     q = m - 1
     assert np.max(np.abs(state[:, :q] - u1[1:m].T)) <= 1e-12
     assert np.max(np.abs(state[:, q:] - u2[1:m].T)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "steps", [_HISTORY_BLOCK - 1, _HISTORY_BLOCK, _HISTORY_BLOCK + 1, 2 * _HISTORY_BLOCK + 1]
+)
+def test_marches_match_getrs_at_block_edges(bench_params, steps):
+    # A march of a step less than one block, of one block, and of one and
+    # two blocks and a step, whose last block is a single step.  The
+    # forward march of n steps and the tangent march of n - 1 (which
+    # takes one step more) both run that many steps.
+    g = GridSpec(m=5, n=steps, T=50.0)
+    u1, u2 = getrs_march(bench_params, g)
+    sol = solve_forward(bench_params, g)
+    assert np.max(np.abs(sol.u1 - u1)) <= 1e-12
+    assert np.max(np.abs(sol.u2 - u2)) <= 1e-12
+    fields = np.concatenate([u1[1:g.m].T, u2[1:g.m].T], axis=1)
+    assert np.max(np.abs(_tangent_march(bench_params, g, tangents=False)[:, 0] - fields)) <= 1e-12
+    short = GridSpec(m=5, n=steps - 1, T=50.0 * (steps - 1) / steps)  # the same tau
+    state = _tangent_march(bench_params, short)[:, 0]
+    assert np.max(np.abs(state - fields[:steps])) <= 1e-12
+
+
+def test_tangent_columns_match_complex_step_oracle_across_blocks():
+    # The 2b + 1 steps of this tangent march run in blocks of b, b and 1:
+    # the far sums of the second and third blocks, their tangent fold and
+    # a one-step last block, checked at every time step.
+    p = builtin_experiment("ex53").params
+    g = GridSpec(m=6, n=2 * _HISTORY_BLOCK, T=100.0)
+    node = g.m // 2
+    times = g.time_nodes()[1:]
+    G = _tangent_march(p, g)[1:, 1:, node - 1]
+    oracle = complex_step_jacobian((p.alpha, p.gamma), p, g, times, node * g.h)
+    step_err = np.abs(G - oracle) / np.abs(oracle).max(axis=0)
+    assert np.all(step_err <= 1e-10), step_err.max(axis=0)
 
 
 def test_marches_share_no_memory(bench_params, tiny_grid):
@@ -423,35 +459,58 @@ def test_tangent_march_reuses_its_pages():
     assert float(proc.stdout) < 20
 
 
-def test_blocked_tangent_march_holds_one_array_and_its_band():
-    # The far terms live in the increment rows until each step writes its
-    # increment, and the result is written into those rows after the last
-    # step, so a warm blocked march peaks at its working array and its
-    # weight band (7318 and 3968 KB here) and little else.  A separate
-    # result array would add another 3.7 MB.
-    params = builtin_experiment("ex51").params
-    grid = GridSpec(m=40, n=2000, T=100.0)
-    steps, width = grid.n + 1, 2 * (grid.m - 1)
-    b = _history_block(steps)
+def _state_and_band_bytes(grid, tangents):
+    """Bytes of a march's state rows and of its weight band."""
+    r = 3 if tangents else 1
+    steps = grid.n + 1 if tangents else grid.n
+    b = _HISTORY_BLOCK
     last = (steps - 1) // b * b  # first step of the last block
-    work_bytes = (2 * steps + 1) * 3 * width * 8
-    band_bytes = 2 * 2 * b * last * 8  # zone x weight row x b x last
-    _tangent_march(params, grid)
+    state = (steps + 1) * r * 2 * (grid.m - 1) * 8
+    band = 2 * (2 if tangents else 1) * b * last * 8  # zone x weight row x b x last
+    return state, band
+
+
+def _warm_peak(call):
+    call()
     tracemalloc.start()
     try:
-        _tangent_march(params, grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= work_bytes + band_bytes + 1.5 * 2**20
+
+
+def test_blocked_tangent_march_holds_one_array_and_its_band():
+    # The march keeps the states alone, and the result is those rows with
+    # the tangents moved up one row in place, so a warm blocked march
+    # peaks at its state rows and its weight band (3753 and 1984 KB here)
+    # and little else.  A separate result array would add another 3.7 MB.
+    params = builtin_experiment("ex51").params
+    grid = GridSpec(m=40, n=2000, T=100.0)
+    state, band = _state_and_band_bytes(grid, tangents=True)
+    assert _warm_peak(lambda: _tangent_march(params, grid)) <= state + band + 1.5 * 2**20
+
+
+def test_forward_solve_holds_its_state_then_its_fields():
+    # The band is freed when the march returns and the fields are made
+    # from the state rows after that, so a warm 40x4000 forward solve
+    # peaks at the state rows and the larger of the band (1984 KB) and
+    # the two fields (2 x 1282 KB).  A march that kept its increments
+    # beside the states held 2.5 MB more.
+    params = builtin_experiment("ex51").params
+    grid = GridSpec(m=40, n=4000, T=100.0)
+    state, band = _state_and_band_bytes(grid, tangents=False)
+    fields = 2 * (grid.m + 1) * (grid.n + 1) * 8
+    peak = _warm_peak(lambda: solve_forward(params, grid))
+    assert peak <= state + max(band, fields) + 1.5 * 2**20
 
 
 @pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
 def test_tangent_columns_match_complex_step_oracle_across_nodes(name):
     # Not only the observed node: near the inlet, in the middle and at
-    # the last interior node of the mobile zone.  The builtin 40x200
-    # grid is one history block; the 701 steps of the 8x700 tangent
-    # march run in 11 blocks.
+    # the last interior node of the mobile zone.  The 201 steps of the
+    # builtin 40x200 tangent march run in 7 history blocks, the 701
+    # steps of the 8x700 one in 22.
     spec = builtin_experiment(name)
     p = spec.params
     for g in (spec.grid, GridSpec(8, 700, spec.grid.T)):
@@ -513,7 +572,7 @@ def test_observation_odd_grid_rejects_midpoint(bench_params):
 
 def test_observation_rejects_non_interior_point(bench_params, tiny_grid):
     sol = solve_forward(bench_params, tiny_grid)
-    for x0 in (1.0, math.nan, math.inf):
+    for x0 in (1.0, math.nan, math.inf, 10**400):
         with pytest.raises(GridError, match="interior"):
             extract_observation(sol, x0)
 
@@ -529,8 +588,9 @@ def test_observation_rejects_misaligned_times(bench_params, tiny_grid):
     sol = solve_forward(bench_params, tiny_grid)
     with pytest.raises(GridError, match=re.escape("0.7")):
         extract_observation(sol, 0.5, times=[0.7])
-    with pytest.raises(GridError, match="not aligned"):
-        extract_observation(sol, 0.5, times=[150.0])
+    for t in (150.0, 10**400):
+        with pytest.raises(GridError, match="not aligned"):
+            extract_observation(sol, 0.5, times=[t])
 
 
 def test_observation_zero_solution_is_zero_series(bench_params, tiny_grid):
