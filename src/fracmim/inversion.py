@@ -8,11 +8,13 @@ plain Gauss-Newton as the iteration count grows.  Each iteration runs one
 tangent-linear march, which gives the forward series and its exact
 sensitivities to both orders at once, and iterates are clamped to a closed
 sub-square of the admissible set because the forward problem degenerates
-on its boundary.
+on its boundary.  The inversions of one table all start at the same
+iterate, so they share its march: the last one is kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -179,9 +181,28 @@ def sensitivity_jacobian(
     """
     base = p_base.with_orders(*z)
     _validate_for_solve(base)
-    i, idx = g.interior_node(x0), g.time_indices(obs_times)
+    return _observed_march(base, g, g.interior_node(x0), g.time_indices(obs_times))
+
+
+def _observed_march(base: ModelParams, g: GridSpec, i: int, idx) -> tuple[np.ndarray, np.ndarray]:
+    # (series, G) at node i and time indices idx: G stays the column slice
+    # of the row-gathered (n_obs, 3) array, whose layout lm_step's last bits follow.
     observed = _tangent_march(base, g)[idx, :, i - 1]
     return observed[:, 0], observed[:, 1:]
+
+
+@functools.lru_cache(maxsize=1)
+def _first_march(base: ModelParams, g: GridSpec, i: int, idx: tuple[int, ...]):
+    """The observed march at the first iterate, shared by every inversion of a table.
+
+    Each inversion starts at the clamped ``z0`` of its config, and a
+    table inverts many series of one problem, so only the first
+    inversion of a table marches there.  Keyed on everything the march
+    reads; the arrays are read-only, since every caller shares them.
+    """
+    series, G = _observed_march(base, g, i, list(idx))
+    series.flags.writeable = G.flags.writeable = False
+    return series, G
 
 
 def lm_step(G: np.ndarray, residual: np.ndarray, kappa: float) -> np.ndarray:
@@ -231,9 +252,14 @@ def invert_orders(
     """Recover (alpha, gamma) from one observation series.
 
     Each iteration takes the forward series (hence the residual) and the
-    sensitivity matrix from the one march of :func:`sensitivity_jacobian`
-    and applies the homotopy-weighted update, clamping the result to the
-    admissible square.  Stops when the undamped step ||dz|| / (1 - kappa)
+    sensitivity matrix from one tangent-linear march, as
+    :func:`sensitivity_jacobian` returns them, and applies the
+    homotopy-weighted update, clamping the result to the admissible
+    square.  The parameters, the observation node and the times are
+    checked once, before the first march, since every iterate lies in
+    the square.  The march at the first iterate, the clamped ``z0``, is
+    the one a previous call at the same start, problem and observation
+    grid ran, when there was one.  Stops when the undamped step ||dz|| / (1 - kappa)
     falls below ``step_tol`` (``converged``; a weight of 1 never does), on
     three consecutive residual-norm rises once the homotopy weight is
     spent (noise floor reached), or at the iteration cap.
@@ -242,6 +268,9 @@ def invert_orders(
     ------
     ValidationError
         Before any march, unless ``z_exact`` is None or a finite pair of nonzero norm.
+    ParameterError, GridError
+        Before any march, for inadmissible parameters, or an observation
+        point or times off the grid.
     InversionError
         On a non-finite residual; the partial ``history`` rides on the
         exception for post-mortem inspection.
@@ -252,13 +281,21 @@ def invert_orders(
     cfg = cfg or InversionConfig()
     lo, hi = cfg.clamp_margin, 1.0 - cfg.clamp_margin
     z = np.clip(np.asarray(cfg.z0, dtype=float), lo, hi)
+    # Every iterate lies in [lo, hi]^2, inside the order set: the checks
+    # of the first iteration hold for all.
+    first = p_base.with_orders(*z)
+    _validate_for_solve(first)
+    i, idx = g.interior_node(obs.x0), g.time_indices(obs.times)
     history: list[IterationRecord] = []
     rises = 0
     prev_norm = math.inf
     stop_reason = "max_iter"
 
     for j in range(cfg.max_iter):
-        series, G = sensitivity_jacobian(tuple(z), p_base, g, obs.times, obs.x0)
+        if j:
+            series, G = _observed_march(p_base.with_orders(*z), g, i, idx)
+        else:
+            series, G = _first_march(first, g, i, tuple(idx.tolist()))
         residual = obs.values - series
         if not np.all(np.isfinite(residual)):
             raise InversionError(

@@ -1,12 +1,10 @@
-"""Parameters, grids, and L1 fractional-derivative weights.
+"""Parameters, grids, solutions and observations.
 
 The transport model couples a mobile and an immobile concentration on the
 unit interval through first-order mass transfer, with Caputo time
 derivatives of order ``alpha`` (mobile) and ``gamma`` (immobile), both in
-(0, 1).  This module holds the value objects shared across the package
-(parameter set, space-time grid, solution container, point observations)
-and the power table from which the solver builds the L1 weights of the
-Caputo derivative.
+(0, 1).  This module holds the value objects shared across the package:
+parameter set, space-time grid, solution container, point observations.
 
 The parameter set, the grid and the observation series are frozen after
 construction; a ``SolutionGrid`` holds its two fields as plain numpy arrays,
@@ -30,7 +28,6 @@ __all__ = [
     "SolutionGrid",
     "ObservationSeries",
     "validate_params",
-    "l1_power_table",
 ]
 
 
@@ -302,15 +299,3 @@ class ObservationSeries:
 
     def __len__(self) -> int:
         return self.times.size
-
-
-def l1_power_table(order: float, n: int) -> np.ndarray:
-    """Table of i^(1-order) for i = 0..n+1, with the 0^0 = 0 convention.
-
-    The solver differences this table once per march and reads each
-    step's weight vector from the differences backwards.
-    """
-    e = 1.0 - order
-    table = np.arange(n + 2, dtype=float) ** e
-    table[0] = 0.0
-    return table

@@ -15,9 +15,10 @@ The inverse of the step matrix is formed once per march and every step
 applies it by one matrix product, so no step calls LAPACK.  Forming it
 is safe: every row of the matrix has diagonal-dominance slack above 1,
 so by Varah's bound the inverse has infinity norm below 1.  The L1
-history weights are one difference of the power table, read backwards.
-Finiteness is checked once, after the march, which reports the first
-non-finite time step.
+history weights are one difference of the power tables of both orders,
+made by one broadcast power, read backwards.  Finiteness is checked
+once, after the march, by one reduction; only a march that fails it is
+searched for its first non-finite time step.
 
 One march serves the forward solve and the order recovery.  The forward
 solve advances the state alone.  The recovery also needs the state's
@@ -43,6 +44,11 @@ inside it, one add of its far row and one product with the inverse.
 A march allocates one state array, its weight band and a far buffer of
 one block.  On the 40x200 sweep grid they stay on glibc's heap from one
 march to the next (``_HISTORY_BLOCK`` says what a larger band does).
+The set-up before the first step makes few numpy calls, since the order
+recovery runs thousands of short marches: the step matrix is filled
+through strided views of its diagonals, the band is copied from one
+strided view of the reversed weights, and the digamma of the two orders
+is evaluated on Python floats.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from .model import (
     SolutionGrid,
     _is_finite,
     _is_number,
-    l1_power_table,
     validate_params,
 )
 
@@ -157,20 +162,25 @@ def assemble_block_system(c: SchemeConstants, m: int) -> tuple[np.ndarray, np.nd
         raise GridError("m must be an integer >= 3")
     q = m - 1
     M = np.zeros((2 * q, 2 * q))
+    flat = M.reshape(-1)
 
-    i = np.arange(q)
-    M[i, i] = c.B
-    M[i[:-1], i[:-1] + 1] = -c.r1
-    M[i[1:], i[1:] - 1] = -c.A
+    def diagonal(row: int, col: int, length: int) -> np.ndarray:
+        # A view of ``length`` entries down the diagonal from M[row, col].
+        start = row * 2 * q + col
+        return flat[start:start + length * (2 * q + 1):2 * q + 1]
+
+    diagonal(0, 0, q)[:] = c.B
+    diagonal(0, 1, q - 1)[:] = -c.r1
+    diagonal(1, 0, q - 1)[:] = -c.A
     M[q - 1, q - 1] = c.B - c.r1
 
-    M[i[:-1], q + i[:-1] + 1] = -c.D
-    M[i[1:], q + i[1:] - 1] = -c.D
+    diagonal(0, q + 1, q - 1)[:] = -c.D
+    diagonal(1, q, q - 1)[:] = -c.D
     M[q - 1, 2 * q - 1] = -c.D
 
-    M[q + i, q + i] = c.F
-    M[q + i[:-1], i[:-1] + 1] = -c.E
-    M[q + i[1:], i[1:] - 1] = -c.E
+    diagonal(q, q, q)[:] = c.F
+    diagonal(q, 1, q - 1)[:] = -c.E
+    diagonal(q + 1, 0, q - 1)[:] = -c.E
     M[2 * q - 1, q - 1] = -c.E
 
     forcing = np.zeros(2 * q)
@@ -234,28 +244,32 @@ def _march_setup(params: ModelParams, grid: GridSpec):
     ``gesv`` on the identity; every step is a product with it), and the
     L1 weight tables: for the mobile (``weights[0]``) and the immobile
     (``weights[1]``) order, row 0 is the differenced power table of
-    i^(1-order), i = 0..n+2, and row 1 that of its order derivative
-    -ln(i) i^(1-order).  They hold w[0..n+1], one more than the L1 sums
-    of n + 1 steps read, so that the march's a[d] = w[d] - w[d+1] is
-    defined for every d <= n.
+    i^(1-order), i = 0..n+2 (0^e taken as 0), and row 1 that of its
+    order derivative -ln(i) i^(1-order).  They hold w[0..n+1], one more
+    than the L1 sums of n + 1 steps read, so that the march's
+    a[d] = w[d] - w[d+1] is defined for every d <= n.  Both power tables
+    come from one broadcast power, which gives the bits of one power per
+    order.
     """
     matrix, forcing = assemble_block_system(scheme_constants(params, grid), grid.m)
     # In C order: the last bits of the products with it depend on its layout.
     minv_t = np.ascontiguousarray(np.linalg.inv(matrix).T)
-    orders = (params.alpha, params.gamma)
-    powers = np.stack([l1_power_table(order, grid.n + 1) for order in orders])
-    log_i = np.log(np.arange(grid.n + 3).clip(1))  # i = 0 gives 0, as 0^e does
+    i = np.arange(grid.n + 3, dtype=float)
+    powers = i ** (1.0 - np.array([[params.alpha], [params.gamma]]))
+    powers[:, 0] = 0.0
+    log_i = np.log(i.clip(1.0))  # i = 0 gives 0, as 0^e does
     weights = np.diff(np.stack([powers, -log_i * powers], axis=1))
     return forcing, minv_t, weights
 
 
-def _digamma(x: np.ndarray) -> np.ndarray:
+def _digamma(x: float) -> float:
     """The digamma function psi(x) for x in [1, 2), within 2e-15 absolute.
 
     The recurrence psi(x) = psi(x + 8) - sum_{k<8} 1/(x + k) moves the
     argument to y = x + 8 >= 9, where the asymptotic series
     (Abramowitz & Stegun 6.3.18) up to y^-14 is exact to double
-    precision: ln y - 1/(2y) - sum_k B_2k / (2k y^2k).
+    precision: ln y - 1/(2y) - sum_k B_2k / (2k y^2k).  The logarithm is
+    numpy's, whose last bit can differ from ``math.log``'s.
     """
     y = x + 8.0
     z = 1.0 / (y * y)
@@ -263,9 +277,9 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     # B_2k / 2k for k = 7, ..., 1, in Horner order.
     for c in (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12):
         series = series * z + c
-    psi = np.log(y) - 0.5 / y - series * z
+    psi = float(np.log(y)) - 0.5 / y - series * z
     for k in range(7, -1, -1):  # smallest terms first
-        psi = psi - 1.0 / (x + k)
+        psi -= 1.0 / (x + k)
     return psi
 
 
@@ -360,16 +374,21 @@ def _tangent_march(
     w = weights[:, 0]
     rows = [w[:, :-1] - w[:, 1:]]
     if tangents:
-        orders = np.array([[params.alpha], [params.gamma]])
-        ell = np.log(grid.tau) - _digamma(2.0 - orders)  # l_a, l_g
+        log_tau = np.log(grid.tau)
+        ell = np.array([[log_tau - _digamma(2.0 - params.alpha)],  # l_a
+                        [log_tau - _digamma(2.0 - params.gamma)]])  # l_g
         c = np.zeros_like(w)
         c[:, 1:] = ell * w[:, :-1] - weights[:, 1, :-1]
         rows.append(np.diff(c))
     # Reversed behind b - 1 zeros: step k weighs T[i] by rev[..., n + b - 1 - k + i].
     rev = np.zeros((2, len(rows), n + b))
     rev[..., b - 1:] = np.stack(rows, axis=1)[..., ::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(rev[..., n - last:n + b - 1], last, axis=-1)
-    band = windows[..., ::-1, :].copy()  # [zone, row, i, col]
+    # band[zone, row, i, col] = rev[zone, row, n - last + b - 1 - i + col], copied
+    # from a strided view (i runs backwards through rev)
+    step = rev.strides[-1]
+    band = np.lib.stride_tricks.as_strided(
+        rev[..., n - last + b - 1:], (2, len(rows), b, last), (*rev.strides[:2], -step, step)
+    ).copy()
     near = np.zeros((2, r, b, r))  # [zone, quantity, state, quantity']
     for p in range(r):
         near[:, p, :, p] = rev[:, 0, n:]
@@ -420,8 +439,8 @@ def _tangent_march(
     if tangents:  # S[k] = (U^k, V^k)
         for k in range(0, n + 1, b):  # in chunks: one move of all rows copies them first
             S[k:k + b, 1:] = T[k + 1:k + b + 1, 1:]
-    finite = np.isfinite(S).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(S).all():
+        finite = np.isfinite(S).all(axis=(1, 2))
         raise SolverError(f"non-finite solution values at time step {np.argmin(finite)}")
     return S
 

@@ -1,11 +1,23 @@
-"""Shared fixtures: benchmark parameter sets, grids, random draws, and
-probes of the transform built on :func:`fracmim.laplace.laplace_profile`."""
+"""Shared fixtures: benchmark parameter sets, grids, a cold first-march
+memo for every test, random draws, and probes of the transform built on
+:func:`fracmim.laplace.laplace_profile`."""
 
 import numpy as np
 import pytest
 
-from fracmim import GridSpec, ModelParams, ValidationError
+from fracmim import GridSpec, ModelParams, ValidationError, inversion
 from fracmim.laplace import laplace_profile
+
+
+@pytest.fixture(autouse=True)
+def cold_first_march():
+    """Start every test with an empty first-march memo of the inversion.
+
+    Inversions that start at the same iterate share its march, so a test
+    that counts marches would otherwise depend on the tests run before it.
+    """
+    inversion._first_march.cache_clear()
+
 
 # Benchmark parameter set with alpha=0.8, gamma=0.25 (the standard
 # high-dispersion configuration all cross-checks run on).

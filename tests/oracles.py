@@ -9,9 +9,10 @@ functions is a genuine two-route check:
 * the Mittag-Leffler function by direct series summation;
 * a tridiagonal-free dense evaluation of the marching matrix from its
   printed block pattern, used to cross-check the vectorized assembly;
-* the L1 history weight and its second-difference (per-level) form,
-  one scalar power at a time, against the solver's vectorized power
-  table;
+* the L1 power table of one order, and the L1 history weight and its
+  second-difference (per-level) form one scalar power at a time, against
+  the solver's weights, which come from one broadcast power for both
+  orders;
 * the order sensitivities by central differences of real forward
   solves, against the tangent-linear Jacobian of the order recovery.
   This one oracle runs the package's own march: it checks the
@@ -19,8 +20,8 @@ functions is a genuine two-route check:
 * the same sensitivities by a complex step through a small complex
   march of its own, exact to roundoff like the tangent-linear march;
 * the L1 march solving every step with LAPACK ``getrs`` on the LU
-  factors of the oracle matrix (it shares only the scheme constants and
-  the power table with the package), against the package's march, which
+  factors of the oracle matrix (it shares only the scheme constants with
+  the package), against the package's march, which
   applies a precomputed inverse;
 * the CSV writer and reader one cell at a time (``str.format`` and
   ``float`` per cell), and the per-cell rows of the solution file, as
@@ -38,7 +39,6 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import rgamma
 
 from fracmim import ValidationError, extract_observation, solve_forward
-from fracmim.model import l1_power_table
 from fracmim.solver import scheme_constants
 
 
@@ -253,6 +253,18 @@ def complex_step_jacobian(z, p_base, grid, obs_times, x0, h=1e-30):
         orders[k] += h * 1j
         G[:, k] = _complex_observed(p_base, *orders, grid, node, steps).imag / h
     return G
+
+
+def l1_power_table(order: float, n: int) -> np.ndarray:
+    """Table of i^(1-order) for i = 0..n+1, with the 0^0 = 0 convention.
+
+    Differenced once, it gives the L1 weights w[d] = (d+1)^e - d^e of one
+    order, e = 1 - order.
+    """
+    e = 1.0 - order
+    table = np.arange(n + 2, dtype=float) ** e
+    table[0] = 0.0
+    return table
 
 
 def getrs_march(p, grid, inlet=1.0):

@@ -9,6 +9,7 @@ wrong linearization.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from scipy.special import expit
 
 from fracmim import (
     ConfigError,
+    GridError,
     GridSpec,
     InversionConfig,
     InversionError,
     InversionResult,
     ModelParams,
     NumericalError,
+    ObservationSeries,
     ParameterError,
     ValidationError,
     add_noise,
@@ -359,6 +362,33 @@ def test_invert_rejects_bad_exact_orders_before_marching(
         invert_orders(obs, bench_params, tiny_grid, z_exact=z_exact)
 
 
+@pytest.mark.parametrize(
+    "bad", [("params",), ("x0",), ("times",), ("x0", "times"), ("params", "x0", "times")]
+)
+def test_invert_checks_params_node_and_times_once_before_marching(
+    bench_params, tiny_grid, monkeypatch, bad
+):
+    # invert_orders checks the parameters, the node and the times once,
+    # before its first march, and must raise what the first iteration's
+    # sensitivity_jacobian raised, in the same order.
+    obs = _clean_series(bench_params, tiny_grid)
+    p_base = dataclasses.replace(bench_params, beta=1.5) if "params" in bad else bench_params
+    x0 = obs.x0 + 0.01 if "x0" in bad else obs.x0
+    times = obs.times + 0.1 if "times" in bad else obs.times
+    obs = ObservationSeries(x0=x0, times=times, values=obs.values)
+    expected = ParameterError if "params" in bad else GridError
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("marched before the checks")
+
+    monkeypatch.setattr(inversion, "_tangent_march", forbidden)
+    z0 = tuple(np.clip(InversionConfig().z0, 0.01, 0.99))
+    with pytest.raises(expected) as first_iteration:
+        sensitivity_jacobian(z0, p_base, tiny_grid, obs.times, obs.x0)
+    with pytest.raises(expected, match=re.escape(str(first_iteration.value))):
+        invert_orders(obs, p_base, tiny_grid)
+
+
 def test_recovery_from_cold_start(bench_params, tiny_grid):
     obs = _clean_series(bench_params, tiny_grid)
     res = invert_orders(
@@ -423,6 +453,57 @@ def test_each_iteration_runs_one_tangent_march(bench_params, tiny_grid, monkeypa
     assert len(orders) == res.iterations
     # iteration j marches at the iterate that iteration j-1 produced
     assert orders[1:] == [rec.z for rec in res.history[:-1]]
+
+
+def test_shared_first_march_leaves_every_result_of_a_row_unchanged():
+    # The inversions of a table row start at one z0, so all but the first
+    # take their first march from the memo; it must not move one bit of
+    # any result.
+    spec = builtin_experiment("ex51")
+    delta = spec.noise_levels[0]
+    clean = _clean_series(spec.params, spec.grid, spec.x0)
+    z_exact = (spec.params.alpha, spec.params.gamma)
+    seeds = _replicate_seeds(spec.seed, delta, spec.replicates)
+
+    def row(cold):
+        results = []
+        for seed in seeds:
+            if cold:
+                inversion._first_march.cache_clear()
+            r = invert_orders(add_noise(clean, delta, seed), spec.params, spec.grid,
+                              spec.inversion, z_exact)
+            results.append((r.z_inv, r.history, r.stop_reason))
+        return results
+
+    cold = row(cold=True)
+    inversion._first_march.cache_clear()
+    warm = row(cold=False)
+    assert inversion._first_march.cache_info().hits == len(seeds) - 1
+    assert warm == cold
+
+
+def test_a_row_of_replicates_shares_one_first_march(tiny_grid, monkeypatch):
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
+    replicates, delta = 4, 0.01
+    march = inversion._tangent_march
+    marches = []
+
+    def counted(*args, **kwargs):
+        marches.append(None)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "_tangent_march", counted)
+    clean = _clean_series(spec.params, tiny_grid, spec.x0)
+    z_exact = (spec.params.alpha, spec.params.gamma)
+    for seed in _replicate_seeds(spec.seed, delta, replicates):
+        inversion._first_march.cache_clear()
+        noisy = add_noise(clean, delta, seed)
+        invert_orders(noisy, spec.params, tiny_grid, spec.inversion, z_exact)
+    cold = len(marches)
+    marches.clear()
+    inversion._first_march.cache_clear()
+    run_replicates(spec, replicates, delta, clean=clean)
+    assert len(marches) == cold - (replicates - 1)
 
 
 def test_history_records_smallest_singular_value(bench_params, tiny_grid):

@@ -30,9 +30,9 @@ from fracmim import (
     invert_at,
     solve_forward,
 )
-from fracmim.model import l1_power_table, validate_params
+from fracmim.model import validate_params
 from conftest import BENCH_PARAMS, admissible_draw
-from oracles import l1_bracket, psi_weight
+from oracles import l1_bracket, l1_power_table, psi_weight
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from oracles import (
     dense_block_matrix,
     getrs_march,
     l1_bracket,
+    l1_power_table,
     psi_weight,
 )
 
@@ -535,7 +536,23 @@ def test_digamma_matches_scipy_on_shifted_orders():
     # The tangents scale by ln(tau) - psi(2 - order), and orders lie in
     # (0, 1], so psi is needed on [1, 2).
     x = np.linspace(1.0, 2.0, 10**5)
-    assert np.max(np.abs(_digamma(x) - digamma(x))) <= 4e-15
+    errors = [abs(_digamma(v) - exact) for v, exact in zip(x.tolist(), digamma(x).tolist())]
+    assert max(errors) <= 4e-15
+
+
+@pytest.mark.parametrize("orders", [(0.8, 0.25), (0.5, 1.0), (0.01, 0.99)])
+def test_march_weights_carry_each_orders_own_power_table(bench_params, orders):
+    # One broadcast power makes both zones' tables; each row must hold the
+    # bits of its own order's power table (0.5 is the exponent numpy could
+    # take by a square root), or every march moves by roundoff.
+    p = bench_params.with_orders(*orders)
+    for grid in (GridSpec(3, 1, 1.0), GridSpec(40, 200, 100.0)):
+        weights = _march_setup(p, grid)[2]
+        log_i = np.log(np.maximum(np.arange(grid.n + 3), 1))
+        for zone, order in enumerate(orders):
+            table = l1_power_table(order, grid.n + 1)
+            assert np.array_equal(weights[zone, 0], np.diff(table))
+            assert np.array_equal(weights[zone, 1], np.diff(-log_i * table))
 
 
 def test_grid_refinement_moves_toward_reference(bench_params):
