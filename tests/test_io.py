@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -469,6 +470,13 @@ READ_CASES = {
     "bad-cell-before-short-row-in-block": _block_file(2 * B, {B + 2: "1,2,x", B + 5: "1"}),
     "short-row-before-bad-cell-in-block": _block_file(2 * B, {B + 2: "1", B + 5: "1,2,x"}),
     "blank-lines-before-bad-cell": _block_file(B + 20, {r: "  " for r in range(3, 40)} | {B + 10: "x,1,2"}),
+    "comment": "a,b\n1,2 # c\n",
+    "quoted-cell": 'a,b\n"1",2\n',
+    "whitespace-line-between-rows": "a,b\n1,2\n \t \n3,4\n",
+    "signed-nan-inf": "a,b\n-nan,+inf\n+nan,-inf\n",
+    "narrow-rows-under-wide-header": "a,b,c\n1,2\n3,4\n",
+    "header-then-blank-lines": "a,b\n\n\n",
+    "separator-control-padding": "a,b\n1,2\n\x1c3,4\x1f\n",  # whitespace to numpy, not to float
 }
 
 
@@ -484,6 +492,77 @@ def test_read_csv_header_only_shape(tmp_path):
     path.write_text("a,b,c\n", encoding="utf-8")
     header, data = read_csv(path)
     assert header == ["a", "b", "c"] and data.shape == (0, 3)
+
+
+_PADDING = st.text(st.sampled_from(" \t\x0b\x0c\x1c\xa0\u2003"), max_size=2)
+_UNICODE_DIGITS = [{ord(d): chr(zero + int(d)) for d in "0123456789"} for zero in (0x660, 0xFF10)]
+_CELL_SPELLINGS = [
+    st.floats().map(lambda x: "%.17g" % x),
+    st.floats().map(repr),
+    st.tuples(_PADDING, st.floats(), _PADDING).map(lambda c: f"{c[0]}{c[1]:.17g}{c[2]}"),
+    st.integers(-(10**9), 10**9).map(lambda i: f"{i:_}"),
+    st.tuples(st.integers(0, 10**6), st.sampled_from(_UNICODE_DIGITS)).map(
+        lambda c: str(c[0]).translate(c[1])
+    ),
+    st.sampled_from(
+        ["nan", "-nan", "+NaN", "inf", "+inf", "-Infinity", "iNfInItY", "1e999", "-1e-999"]
+    ),
+    st.sampled_from(
+        ["", "x", "0x10", "1e", "--1", "1__0", "_1", '"1"', "1 # c", "1 2", "1\x00", "\x0c"]
+    ),
+]
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV text of cells in a few of the spellings, perhaps with blank lines and wrong widths."""
+    cells = st.one_of(draw(st.sets(st.sampled_from(_CELL_SPELLINGS), min_size=1)))
+    width = draw(st.integers(1, 4))
+    row_width = st.integers(1, width + 1) if draw(st.booleans()) else st.just(width)
+    row = row_width.flatmap(lambda n: st.lists(cells, min_size=n, max_size=n))
+    rows = draw(st.lists(row, max_size=8))
+    lines = [",".join(f"c{j}" for j in range(width))] + [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        blank = st.sampled_from(["", " ", "\t", " \x0c "])
+        for _ in range(draw(st.integers(1, 4))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(blank))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+def test_read_csv_matches_percell_reader_on_drawn_tables(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(read_csv, path) == _read_outcome(percell_read_csv, path)
+
+
+def test_read_csv_reads_package_files_without_fallback(tmp_path, bench_params, monkeypatch):
+    # The package's own files must not need the per-cell reader, nor warn.
+    def no_fallback(path):
+        raise AssertionError(f"{path} was read one cell at a time")
+
+    monkeypatch.setattr(fio, "_read_csv_percell", no_fallback)
+    sol = solve_forward(bench_params, GridSpec(40, 2 * _BLOCK_ROWS // 41 + 3, 100.0))
+    rng = np.random.default_rng(13)
+    values = _random_doubles(rng, 300)
+    finite = [v for v in SPECIAL_DOUBLES if math.isfinite(v)]
+    values[:len(finite)] = finite
+    obs = ObservationSeries(
+        x0=0.5, times=np.cumsum(rng.uniform(1e-3, 1.0, 300)), values=values,
+        noise_level=0.01, seed=3,
+    )
+    write_solution_csv(tmp_path / "solution.csv", sol)
+    write_observation(tmp_path / "obs.csv", obs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        header, data = read_csv(tmp_path / "solution.csv")
+        back = read_observation(tmp_path / "obs.csv")
+    assert header == ["x", "t", "u1", "u2"] and len(data) > _BLOCK_ROWS
+    assert data.tobytes() == np.array(list(percell_solution_rows(sol))).tobytes()
+    assert back.times.tobytes() == obs.times.tobytes()
+    assert back.values.tobytes() == obs.values.tobytes()
 
 
 @pytest.mark.parametrize("bad_row", [3, 2 * _BLOCK_ROWS])
@@ -640,6 +719,13 @@ def test_observation_rejects_bad_header(tmp_path):
     path = tmp_path / "obs.csv"
     write_csv(path, ["time", "value"], [(1.0, 0.1)])
     with pytest.raises(ValidationError, match="expected header t,u1"):
+        read_observation(path, x0=0.5)
+
+
+def test_observation_rejects_extra_columns(tmp_path):
+    path = tmp_path / "obs.csv"
+    write_csv(path, ["t", "u1", "junk"], [(1.0, 0.1, 7.0)])
+    with pytest.raises(ValidationError, match="expected header t,u1, got t,u1,junk$"):
         read_observation(path, x0=0.5)
 
 
