@@ -44,12 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fracmim", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, config_required=True, seed=False):
         p.add_argument(
             "--config", required=config_required, help="path to a JSON experiment config"
         )
         p.add_argument("--out", default=None, help="output directory (default: .)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p = sub.add_parser("forward", help="solve the forward problem and write the fields")
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reference)
 
     p = sub.add_parser("make-obs", help="write clean and noisy observation files")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_make_obs)
 
     p = sub.add_parser("invert", help="recover the fractional orders from observations")
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "table", nargs="?", help=f"builtin experiment id ({_IDS}); omit when using --config"
     )
-    common(p, config_required=False)
+    common(p, config_required=False, seed=True)
     p.set_defaults(func=cmd_experiment)
     return parser
 
@@ -88,7 +89,7 @@ def _load_spec(args) -> ExperimentSpec:
         spec = fio.load_config(args.config)
     else:
         raise ValidationError(f"experiment needs a builtin table id ({_IDS}) or --config")
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # only make-obs and experiment take --seed
         spec = spec.with_seed(args.seed)
     return spec
 

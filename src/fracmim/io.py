@@ -243,19 +243,6 @@ def load_config(path: str | Path) -> ExperimentSpec:
 # CSV primitives
 
 
-def _table(path: Path, width: int, rows) -> np.ndarray:
-    """``rows`` as one (N, width) float array; the first row of another width is named."""
-    if isinstance(rows, np.ndarray):
-        widths = map(len, rows[:1])  # an array's rows all share one width
-    else:
-        rows = [[float(v) for v in row] for row in rows]
-        widths = map(len, rows)
-    for r, n in enumerate(widths, start=1):
-        if n != width:
-            raise ValidationError(f"{path}: row {r} has {n} fields, expected {width}")
-    return np.asarray(rows, dtype=float).reshape(len(rows), width)
-
-
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[float]]) -> None:
     """Write numeric rows as decimal CSV: header line, 17 significant digits.
 
@@ -264,13 +251,17 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[float
     is opened.
     """
     path = Path(path)
-    table = _table(path, len(header), rows)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    width = len(header)
+    rows = [[float(v) for v in row] for row in rows]
+    for r, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ValidationError(f"{path}: row {r} has {len(row)} fields, expected {width}")
+    line = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            f.write(line * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            f.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def _read_csv_percell(path: Path) -> tuple[list[str], np.ndarray]:

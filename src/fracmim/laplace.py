@@ -144,7 +144,7 @@ def laplace_profile(x: float, s, p: ModelParams) -> tuple:
     real part bounded by a parameter-dependent constant, so no
     intermediate can overflow for any |s|.
     """
-    if not 0.0 <= x <= 1.0:
+    if not (_is_number(x) and 0.0 <= x <= 1.0):
         raise ValidationError("x must lie in [0,1]")
     z = _frequencies(s)
     denom = _immobile_denom(z, p)

@@ -150,6 +150,11 @@ class GridSpec:
             raise GridError("m must be an integer >= 3")
         if not (_is_integer(self.n) and self.n >= 1):
             raise GridError("n must be an integer >= 1")
+        for name in ("m", "n"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise GridError(f"{name} is too large for a float") from None
         if not (_is_finite(self.T) and self.T > 0):
             raise GridError("T must be a positive finite number")
 

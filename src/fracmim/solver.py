@@ -424,16 +424,10 @@ def _tangent_march(
                               out=far_g[:size].transpose(1, 0, 2))
                     np.add(far_fold[:size], far_g[:size], out=far_fold[:size])
             np.add(far[:size, 0], forcing, out=far[:size, 0])
-            per_step = zip(
-                near_i,
-                (states[:, k0 * r:k * r] for k in range(k0 + 1, k0 + size + 1)),
-                far,
-                T[k0 + 1:k0 + size + 1],
-            )
-            for weights_k, states_k, far_k, new in per_step:
-                np.matmul(weights_k, states_k, out=rhs_out)
-                np.add(rhs, far_k, out=rhs)
-                np.dot(rhs, minv_t, out=new)
+            for i in range(size):
+                np.matmul(near_i[i], states[:, k0 * r:(k0 + i + 1) * r], out=rhs_out)
+                np.add(rhs, far[i], out=rhs)
+                np.dot(rhs, minv_t, out=T[k0 + i + 1])
 
     S = T[:n + 1]
     if tangents:  # S[k] = (U^k, V^k)

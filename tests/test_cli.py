@@ -238,6 +238,18 @@ def test_invert_requires_obs_flag(config_path):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["forward", "reference", "invert"])
+def test_seed_is_a_usage_error_where_no_seed_is_read(tmp_path, config_path, capsys, command):
+    # Only make-obs and experiment read a seed; elsewhere --seed is refused.
+    out = tmp_path / "run"
+    obs = ["--obs", tmp_path / "absent.csv"] if command == "invert" else []
+    with pytest.raises(SystemExit) as exc:
+        _run(command, "--config", config_path, "--out", out, *obs, "--seed", 1, "--quiet")
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invert_missing_obs_file_is_io_error(tmp_path, config_path, capsys):
     assert _run("invert", "--config", config_path, "--out", tmp_path,
                 "--obs", tmp_path / "absent.csv") == 3

@@ -525,6 +525,43 @@ def test_iteration_cap_stop(bench_params, tiny_grid):
     assert res.rel_error is None
 
 
+@pytest.mark.parametrize(
+    "drift, max_iter, stop",
+    [(0.0, 100, "step_tol"), (1.0, 100, "residual_rise"), (0.0, 3, "max_iter")],
+)
+def test_each_stop_reason_on_a_stubbed_march(bench_params, tiny_grid, monkeypatch,
+                                             drift, max_iter, stop):
+    # The stub's series is z itself, plus ``drift`` times the number of
+    # marches so far: without drift the data (0.3, 0.6) are met exactly,
+    # with it the residual grows every iteration, and z is driven onto
+    # the clamp, so the step never shrinks.  No real march is run, so no
+    # roundoff decides the stop.
+    marches = []
+
+    def stub(base, g, i, idx):
+        marches.append(base)
+        return np.array([base.alpha, base.gamma]) + drift * len(marches), np.eye(2)
+
+    monkeypatch.setattr(inversion, "_observed_march", stub)
+    obs = ObservationSeries(x0=0.5, times=[0.5, 1.0], values=[0.3, 0.6])
+    cfg = InversionConfig(max_iter=max_iter)
+    res = invert_orders(obs, bench_params, tiny_grid, cfg)
+    assert res.stop_reason == stop and res.converged == (stop == "step_tol")
+    assert res.iterations == len(marches)
+    if stop == "step_tol":
+        assert res.z_inv == pytest.approx((0.3, 0.6), abs=cfg.step_tol)
+    elif stop == "residual_rise":
+        # the first weight below the arming level, then one rise per iteration
+        quiet = next(j for j in range(max_iter)
+                     if homotopy_kappa(j, cfg.j0, cfg.sigma) < inversion._KAPPA_QUIET)
+        assert res.iterations == quiet + inversion._RISES_TO_STOP
+        norms = [rec.residual_norm for rec in res.history[quiet - 1:]]
+        assert all(a < b for a, b in zip(norms, norms[1:]))
+        assert res.z_inv == (cfg.clamp_margin,) * 2
+    else:
+        assert res.iterations == 3
+
+
 def test_unstable_start_completes_off_target():
     # symmetric-corner start with gamma > alpha: the iteration is known to
     # settle off target; it must still terminate cleanly with a history

@@ -10,6 +10,7 @@ suite.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,12 @@ def test_profile_spot_grid(bench_params):
 def test_profile_rejects_bad_inputs(bench_params):
     with pytest.raises(ValidationError, match="x must lie in"):
         laplace_profile(1.5, 1.0, bench_params)
+    # bool is an int subclass; True must not be read as x = 1
+    for x in (True, "0.5", None):
+        with pytest.raises(ValidationError, match=re.escape("x must lie in [0,1]")):
+            laplace_profile(x, 1.0, bench_params)
+        with pytest.raises(ValidationError, match=re.escape("x must lie in [0,1]")):
+            invert_with_error(x, 50.0, bench_params)
     with pytest.raises(ValidationError, match="branch cut"):
         laplace_profile(0.5, -1.0, bench_params)
     with pytest.raises(ValidationError, match="branch cut"):

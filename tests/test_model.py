@@ -273,6 +273,8 @@ def test_grid_lookups_accept_numpy_scalars():
         (dict(m=4, n=5, T=math.inf), "T must be a positive finite number"),
         (dict(m=40, n=True, T=100.0), "n must be an integer >= 1"),
         (dict(m=4, n=5, T=True), "T must be a positive finite number"),
+        (dict(m=10**400, n=200, T=100.0), "m is too large for a float"),
+        (dict(m=40, n=10**400, T=100.0), "n is too large for a float"),
     ],
 )
 def test_grid_validation(kwargs, message):
