@@ -91,11 +91,11 @@ class InversionConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State of one iteration: iterate, weight, residual and step norms.
+    """One iteration, recorded at the iterate ``z`` it marched at.
 
-    ``sigma_min`` is the smallest singular value of the iteration's
-    sensitivity matrix G: near zero the two order columns are nearly
-    collinear and the Gauss-Newton end of the step is ill-conditioned.
+    Its homotopy weight, residual norm and the norm of the step taken from
+    ``z``; ``sigma_min`` is the smallest singular value of the sensitivity
+    matrix G at ``z``, near zero when the order columns are nearly collinear.
     """
 
     z: tuple[float, float]
@@ -306,7 +306,6 @@ def invert_orders(
         kappa = homotopy_kappa(j, cfg.j0, cfg.sigma)
         dz = lm_step(G, residual, kappa)
         step_norm = float(np.linalg.norm(dz))
-        z = np.clip(z + dz, lo, hi)
         history.append(
             IterationRecord(
                 z=(float(z[0]), float(z[1])),
@@ -316,6 +315,7 @@ def invert_orders(
                 sigma_min=float(np.linalg.svd(G, compute_uv=False)[-1]),
             )
         )
+        z = np.clip(z + dz, lo, hi)
         if step_norm < cfg.step_tol * (1.0 - kappa):
             stop_reason = "step_tol"
             break

@@ -34,16 +34,17 @@ initial data, summing the L1 history by parts makes each step's
 right-hand side one weighted sum over the states so far, weights
 a[d] = w[d] - w[d+1], and the derivatives' coupling one more, weights
 beta[d] = c[d+1] - c[d].  Every march splits these sums in blocks of
-steps.  At the first step of a block, one matrix product gives every
-step of the block its sum over the states before the block, and that
-far row also carries the inlet forcing.  A step then makes three numpy
-calls: one product over the states of its own block, whose weights
-interleave a and beta so that the coupling lands on the derivatives
-inside it, one add of its far row and one product with the inverse.
+steps.  At the first step of a block, one matrix product writes every
+step of the block its far row, the sum over the states before the block
+plus the inlet forcing, into the state row the step will fill.  A step
+then makes three numpy calls: one product over the states of its own
+block, whose weights interleave a and beta so that the coupling lands on
+the derivatives inside it, one add of its far row and one product with
+the inverse, which overwrites that row.
 
-A march allocates one state array, its weight band and a far buffer of
-one block.  On the 40x200 sweep grid they stay on glibc's heap from one
-march to the next (``_HISTORY_BLOCK`` says what a larger band does).
+A march allocates one state array, its weight band and, with tangents,
+one block of the beta product; on the 40x200 sweep grid they stay on
+glibc's heap from one march to the next (see ``_HISTORY_BLOCK``).
 The set-up before the first step makes few numpy calls, since the order
 recovery runs thousands of short marches: the step matrix is filled
 through strided views of its diagonals, the band is copied from one
@@ -351,9 +352,10 @@ def _tangent_march(
     (last is the first step of the last block), so that step k0 + i
     reads its weights as the contiguous columns last - k0 onwards; one
     more matmul weighs the state rows by beta for the tangents.  That
-    far row also carries the forcing.  A step then makes three numpy
-    calls: one matmul over the block's states T[k0..k] into the
-    right-hand side, one add of its far row and one product with Minv.
+    far row, with the forcing, waits in T[k + 1], the row step k fills.
+    A step then makes three numpy calls: a matmul over the block's
+    states T[k0..k] into the right-hand side, an add of T[k + 1] and a
+    product with Minv, which overwrites T[k + 1].
     The near weights are interleaved, [zone, quantity, (state,
     quantity')], so that the beta term of each zone lands on the zone's
     own tangent inside the same product.
@@ -402,32 +404,30 @@ def _tangent_march(
     # [zone, (step, quantity), node]: a view, since a step's quantities are its rows
     states = by_zone.transpose(2, 0, 1, 3).reshape(2, (steps + 1) * r, q)
     far_states = by_zone.transpose(1, 2, 0, 3)  # [quantity, zone, step, node]
-    far = np.zeros((b, r, 2 * q))  # step k0 + i's sums over T[:k0], and f
-    far_out = far.reshape(b, r, 2, q).transpose(1, 2, 0, 3)
     rhs = np.empty((r, 2 * q))
     rhs_out = rhs.reshape(r, 2, q).transpose(1, 0, 2)
     if tangents:
-        # beta of zone z adds to its own tangent on its own rows: far[:, 1, :q]
-        # and far[:, 2, q:], the last q entries of each half of a far row.
-        far_fold = far.reshape(b, 2, 3 * q)[:, :, 2 * q:]
         far_g = np.empty((b, 2, q))
 
     with np.errstate(over="ignore", invalid="ignore"):
         forcing = inlet * forcing
         for k0 in range(0, steps, b):
             size = min(b, steps - k0)
+            slots = T[k0 + 1:k0 + 1 + size]  # the rows the block's steps fill, all 0
             if k0:  # the first block has no states before it
                 band_k0 = band[..., :size, last - k0:]
-                np.matmul(band_k0[:, 0], far_states[:, :, :k0], out=far_out[:, :, :size])
-                if tangents:
+                np.matmul(band_k0[:, 0], far_states[:, :, :k0],
+                          out=far_states[:, :, k0 + 1:k0 + 1 + size])
+                if tangents:  # beta of zone z onto its tangent: slots[:, 1, :q], slots[:, 2, q:]
+                    fold = slots.reshape(size, 2, 3 * q)[:, :, 2 * q:]
                     np.matmul(band_k0[:, 1], far_states[0, :, :k0],
                               out=far_g[:size].transpose(1, 0, 2))
-                    np.add(far_fold[:size], far_g[:size], out=far_fold[:size])
-            np.add(far[:size, 0], forcing, out=far[:size, 0])
+                    np.add(fold, far_g[:size], out=fold)
+            np.add(slots[:, 0], forcing, out=slots[:, 0])
             for i in range(size):
                 np.matmul(near_i[i], states[:, k0 * r:(k0 + i + 1) * r], out=rhs_out)
-                np.add(rhs, far[i], out=rhs)
-                np.dot(rhs, minv_t, out=T[k0 + i + 1])
+                np.add(rhs, slots[i], out=rhs)
+                np.dot(rhs, minv_t, out=slots[i])  # the state overwrites its far row
 
     S = T[:n + 1]
     if tangents:  # S[k] = (U^k, V^k)

@@ -451,8 +451,8 @@ def test_each_iteration_runs_one_tangent_march(bench_params, tiny_grid, monkeypa
     res = invert_orders(obs, bench_params, tiny_grid, InversionConfig(z0=(0.5, 0.5)))
     assert res.iterations >= 2
     assert len(orders) == res.iterations
-    # iteration j marches at the iterate that iteration j-1 produced
-    assert orders[1:] == [rec.z for rec in res.history[:-1]]
+    # record j holds the iterate that iteration j marched at
+    assert orders == [rec.z for rec in res.history]
 
 
 def test_shared_first_march_leaves_every_result_of_a_row_unchanged():
@@ -509,11 +509,9 @@ def test_a_row_of_replicates_shares_one_first_march(tiny_grid, monkeypatch):
 def test_history_records_smallest_singular_value(bench_params, tiny_grid):
     obs = _clean_series(bench_params, tiny_grid)
     res = invert_orders(obs, bench_params, tiny_grid, InversionConfig(z0=(0.5, 0.5), max_iter=3))
-    z = (0.5, 0.5)
-    for rec in res.history:
-        _, G = sensitivity_jacobian(z, bench_params, tiny_grid, obs.times, obs.x0)
+    for rec in res.history:  # each record's sigma_min is that of G at its own iterate
+        _, G = sensitivity_jacobian(rec.z, bench_params, tiny_grid, obs.times, obs.x0)
         assert rec.sigma_min == np.linalg.svd(G, compute_uv=False)[-1] > 0.0
-        z = rec.z
 
 
 def test_iteration_cap_stop(bench_params, tiny_grid):

@@ -24,7 +24,9 @@ from fracmim import (
     invert_at,
     invert_with_error,
 )
+from fracmim import laplace
 from fracmim.laplace import (
+    _S_UNIT,
     _coeff_b,
     _frequencies,
     _immobile_denom,
@@ -291,6 +293,24 @@ def test_invert_with_error_consistency(bench_params):
     assert 0.0 <= err <= ContourQuadrature().tolerance
     assert invert_at(0.5, 50.0, bench_params) == (u1, u2)
     assert 0.0 < u2 < u1 < 1.0
+
+
+def test_a_contour_point_is_one_evaluation_of_the_closed_form(bench_params, monkeypatch):
+    # Both components and both node counts come from one array evaluation
+    # on the 48 contour nodes at t, and perfbench's laplace.profile_calls
+    # counts on it.
+    calls = []
+
+    def counted(x, s, p):
+        calls.append((x, np.array(s), p))
+        return laplace_profile(x, s, p)
+
+    monkeypatch.setattr(laplace, "laplace_profile", counted)
+    invert_with_error(0.5, 50.0, bench_params)
+    assert len(calls) == 1
+    x, nodes, p = calls[0]
+    assert (x, p) == (0.5, bench_params)
+    assert nodes.shape == (48,) and np.array_equal(nodes, _S_UNIT / 50.0)
 
 
 def test_invert_with_error_matches_scalar_callable(bench_params):

@@ -460,6 +460,39 @@ def test_tangent_march_reuses_its_pages():
     assert float(proc.stdout) < 20
 
 
+# Prints a digest of the bytes of every builtin 40x200 march, with and
+# without tangents, and of the forward solve's fields.
+_MARCH_DIGESTS = """
+import hashlib
+from fracmim import builtin_experiment, solve_forward
+from fracmim.solver import _tangent_march
+
+for name in ("ex51", "ex52", "ex53"):
+    spec = builtin_experiment(name)
+    sol = solve_forward(spec.params, spec.grid)
+    for data in (_tangent_march(spec.params, spec.grid), sol.u1, sol.u2):
+        print(name, hashlib.sha256(data.tobytes()).hexdigest())
+"""
+
+
+def test_sweep_grid_marches_do_not_depend_on_the_blas_thread_count():
+    # The builtin tables rerun bit for bit on any runner only if their
+    # marches do: one and two OpenBLAS threads must give the same bytes.
+    src = str(Path(fracmim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MARCH_DIGESTS],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.splitlines())
+    assert len(digests[0]) == 9
+    assert digests[0] == digests[1]
+
+
 def _state_and_band_bytes(grid, tangents):
     """Bytes of a march's state rows and of its weight band."""
     r = 3 if tangents else 1
