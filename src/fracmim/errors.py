@@ -40,12 +40,4 @@ class QuadratureError(NumericalError):
 
 
 class InversionError(NumericalError):
-    """The order-recovery iteration aborted.
-
-    Carries the iteration history accumulated before the failure so the
-    caller can diagnose where the iteration went wrong.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history if history is not None else []
+    """The order-recovery iteration aborted; the message names where."""

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
 from .model import (
-    GridSpec, ModelParams, ObservationSeries, _is_finite, _is_integer, _is_number, _is_pair,
+    GridSpec, ModelParams, ObservationSeries, _fits_double, _is_finite, _is_integer, _is_number,
+    _is_pair,
 )
 from .solver import _tangent_march, _validate_for_solve, extract_observation, solve_forward
 
@@ -73,10 +74,8 @@ class InversionConfig:
     def __post_init__(self):
         if not (_is_integer(self.j0) and self.j0 >= 1):
             raise ConfigError("j0 must be an integer >= 1")
-        try:
-            float(self.j0)
-        except OverflowError:
-            raise ConfigError("j0 is too large for a float") from None
+        if not _fits_double(self.j0):
+            raise ConfigError("j0 is too large for a float")
         if not (_is_finite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive and finite")
         if not (_is_integer(self.max_iter) and self.max_iter >= 1):
@@ -155,10 +154,11 @@ def homotopy_kappa(j: int, j0: int, sigma: float) -> float:
     """Sigmoid weight 1/(1 + e^{sigma (j - j0)}), strictly decreasing in j."""
     if j < 0:
         raise ValidationError("iteration index j must be nonnegative")
-    try:
-        x = sigma * (j - j0)
-    except OverflowError:  # j - j0 is beyond a float: e^x is 0 or inf
-        x = math.inf if j > j0 else -math.inf
+    d = j - j0
+    if isinstance(d, int) and not _fits_double(d):  # beyond a double: e^x is 0 or inf
+        x = math.inf if d > 0 else -math.inf
+    else:
+        x = sigma * d
     try:
         return 1.0 / (1.0 + math.exp(x))
     except OverflowError:  # e^x overflows a double: the weight is 1/(1 + inf) = 0.0
@@ -219,7 +219,7 @@ def lm_step(G: np.ndarray, residual: np.ndarray, kappa: float) -> np.ndarray:
         raise ValidationError(
             f"need G of shape (n, 2) and residual of shape (n,), got {G.shape} and {residual.shape}"
         )
-    if not 0.0 <= kappa <= 1.0:
+    if not (_is_number(kappa) and 0.0 <= kappa <= 1.0):
         raise ValidationError("kappa must lie in [0, 1]")
     M = (1.0 - kappa) * (G.T @ G) + kappa * np.eye(2)
     rhs = (1.0 - kappa) * (G.T @ residual)
@@ -272,8 +272,7 @@ def invert_orders(
         Before any march, for inadmissible parameters, or an observation
         point or times off the grid.
     InversionError
-        On a non-finite residual; the partial ``history`` rides on the
-        exception for post-mortem inspection.
+        On a non-finite residual, naming the iteration and its iterate.
     """
     if z_exact is not None and not (_is_pair(z_exact) and all(map(_is_finite, z_exact))
                                     and 0.0 < np.linalg.norm(z_exact) < math.inf):
@@ -298,10 +297,7 @@ def invert_orders(
             series, G = _first_march(first, g, i, tuple(idx.tolist()))
         residual = obs.values - series
         if not np.all(np.isfinite(residual)):
-            raise InversionError(
-                f"non-finite residual at iteration {j} (z={tuple(z)!r})",
-                history=history,
-            )
+            raise InversionError(f"non-finite residual at iteration {j} (z={tuple(z)!r})")
         res_norm = float(np.linalg.norm(residual))
         kappa = homotopy_kappa(j, cfg.j0, cfg.sigma)
         dz = lm_step(G, residual, kappa)

@@ -29,7 +29,9 @@ from .errors import ConfigError, ValidationError
 from .experiments import DEFAULT_GRID, ExperimentSpec, ExperimentTable
 from .inversion import InversionConfig, InversionResult
 from .laplace import ContourQuadrature
-from .model import ModelParams, ObservationSeries, SolutionGrid, _is_integer, _is_number, _is_pair
+from .model import (
+    ModelParams, ObservationSeries, SolutionGrid, _fits_double, _is_integer, _is_number, _is_pair,
+)
 
 __all__ = [
     "parse_config",
@@ -89,11 +91,9 @@ def _number(v, section: str, key: str, kind=float):
     if not (_is_integer(v) if kind is int else _is_number(v)):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f'field "{key}" in "{section}" must be {noun}')
-    try:
-        x = float(v)
-    except OverflowError:
-        raise ConfigError(f'field "{key}" in "{section}" is too large for a float') from None
-    return v if kind is int else x
+    if isinstance(v, int) and not _fits_double(v):
+        raise ConfigError(f'field "{key}" in "{section}" is too large for a float')
+    return v if kind is int else float(v)
 
 
 def _no_leftovers(sec: dict, section: str) -> None:

@@ -79,12 +79,16 @@ def _is_integer(v) -> bool:
     return _is_number(v) and isinstance(v, int)
 
 
-def _is_finite(v) -> bool:
+def _fits_double(v) -> bool:
     # math.isfinite raises OverflowError on an int too large for a double.
     try:
-        return _is_number(v) and math.isfinite(v)
+        return math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _is_finite(v) -> bool:
+    return _is_number(v) and _fits_double(v)
 
 
 def _is_pair(v) -> bool:
@@ -151,10 +155,8 @@ class GridSpec:
         if not (_is_integer(self.n) and self.n >= 1):
             raise GridError("n must be an integer >= 1")
         for name in ("m", "n"):
-            try:
-                float(getattr(self, name))
-            except OverflowError:
-                raise GridError(f"{name} is too large for a float") from None
+            if not _fits_double(getattr(self, name)):
+                raise GridError(f"{name} is too large for a float")
         if not (_is_finite(self.T) and self.T > 0):
             raise GridError("T must be a positive finite number")
 
@@ -175,11 +177,7 @@ class GridSpec:
         named, since silently snapping would bias whatever is read there.
         """
         pos = x0 * self.m
-        try:
-            finite = math.isfinite(pos)
-        except OverflowError:  # an int beyond a double
-            finite = False
-        if not finite:
+        if not _fits_double(pos):
             raise GridError(f"x0={x0!r} must be an interior node, inside (0,1)")
         i = int(round(pos))
         if abs(pos - i) > 1e-9 * self.m:
@@ -196,14 +194,11 @@ class GridSpec:
             times = np.asarray(times, dtype=float)
         except OverflowError:  # an int beyond a double is beyond every grid time
             raise GridError("times not aligned with grid times: one is beyond a double") from None
-        with np.errstate(over="ignore"):  # a huge time gives an infinite ratio, rejected below
+        # A huge time gives an infinite ratio; it and NaN fail the range test.
+        with np.errstate(over="ignore", invalid="ignore"):
             ratio = times / self.tau
-        near = np.round(ratio)
-        # Range first: NaN and inf fail it and are zeroed, so that neither
-        # the subtraction (inf - inf) nor the cast to int sees them.
-        ok = (near >= 1) & (near <= self.n)
-        near = np.where(ok, near, 0.0)
-        ok &= np.abs(np.where(ok, ratio, 0.0) - near) <= 1e-9 * self.n
+            near = np.round(ratio)
+            ok = (near >= 1) & (near <= self.n) & (np.abs(ratio - near) <= 1e-9 * self.n)
         if not ok.all():
             raise GridError(f"times not aligned with grid times: {times[~ok][:3].tolist()}")
         return near.astype(int)
@@ -301,6 +296,8 @@ class ObservationSeries:
             raise ValidationError(f"x0 must be a finite number inside (0, 1), got {self.x0!r}")
         if not (_is_finite(self.noise_level) and self.noise_level >= 0):
             raise ValidationError("noise_level must be finite and nonnegative")
+        if not (self.seed is None or _is_integer(self.seed)):
+            raise ValidationError(f"seed must be an integer or None, got {self.seed!r}")
 
     def __len__(self) -> int:
         return self.times.size

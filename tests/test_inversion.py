@@ -129,8 +129,9 @@ def test_lm_step_validates_shapes_and_kappa():
         lm_step(np.eye(3), np.ones(3), 0.5)
     with pytest.raises(ValidationError, match=r"shape \(n, 2\)"):
         lm_step(G, np.ones(3), 0.5)
-    with pytest.raises(ValidationError, match="kappa"):
-        lm_step(G, r, 1.5)
+    for kappa in (1.5, "0.5", None, True):
+        with pytest.raises(ValidationError, match=re.escape("kappa must lie in [0, 1]")):
+            lm_step(G, r, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +559,23 @@ def test_each_stop_reason_on_a_stubbed_march(bench_params, tiny_grid, monkeypatc
         assert res.z_inv == (cfg.clamp_margin,) * 2
     else:
         assert res.iterations == 3
+
+
+def test_non_finite_residual_stops_the_iteration(bench_params, tiny_grid, monkeypatch):
+    # The third march returns a NaN series: the iteration stops there,
+    # naming the iteration, instead of stepping on a NaN residual.
+    marches = []
+
+    def stub(base, g, i, idx):
+        marches.append(base)
+        series = np.array([base.alpha, base.gamma])
+        return series * math.nan if len(marches) == 3 else series, np.eye(2)
+
+    monkeypatch.setattr(inversion, "_observed_march", stub)
+    obs = ObservationSeries(x0=0.5, times=[0.5, 1.0], values=[0.3, 0.6])
+    with pytest.raises(InversionError, match="non-finite residual at iteration 2"):
+        invert_orders(obs, bench_params, tiny_grid, InversionConfig())
+    assert len(marches) == 3
 
 
 def test_unstable_start_completes_off_target():

@@ -328,6 +328,11 @@ def test_observation_series_validation():
     for x0 in (math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, True):
         with pytest.raises(ValidationError, match=re.escape(f"inside (0, 1), got {x0!r}")):
             ObservationSeries(x0=x0, times=[1.0], values=[0.1])
+    # The sidecar's seed is an integer or null: any other seed could be
+    # written by write_observation but not read back.
+    for seed in ("x", 1.5, True, np.int64(7), [7]):
+        with pytest.raises(ValidationError, match=re.escape(f"integer or None, got {seed!r}")):
+            ObservationSeries(x0=0.5, times=[1.0], values=[0.1], seed=seed)
     obs = ObservationSeries(x0=0.5, times=[1.0, 2.0, 3.0], values=[0.1, 0.2, 0.3])
     assert len(obs) == 3 and obs.noise_level == 0.0 and obs.seed is None
 
