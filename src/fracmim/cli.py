@@ -23,7 +23,7 @@ from .errors import NumericalError, QuadratureError, ValidationError
 from .experiments import BUILTIN_EXPERIMENTS, ExperimentSpec, builtin_experiment, run_experiment
 from .inversion import _replicate_seeds, add_noise, invert_orders
 from .laplace import invert_with_error
-from .solver import _HISTORY_BLOCK, extract_observation, scheme_constants, solve_forward
+from .solver import extract_observation, scheme_constants, solve_forward
 
 __all__ = ["main"]
 
@@ -118,11 +118,6 @@ def cmd_forward(args, spec: ExperimentSpec, out: Path) -> int:
             f"{spec.grid.n} time steps, dominance margins {mobile:.6g} (mobile) "
             f"and {immobile:.6g} (immobile)"
         )
-        steps, block = spec.grid.n, _HISTORY_BLOCK
-        if steps <= block:
-            print(f"{steps} steps in one history block")
-        else:
-            print(f"{steps} steps in {-(-steps // block)} history blocks of {block}")
         print(f"wrote {out / 'solution.csv'} and {out / 'observation.csv'}")
     return 0
 

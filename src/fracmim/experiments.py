@@ -16,7 +16,8 @@ from .errors import ConfigError, ValidationError
 from .inversion import InversionConfig, ReplicateSummary, _noise_key, run_replicates
 from .laplace import ContourQuadrature
 from .model import (
-    GridSpec, ModelParams, _is_finite, _is_integer, _is_number, _is_pair, validate_params,
+    GridSpec, ModelParams, _fits_double, _is_finite, _is_integer, _is_number, _is_pair,
+    validate_params,
 )
 from .solver import extract_observation, solve_forward
 
@@ -67,13 +68,13 @@ class ExperimentSpec:
         if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):
             raise ConfigError("x0 must lie strictly inside (0,1)")
         self.grid.interior_node(self.x0)
-        if not (
-            isinstance(self.noise_levels, (list, tuple))
-            and all(_is_finite(d) and d >= 0 for d in self.noise_levels)
-        ):
+        if not isinstance(self.noise_levels, (list, tuple)):
             raise ConfigError("noise_levels must be finite and nonnegative")
         first: dict[str, int] = {}
+        keyed: dict[int, float] = {}
         for j, d in enumerate(self.noise_levels):
+            if not (_is_finite(d) and d >= 0):
+                raise ConfigError("noise_levels must be finite and nonnegative")
             # The label names the level's make-obs file and table row.
             k = first.setdefault(f"{d:g}", j)
             if k != j:
@@ -81,14 +82,10 @@ class ExperimentSpec:
                     f"noise levels {self.noise_levels[k]!r} and {d!r} share the label "
                     f"{d:g}, which names one observation file and one table row"
                 )
-        # Labels are distinct here, so two levels on one key (even equal
-        # ones, such as 0.0 and -0.0) would replay one noise draw twice.
-        keyed: dict[int, float] = {}
-        for d in self.noise_levels:
-            try:
-                key = _noise_key(d)
-            except OverflowError:
-                raise ConfigError(f"noise level {d:g} is too large to key a seed stream") from None
+            # A new label on an old key (even 0.0 after -0.0) replays its noise draw.
+            if not _fits_double(d * 1e9):
+                raise ConfigError(f"noise level {d:g} is too large to key a seed stream")
+            key = _noise_key(d)
             if key in keyed:
                 raise ConfigError(
                     f"noise levels {keyed[key]:g} and {d:g} share one seed stream: levels "
@@ -99,6 +96,9 @@ class ExperimentSpec:
             raise ConfigError("replicates must be an integer >= 1")
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigError("seed must be an integer >= 0")
+        for name in ("replicates", "seed"):  # or the table's sidecar would not reload
+            if not _fits_double(getattr(self, name)):
+                raise ConfigError(f"{name} is too large for a float")
         exact = [] if self.exact_orders is None else [self.exact_orders]
         if not (
             isinstance(self.reference_points, (list, tuple))

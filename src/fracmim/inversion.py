@@ -80,6 +80,8 @@ class InversionConfig:
             raise ConfigError("sigma must be positive and finite")
         if not (_is_integer(self.max_iter) and self.max_iter >= 1):
             raise ConfigError("max_iter must be an integer >= 1")
+        if not _fits_double(self.max_iter):
+            raise ConfigError("max_iter is too large for a float")
         if not (_is_finite(self.step_tol) and self.step_tol > 0):
             raise ConfigError("step_tol must be positive and finite")
         if not (_is_number(self.clamp_margin) and 0.0 < self.clamp_margin < 0.2):

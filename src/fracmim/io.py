@@ -265,7 +265,7 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[float
 
 
 def _read_csv_percell(path: Path) -> tuple[list[str], np.ndarray]:
-    """:func:`read_csv` one cell at a time, for the files ``np.loadtxt`` cannot read.
+    """:func:`read_csv` one cell at a time, for header-only files and those ``np.loadtxt`` rejects.
 
     Every cell is parsed by ``float`` in row order, so the first wrong
     width or non-numeric cell raises with its row; the rest of the file
@@ -336,19 +336,17 @@ def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     routine ``float`` uses, so it gives the same bits.  It rejects
     ``1_0``, non-ASCII digits and whitespace-only lines between rows,
     which ``float`` and this reader accept, and lines with a character
-    of ``_NOT_FLOAT_SPACE`` never reach it.  Such a file, and every
-    malformed one, is read again one cell at a time, which gives the
-    results and errors above.
+    of ``_NOT_FLOAT_SPACE`` never reach it.  Such a file, every
+    malformed one and a header-only one are read one cell at a time,
+    which gives the results and errors above.
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = (ln for ln in f if not ln.isspace())
             first, row = next(lines, None), next(lines, None)
-            if first is not None:
+            if row is not None:
                 header = first.rstrip("\n").split(",")
-                if row is None:
-                    return header, np.empty((0, len(header)))
                 data = np.loadtxt(
                     itertools.chain.from_iterable(_line_blocks(f, row)),
                     delimiter=",", comments=None, ndmin=2,

@@ -87,6 +87,13 @@ def _fits_double(v) -> bool:
         return False
 
 
+def _float_array(v, message: str, error=ValidationError) -> np.ndarray:
+    try:  # a non-number, a ragged list or an int beyond a double raises error(message)
+        return np.asarray(v, dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        raise error(message) from None
+
+
 def _is_finite(v) -> bool:
     return _is_number(v) and _fits_double(v)
 
@@ -190,10 +197,7 @@ class GridSpec:
 
     def time_indices(self, times: np.ndarray) -> np.ndarray:
         """Indices k in 1..n of the grid times t_k = k*tau; others raise GridError."""
-        try:
-            times = np.asarray(times, dtype=float)
-        except OverflowError:  # an int beyond a double is beyond every grid time
-            raise GridError("times not aligned with grid times: one is beyond a double") from None
+        times = _float_array(times, "times not aligned with grid times: not all floats", GridError)
         # A huge time gives an infinite ratio; it and NaN fail the range test.
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = times / self.tau
@@ -280,8 +284,8 @@ class ObservationSeries:
     seed: int | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = _float_array(self.times, "times must be finite, positive and strictly increasing")
+        values = _float_array(self.values, "observation values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.shape != times.shape:

@@ -110,22 +110,6 @@ def test_forward_reports_step_count_and_margins(tmp_path, config_path, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize(
-    "n, line",
-    [
-        (20, "20 steps in one history block"),
-        (1000, "1000 steps in 32 history blocks of 32"),
-    ],
-)
-def test_forward_reports_history_blocks(tmp_path, n, line, capsys):
-    # Every march sums its history in blocks of 32 steps; a march shorter
-    # than a block is one block, and the last block of 1000 steps holds 8.
-    cfg = tmp_path / "steps.json"
-    cfg.write_text(json.dumps(dict(CONFIG, grid={"m": 4, "n": n, "T": 10.0})), encoding="utf-8")
-    assert _run("forward", "--config", cfg, "--out", tmp_path / "run") == 0
-    assert line in capsys.readouterr().out.splitlines()
-
-
 def test_forward_quiet_suppresses_stdout(tmp_path, config_path, capsys):
     assert _run("forward", "--config", config_path, "--out", tmp_path / "q", "--quiet") == 0
     assert capsys.readouterr().out == ""
@@ -485,6 +469,23 @@ def test_invalid_params_exit_one(tmp_path, capsys):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert _run("forward", "--config", cfg) == 1
     assert "alpha must lie in (0,1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["experiment", "make-obs"])
+def test_seed_beyond_a_double_exits_one_before_marching(
+    tmp_path, config_path, capsys, monkeypatch, command
+):
+    # The table's sidecar could not hold such a seed, so nothing may run.
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(cli, "solve_forward", no_march)
+    monkeypatch.setattr(cli, "run_experiment", no_march)
+    out = tmp_path / "out"
+    assert _run(command, "--config", config_path, "--seed", 10**400, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed is too large for a float" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -29,8 +29,10 @@ from fracmim import (
     ValidationError,
     add_noise,
     builtin_experiment,
+    config_document,
     extract_observation,
     invert_orders,
+    parse_config,
     run_replicates,
     solve_forward,
 )
@@ -711,3 +713,65 @@ def test_with_seed_validates_the_seed(seed):
     # with_seed must not round 1.5 or True to an integer seed
     with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
         builtin_experiment("ex51").with_seed(seed)
+
+
+@pytest.mark.parametrize(
+    "levels, msg",
+    [
+        # one pass over the levels: each level meets every rule before the next
+        ((1e300, 0.5, 0.5000001), "noise level 1e+300 is too large to key a seed stream"),
+        ((0.5, 0.5, math.nan), "noise levels 0.5 and 0.5 share the label 0.5"),
+        ((0.0, -0.0, 0.5, 0.5000001), "noise levels 0 and -0 share one seed stream"),
+    ],
+)
+def test_spec_names_the_first_faulty_noise_level(levels, msg):
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        dataclasses.replace(builtin_experiment("ex51"), noise_levels=levels)
+
+
+def _ex51_with(**fields):
+    return dataclasses.replace(builtin_experiment("ex51"), **fields)
+
+
+@pytest.mark.parametrize(
+    "make, msg",
+    [
+        (lambda v: builtin_experiment("ex51").with_seed(v), "seed is too large for a float"),
+        (lambda v: _ex51_with(replicates=v), "replicates is too large for a float"),
+        (lambda v: _ex51_with(inversion=InversionConfig(max_iter=v)),
+         "max_iter is too large for a float"),
+    ],
+    ids=["seed", "replicates", "max_iter"],
+)
+def test_spec_holds_only_integers_its_sidecar_reloads(make, msg):
+    # config_document writes them as JSON integers, which parse_config
+    # rejects beyond a double.
+    spec = make(2**1023)
+    assert parse_config(config_document(spec), spec.name) == spec
+    with pytest.raises(ConfigError, match=msg):
+        make(10**400)
+
+
+# Replicates of the builtin tables whose stop is decided by roundoff.
+_ULP_FLIPS = [("ex52", 0.05, 5), ("ex53", 0.01, 0), ("ex53", 0.01, 8)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: residual_rise compares residual norms with no roundoff "
+    "tolerance, so one ulp of the series moves these stops",
+)
+@pytest.mark.parametrize("name, delta, replicate", _ULP_FLIPS)
+def test_one_ulp_of_the_series_keeps_the_stop(name, delta, replicate):
+    spec = builtin_experiment(name)
+    clean = _clean_series(spec.params, spec.grid, spec.x0)
+    seed = _replicate_seeds(spec.seed, delta, spec.replicates)[replicate]
+    noisy = add_noise(clean, delta, seed)
+    shifted = dataclasses.replace(noisy, values=np.nextafter(noisy.values, np.inf))
+    z_exact = (spec.params.alpha, spec.params.gamma)
+    before, after = (
+        invert_orders(obs, spec.params, spec.grid, spec.inversion, z_exact)
+        for obs in (noisy, shifted)
+    )
+    assert (after.stop_reason, after.iterations) == (before.stop_reason, before.iterations)

@@ -255,6 +255,33 @@ def test_grid_lookups_reject_ints_beyond_a_double(huge):
         g.time_indices([0.2, huge])
 
 
+@pytest.mark.parametrize(
+    "times", [["x"], [[0.2], [0.4, 0.6]], [1j]], ids=["text", "ragged", "complex"]
+)
+def test_time_indices_rejects_times_that_are_not_floats(times):
+    with pytest.raises(GridError, match=re.escape("not aligned with grid times")):
+        GridSpec(m=40, n=200, T=100.0).time_indices(times)
+
+
+@pytest.mark.parametrize(
+    "times, values, msg",
+    [
+        ([_HUGE], [0.1], "times must be finite"),
+        ([-_HUGE], [0.1], "times must be finite"),
+        (["a"], [0.1], "times must be finite"),
+        ([[1.0], [2.0, 3.0]], [0.1, 0.2], "times must be finite"),
+        ([1.0], [_HUGE], "observation values must be finite"),
+        ([1.0], ["a"], "observation values must be finite"),
+        ([1.0, 2.0], [[0.1], [0.2, 0.3]], "observation values must be finite"),
+    ],
+    ids=["huge_time", "minus_huge_time", "text_time", "ragged_times",
+         "huge_value", "text_value", "ragged_values"],
+)
+def test_observation_series_rejects_non_floats(times, values, msg):
+    with pytest.raises(ValidationError, match=msg):
+        ObservationSeries(x0=0.5, times=times, values=values)
+
+
 def test_grid_lookups_accept_numpy_scalars():
     g = GridSpec(m=40, n=5, T=1.0)
     assert g.interior_node(np.float32(0.5)) == 20
