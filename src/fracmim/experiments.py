@@ -16,7 +16,7 @@ from .errors import ConfigError, ValidationError
 from .inversion import InversionConfig, ReplicateSummary, _noise_key, run_replicates
 from .laplace import ContourQuadrature
 from .model import (
-    GridSpec, ModelParams, _fits_double, _is_finite, _is_integer, _is_number, _is_pair,
+    GridSpec, ModelParams, _check_count, _fits_double, _is_finite, _is_number, _is_pair,
     validate_params,
 )
 from .solver import extract_observation, solve_forward
@@ -92,13 +92,8 @@ class ExperimentSpec:
                     "are keyed to the nearest multiple of 1e-9"
                 )
             keyed[key] = d
-        if not (_is_integer(self.replicates) and self.replicates >= 1):
-            raise ConfigError("replicates must be an integer >= 1")
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ConfigError("seed must be an integer >= 0")
-        for name in ("replicates", "seed"):  # or the table's sidecar would not reload
-            if not _fits_double(getattr(self, name)):
-                raise ConfigError(f"{name} is too large for a float")
+        _check_count(self.replicates, "replicates", 1, ConfigError)
+        _check_count(self.seed, "seed", 0, ConfigError)
         exact = [] if self.exact_orders is None else [self.exact_orders]
         if not (
             isinstance(self.reference_points, (list, tuple))

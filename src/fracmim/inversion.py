@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
 from .model import (
-    GridSpec, ModelParams, ObservationSeries, _fits_double, _is_finite, _is_integer, _is_number,
-    _is_pair,
+    GridSpec, ModelParams, ObservationSeries, _check_count, _fits_double, _is_finite, _is_integer,
+    _is_number, _is_pair, _numbers,
 )
 from .solver import _tangent_march, _validate_for_solve, extract_observation, solve_forward
 
@@ -72,16 +72,10 @@ class InversionConfig:
     clamp_margin: float = 0.01
 
     def __post_init__(self):
-        if not (_is_integer(self.j0) and self.j0 >= 1):
-            raise ConfigError("j0 must be an integer >= 1")
-        if not _fits_double(self.j0):
-            raise ConfigError("j0 is too large for a float")
+        _check_count(self.j0, "j0", 1, ConfigError)
         if not (_is_finite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive and finite")
-        if not (_is_integer(self.max_iter) and self.max_iter >= 1):
-            raise ConfigError("max_iter must be an integer >= 1")
-        if not _fits_double(self.max_iter):
-            raise ConfigError("max_iter is too large for a float")
+        _check_count(self.max_iter, "max_iter", 1, ConfigError)
         if not (_is_finite(self.step_tol) and self.step_tol > 0):
             raise ConfigError("step_tol must be positive and finite")
         if not (_is_number(self.clamp_margin) and 0.0 < self.clamp_margin < 0.2):
@@ -215,8 +209,8 @@ def lm_step(G: np.ndarray, residual: np.ndarray, kappa: float) -> np.ndarray:
     Gauss-Newton and is the only case that can be singular, which is
     reported together with the smallest singular value of G.
     """
-    G = np.asarray(G, dtype=float)
-    residual = np.asarray(residual, dtype=float)
+    G = _numbers(G, "G must be an array of numbers")
+    residual = _numbers(residual, "residual must be an array of numbers")
     if G.ndim != 2 or G.shape[1] != 2 or residual.shape != (G.shape[0],):
         raise ValidationError(
             f"need G of shape (n, 2) and residual of shape (n,), got {G.shape} and {residual.shape}"
@@ -365,7 +359,10 @@ def _replicate_seeds(base_seed: int, delta: float, replicates: int) -> list[int]
     # One deterministic child stream per (base seed, noise level) pair so
     # noise levels do not share perturbations and reruns are bit-stable.
     ss = np.random.SeedSequence([int(base_seed), _noise_key(delta)])
-    return [int(s) for s in ss.generate_state(replicates)]
+    try:
+        return [int(s) for s in ss.generate_state(replicates)]
+    except ValueError:  # numpy refuses a state array of that many words
+        raise ValidationError(f"replicates={replicates} is too many seeds for numpy") from None
 
 
 def run_replicates(
@@ -386,14 +383,14 @@ def run_replicates(
     Pass ``clean`` to reuse an already-computed noise-free series (it
     must match the spec's grid and observation point).
     """
-    if not (_is_integer(replicates) and replicates >= 1):
-        raise ValidationError(f"replicates must be an integer at least 1, got {replicates!r}")
+    _check_count(replicates, "replicates", 1, ValidationError)
+    seeds = _replicate_seeds(spec.seed, delta, replicates)
     if clean is None:
         clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
     z_exact = (spec.params.alpha, spec.params.gamma)
 
     good: list[InversionResult] = []
-    for seed in _replicate_seeds(spec.seed, delta, replicates):
+    for seed in seeds:
         noisy = add_noise(clean, delta, seed)
         try:
             good.append(invert_orders(noisy, spec.params, spec.grid, spec.inversion, z_exact))

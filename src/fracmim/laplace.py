@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .model import ModelParams, _is_finite, _is_number, validate_params
+from .model import ModelParams, _is_finite, _is_number, _numbers, validate_params
 
 __all__ = [
     "ContourQuadrature",
@@ -80,9 +80,7 @@ def _frequencies(s) -> np.ndarray:
     multiply with other roundoff than its array loops, and working on
     arrays keeps a scalar call bit-equal to the same node in an array.
     """
-    s = np.asarray(s, dtype=complex)
-    if s.ndim == 0:
-        s = s.reshape(1)
+    s = np.atleast_1d(_numbers(s, "s must be a number or an array of numbers", dtype=complex))
     if ((s.imag == 0.0) & (s.real <= 0.0)).any():
         raise ValidationError(
             "s must lie off the branch cut (the closed negative real axis)"

@@ -87,11 +87,25 @@ def _fits_double(v) -> bool:
         return False
 
 
-def _float_array(v, message: str, error=ValidationError) -> np.ndarray:
-    try:  # a non-number, a ragged list or an int beyond a double raises error(message)
-        return np.asarray(v, dtype=float)
+def _check_count(v, name: str, lo: int, error) -> None:
+    # A count is an int >= lo, not a bool, that a JSON sidecar can hold.
+    if not (_is_integer(v) and v >= lo):
+        raise error(f"{name} must be an integer >= {lo}")
+    if not _fits_double(v):
+        raise error(f"{name} is too large for a float")
+
+
+def _numbers(v, message: str, error=ValidationError, dtype=float) -> np.ndarray:
+    # v as a dtype array, not copied if it is one.  Text, bytes, bools, a ragged list, an
+    # int beyond a double or complex numbers for a real dtype raise error(message).
+    try:
+        a = np.asarray(v)  # ints beyond int64, and None, give an object array
+        ok = a.dtype.kind in "iuf" + np.dtype(dtype).kind
+        if ok or a.dtype.kind == "O" and all(type(e) in (int, float, complex) for e in a.flat):
+            return a.astype(dtype, copy=False)
     except (OverflowError, TypeError, ValueError):
-        raise error(message) from None
+        pass
+    raise error(message)
 
 
 def _is_finite(v) -> bool:
@@ -157,13 +171,8 @@ class GridSpec:
     T: float
 
     def __post_init__(self):
-        if not (_is_integer(self.m) and self.m >= 3):
-            raise GridError("m must be an integer >= 3")
-        if not (_is_integer(self.n) and self.n >= 1):
-            raise GridError("n must be an integer >= 1")
-        for name in ("m", "n"):
-            if not _fits_double(getattr(self, name)):
-                raise GridError(f"{name} is too large for a float")
+        _check_count(self.m, "m", 3, GridError)
+        _check_count(self.n, "n", 1, GridError)
         if not (_is_finite(self.T) and self.T > 0):
             raise GridError("T must be a positive finite number")
 
@@ -197,7 +206,7 @@ class GridSpec:
 
     def time_indices(self, times: np.ndarray) -> np.ndarray:
         """Indices k in 1..n of the grid times t_k = k*tau; others raise GridError."""
-        times = _float_array(times, "times not aligned with grid times: not all floats", GridError)
+        times = _numbers(times, "times not aligned with grid times: not all floats", GridError)
         # A huge time gives an infinite ratio; it and NaN fail the range test.
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = times / self.tau
@@ -284,8 +293,8 @@ class ObservationSeries:
     seed: int | None = None
 
     def __post_init__(self):
-        times = _float_array(self.times, "times must be finite, positive and strictly increasing")
-        values = _float_array(self.values, "observation values must be finite")
+        times = _numbers(self.times, "times must be finite, positive and strictly increasing")
+        values = _numbers(self.values, "observation values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.shape != times.shape:

@@ -65,6 +65,7 @@ from .model import (
     ModelParams,
     ObservationSeries,
     SolutionGrid,
+    _check_count,
     _is_finite,
     _is_number,
     validate_params,
@@ -159,8 +160,7 @@ def assemble_block_system(c: SchemeConstants, m: int) -> tuple[np.ndarray, np.nd
     +A and +E in the first row of each block; the immobile inlet value is
     zero so no coupling term enters.
     """
-    if not (isinstance(m, int) and m >= 3):
-        raise GridError("m must be an integer >= 3")
+    _check_count(m, "m", 3, GridError)
     q = m - 1
     M = np.zeros((2 * q, 2 * q))
     flat = M.reshape(-1)

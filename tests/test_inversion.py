@@ -134,6 +134,10 @@ def test_lm_step_validates_shapes_and_kappa():
     for kappa in (1.5, "0.5", None, True):
         with pytest.raises(ValidationError, match=re.escape("kappa must lie in [0, 1]")):
             lm_step(G, r, kappa)
+    with pytest.raises(ValidationError, match="G must be an array of numbers"):
+        lm_step([["1", "0"], ["0", "1"]], r, 0.5)
+    with pytest.raises(ValidationError, match="residual must be an array of numbers"):
+        lm_step(G, ["1", "1"], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +663,20 @@ def test_replicates_count_stop_reasons():
     assert (summary.step_tol, summary.residual_rise, summary.max_iter) == (10, 0, 0)
 
 
-def test_replicates_validates_count(tiny_grid):
+def test_replicates_validates_count(tiny_grid, monkeypatch):
+    # Every count is refused before the clean march, including one whose
+    # seeds numpy will not draw.
+    marches = []
+    monkeypatch.setattr(inversion, "solve_forward", lambda *args: marches.append(args))
     spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
     for count in (0, 2.5, True, "3"):
-        with pytest.raises(ValidationError, match="at least 1"):
+        with pytest.raises(ValidationError, match=re.escape("integer >= 1")):
             run_replicates(spec, count)
+    with pytest.raises(ValidationError, match="replicates is too large for a float"):
+        run_replicates(spec, 10**400)
+    with pytest.raises(ValidationError, match=f"replicates={2**62} is too many seeds for numpy"):
+        run_replicates(spec, 2**62)
+    assert marches == []
 
 
 def test_replicate_seeds_vary_with_level():

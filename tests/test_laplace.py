@@ -198,6 +198,16 @@ def test_array_on_branch_cut_rejected(bench_params):
             _frequencies(np.asarray(s))
 
 
+@pytest.mark.parametrize(
+    "s", ["1", ["1", "2+1j"], [True], [b"1"], 10**400],
+    ids=["text", "text_array", "bool", "bytes", "huge_int"],
+)
+def test_frequencies_that_are_not_numbers_rejected(bench_params, s):
+    # complex() would parse the text and take a bool for 1.
+    with pytest.raises(ValidationError, match="s must be a number or an array of numbers"):
+        laplace_profile(0.5, s, bench_params)
+
+
 # ---------------------------------------------------------------------------
 # bound_constant
 

@@ -256,7 +256,9 @@ def test_grid_lookups_reject_ints_beyond_a_double(huge):
 
 
 @pytest.mark.parametrize(
-    "times", [["x"], [[0.2], [0.4, 0.6]], [1j]], ids=["text", "ragged", "complex"]
+    "times",
+    [["x"], [[0.2], [0.4, 0.6]], [1j], ["0.5"], [b"0.5"], [True], np.array([True])],
+    ids=["text", "ragged", "complex", "numeric_text", "bytes", "bool", "bool_array"],
 )
 def test_time_indices_rejects_times_that_are_not_floats(times):
     with pytest.raises(GridError, match=re.escape("not aligned with grid times")):
@@ -273,9 +275,12 @@ def test_time_indices_rejects_times_that_are_not_floats(times):
         ([1.0], [_HUGE], "observation values must be finite"),
         ([1.0], ["a"], "observation values must be finite"),
         ([1.0, 2.0], [[0.1], [0.2, 0.3]], "observation values must be finite"),
+        (["1.0"], [0.1], "times must be finite"),
+        ([1.0], ["0.1"], "observation values must be finite"),
     ],
     ids=["huge_time", "minus_huge_time", "text_time", "ragged_times",
-         "huge_value", "text_value", "ragged_values"],
+         "huge_value", "text_value", "ragged_values", "numeric_text_time",
+         "numeric_text_value"],
 )
 def test_observation_series_rejects_non_floats(times, values, msg):
     with pytest.raises(ValidationError, match=msg):
@@ -302,6 +307,8 @@ def test_grid_lookups_accept_numpy_scalars():
         (dict(m=4, n=5, T=True), "T must be a positive finite number"),
         (dict(m=10**400, n=200, T=100.0), "m is too large for a float"),
         (dict(m=40, n=10**400, T=100.0), "n is too large for a float"),
+        # Each count is checked whole before the next.
+        (dict(m=10**400, n=0, T=100.0), "m is too large for a float"),
     ],
 )
 def test_grid_validation(kwargs, message):
@@ -352,6 +359,12 @@ def test_observation_series_validation():
     for times in ([1.0, math.nan], [math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]):
         with pytest.raises(ValidationError, match="times must be finite"):
             ObservationSeries(x0=0.5, times=times, values=[0.1, 0.2])
+    # Only numbers: float() would parse the text and take a bool for 1.
+    for bad in (["1.0"], [b"1"], np.array([True])):
+        with pytest.raises(ValidationError, match="times must be finite"):
+            ObservationSeries(x0=0.5, times=bad, values=[0.1])
+        with pytest.raises(ValidationError, match="observation values must be finite"):
+            ObservationSeries(x0=0.5, times=[1.0], values=bad)
     for x0 in (math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, True):
         with pytest.raises(ValidationError, match=re.escape(f"inside (0, 1), got {x0!r}")):
             ObservationSeries(x0=x0, times=[1.0], values=[0.1])

@@ -148,8 +148,11 @@ def test_matrix_zero_coupling_is_block_diagonal(bench_params):
 
 def test_matrix_rejects_bad_size(bench_params):
     c = scheme_constants(bench_params, COARSE_GRID)
-    with pytest.raises(GridError, match="m must be an integer >= 3"):
-        assemble_block_system(c, 2)
+    for m in (2, True, 4.0):
+        with pytest.raises(GridError, match="m must be an integer >= 3"):
+            assemble_block_system(c, m)
+    with pytest.raises(GridError, match="m is too large for a float"):
+        assemble_block_system(c, 10**400)
 
 
 def test_strict_dominance_over_random_draws():
