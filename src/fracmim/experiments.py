@@ -16,7 +16,7 @@ from .errors import ConfigError, ValidationError
 from .inversion import InversionConfig, ReplicateSummary, _noise_key, run_replicates
 from .laplace import ContourQuadrature
 from .model import (
-    GridSpec, ModelParams, _check_count, _fits_double, _is_finite, _is_number, _is_pair,
+    GridSpec, ModelParams, _check_count, _is_finite, _is_number, _is_pair,
     validate_params,
 )
 from .solver import extract_observation, solve_forward
@@ -83,9 +83,7 @@ class ExperimentSpec:
                     f"{d:g}, which names one observation file and one table row"
                 )
             # A new label on an old key (even 0.0 after -0.0) replays its noise draw.
-            if not _fits_double(d * 1e9):
-                raise ConfigError(f"noise level {d:g} is too large to key a seed stream")
-            key = _noise_key(d)
+            key = _noise_key(d, ConfigError)
             if key in keyed:
                 raise ConfigError(
                     f"noise levels {keyed[key]:g} and {d:g} share one seed stream: levels "

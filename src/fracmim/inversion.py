@@ -125,14 +125,18 @@ class InversionResult:
         return self.stop_reason == "step_tol"
 
 
+def _check_noise_level(delta) -> None:
+    if not (_is_finite(delta) and delta >= 0):
+        raise ValidationError("noise level delta must be finite and nonnegative")
+
+
 def add_noise(clean: ObservationSeries, delta: float, seed: int) -> ObservationSeries:
     """Perturb each sample by theta_k * delta, theta_k uniform on [-1, 1].
 
     The draw is independent per sample and fully determined by ``seed``;
     the noise level and seed are recorded on the returned series.
     """
-    if not (_is_finite(delta) and delta >= 0):
-        raise ValidationError("noise level delta must be finite and nonnegative")
+    _check_noise_level(delta)
     if not (_is_integer(seed) and seed >= 0):
         raise ValidationError("noise seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
@@ -350,8 +354,10 @@ class ReplicateSummary:
     max_iter: int = 0
 
 
-def _noise_key(delta: float) -> int:
+def _noise_key(delta: float, error=ValidationError) -> int:
     """The noise level's entry in its seed stream: delta in units of 1e-9."""
+    if not _fits_double(delta * 1e9):
+        raise error(f"noise level {delta:g} is too large to key a seed stream")
     return int(round(delta * 1e9))
 
 
@@ -384,6 +390,7 @@ def run_replicates(
     must match the spec's grid and observation point).
     """
     _check_count(replicates, "replicates", 1, ValidationError)
+    _check_noise_level(delta)
     seeds = _replicate_seeds(spec.seed, delta, replicates)
     if clean is None:
         clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)

@@ -10,8 +10,9 @@ error estimate.
 
 The contour depends on t only through s = s_unit / t, and its weights not
 at all, so both node sets are module constants built at import.  One
-inversion point is one array evaluation of the closed form on all 48
-nodes and two weighted sums.
+inversion point is one in-place evaluation of the closed form (both
+powers from one complex log), shared with `laplace_profile`, on all 48
+nodes, one product with the weights and two sums.
 
 Everything here is independent of the finite-difference solver; the two
 routes are compared against each other by the acceptance suite and must
@@ -61,16 +62,21 @@ def _unit_contour(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return s, weights
 
 
-# Both contours at t = 1, as one node array: the coarse nodes first.
-_S_COARSE, _W_COARSE = _unit_contour(_NODES)
-_S_FINE, _W_FINE = _unit_contour(2 * _NODES)
-_S_UNIT = np.concatenate((_S_COARSE, _S_FINE))
+# Both contours at t = 1 as one node and one weight array, coarse first.
+_S_UNIT, _W_UNIT = map(np.concatenate, zip(_unit_contour(_NODES), _unit_contour(2 * _NODES)))
 
 # Relative-error floor: concentrations are normalized to an O(1) inlet
 # value, so differences are measured against at least this scale to keep
 # near-zero samples (early times far from the inlet) from tripping the
 # convergence check on pure roundoff.
 _SCALE_FLOOR = 1e-3
+
+
+def _off_cut(z: np.ndarray) -> np.ndarray:
+    """``z`` itself, once no frequency lies on the branch cut."""
+    if np.count_nonzero((z.imag == 0.0) & (z.real <= 0.0)):
+        raise ValidationError("s must lie off the branch cut (the closed negative real axis)")
+    return z
 
 
 def _frequencies(s) -> np.ndarray:
@@ -80,55 +86,77 @@ def _frequencies(s) -> np.ndarray:
     multiply with other roundoff than its array loops, and working on
     arrays keeps a scalar call bit-equal to the same node in an array.
     """
-    s = np.atleast_1d(_numbers(s, "s must be a number or an array of numbers", dtype=complex))
-    if ((s.imag == 0.0) & (s.real <= 0.0)).any():
-        raise ValidationError(
-            "s must lie off the branch cut (the closed negative real axis)"
-        )
-    return s
+    s = _numbers(s, "s must be a number or an array of numbers", dtype=complex)
+    return _off_cut(np.atleast_1d(s))
 
 
-def _like(s, v: np.ndarray):
-    """``v`` shaped like the frequency argument ``s``: a scalar for a scalar."""
-    return v[0] if np.ndim(s) == 0 else v
+def _position(x) -> float:
+    if not (_is_number(x) and 0.0 <= x <= 1.0):
+        raise ValidationError("x must lie in [0,1]")
+    return x
 
 
-def _coeff_b(s: np.ndarray, p: ModelParams, denom: np.ndarray) -> np.ndarray:
-    """Zeroth-order coefficient b(s) of the transformed mobile equation.
+def _closed_form(x: float, s: np.ndarray, p: ModelParams) -> np.ndarray:
+    """(u1_hat, u2_hat) at x as the rows of one array, at frequencies off the cut.
 
-    ``denom`` is :func:`_immobile_denom` at ``s``.  Principal branches of
-    the fractional powers; Re b < 0 on Re s > 0.
+    Runs in place, in the operation order of the plain formula, so it
+    keeps that formula's bits.  No complex product of two arrays may write
+    into an operand: numpy runs that through another loop, which moved
+    scalar calls off their array node by an ulp.
     """
-    return -p.beta * p.R1 * s**p.alpha - p.omega - p.lam + p.omega**2 / denom
-
-
-def _immobile_denom(s: np.ndarray, p: ModelParams) -> np.ndarray:
-    # (1-beta) R2 s^gamma + omega + mu: u2_hat = omega u1_hat / this.
-    return (1.0 - p.beta) * p.R2 * s**p.gamma + p.omega + p.mu
-
-
-def _roots_and_fit(s: np.ndarray, p: ModelParams, denom: np.ndarray) -> tuple[np.ndarray, ...]:
-    """b, eta1, eta2, c1 and c2 at frequencies already checked off the cut.
-
-    ``denom`` is :func:`_immobile_denom` at ``s``.
-
-    a*eta^2 - eta + b = 0 (a = 1/P) with Re(eta1) >= Re(eta2); c1 + c2 =
-    1/s (inlet) and c1*eta1*e^eta1 + c2*eta2*e^eta2 = 0 (outflow).
-    """
-    a = 1.0 / p.P
-    b = _coeff_b(s, p, denom)
-    root = np.sqrt(1.0 - 4.0 * a * b)
-    eta1 = (1.0 + root) / (2.0 * a)
-    eta2 = (1.0 - root) / (2.0 * a)
-    # c1 = -eta2 e^{eta2} / (s (eta1 e^{eta1} - eta2 e^{eta2})), divided
-    # through by e^{eta1}; g is bounded because Re(eta2 - eta1) <= 0.
-    g = np.exp(eta2 - eta1)
-    denom = s * (eta1 - eta2 * g)
-    if not denom.all():
-        raise QuadratureError(
-            f"degenerate boundary-fit system at s={complex(s[denom == 0][0])!r}"
-        )
-    return b, eta1, eta2, -eta2 * g / denom, eta1 / denom
+    out = np.empty((2, *s.shape), complex)
+    u1, u2 = out
+    # s^gamma and s^alpha: numpy's s**q for a real non-integer q is the C
+    # library's cpow, exp(q log s), except at 0.5, where numpy 2 takes a sqrt.
+    log_s = np.log(s)
+    denom, root = (s**q if q == 0.5 else np.exp(log_s * q) for q in (p.gamma, p.alpha))
+    # denom = (1-beta) R2 s^gamma + omega + mu, and u2_hat = omega u1_hat / denom
+    denom *= (1.0 - p.beta) * p.R2
+    denom += p.omega
+    denom += p.mu
+    if x == 0.0:
+        # bit-equal to Python's 1.0 / complex(s), which numpy's divide is not
+        np.reciprocal(s, out=u1)
+    else:
+        # a eta^2 - eta + b = 0 (a = 1/P), b = -beta R1 s^alpha - omega - lam
+        # + omega^2 / denom: root goes s^alpha, b, sqrt(1 - 4ab), and eta =
+        # (1 +- root) / 2a lives in the rows of the result until u1_hat.
+        a = 1.0 / p.P
+        root *= -p.beta * p.R1
+        root -= p.omega
+        root -= p.lam
+        root += np.divide(p.omega**2, denom, out=log_s)
+        root *= 4.0 * a
+        np.sqrt(np.subtract(1.0, root, out=root), out=root)
+        eta1, eta2 = u1, u2
+        np.add(1.0, root, out=eta1)
+        np.subtract(1.0, root, out=eta2)
+        out /= 2.0 * a
+        # u1_hat = c1 e^{eta1 x} + c2 e^{eta2 x} with c1 + c2 = 1/s (inlet)
+        # and c1 eta1 e^{eta1} + c2 eta2 e^{eta2} = 0 (outflow); divided
+        # through by e^{eta1}, c2 = eta1 / (s (eta1 - eta2 e^{eta2 - eta1})).
+        g = np.exp(np.subtract(eta2, eta1, out=log_s), out=log_s)
+        fit = np.multiply(eta2, g, out=root)
+        np.subtract(eta1, fit, out=fit)
+        fit = np.multiply(s, fit, out=g)
+        if np.count_nonzero(fit) < fit.size:
+            bad = complex(s[fit == 0][0])
+            raise QuadratureError(f"degenerate boundary-fit system at s={bad!r}")
+        # c1 = -c2 (eta2/eta1) e^{eta2 - eta1}, so u1_hat = c2 (e^{eta2 x}
+        # - (eta2/eta1) e^{eta1 (x-1) + eta2}); Re(eta1 (x-1)) <= 0 and
+        # Re(eta2) <= P/2, so both exponents stay bounded.
+        c2 = np.divide(eta1, fit, out=fit)
+        ratio = np.divide(eta2, eta1, out=root)
+        eta1 *= x - 1.0
+        eta1 += eta2
+        eta2 *= x
+        np.exp(out, out=out)
+        far, near = eta1, eta2
+        near -= ratio * far
+        np.multiply(c2, near, out=u1)
+    np.multiply(p.omega, u1, out=u2)
+    u2 /= denom
+    return out
 
 
 def laplace_profile(x: float, s, p: ModelParams) -> tuple:
@@ -142,21 +170,8 @@ def laplace_profile(x: float, s, p: ModelParams) -> tuple:
     real part bounded by a parameter-dependent constant, so no
     intermediate can overflow for any |s|.
     """
-    if not (_is_number(x) and 0.0 <= x <= 1.0):
-        raise ValidationError("x must lie in [0,1]")
-    z = _frequencies(s)
-    denom = _immobile_denom(z, p)
-    if x == 0.0:
-        # bit-equal to Python's 1.0 / complex(s), which numpy's divide is not
-        u1 = np.reciprocal(z)
-    else:
-        _, eta1, eta2, _, c2 = _roots_and_fit(z, p, denom)
-        # u1_hat = c1 e^{eta1 x} + c2 e^{eta2 x}, and c1 = -c2 (eta2/eta1)
-        # e^{eta2 - eta1}, so u1_hat = c2 (e^{eta2 x} - (eta2/eta1)
-        # e^{eta1 (x-1) + eta2});  Re(eta1 (x-1)) <= 0 and Re(eta2) <= P/2,
-        # so both exponents stay bounded.
-        u1 = c2 * (np.exp(eta2 * x) - eta2 / eta1 * np.exp(eta1 * (x - 1.0) + eta2))
-    return _like(s, u1), _like(s, p.omega * u1 / denom)
+    u1, u2 = _closed_form(_position(x), _frequencies(s), p)
+    return (u1[0], u2[0]) if np.ndim(s) == 0 else (u1, u2)
 
 
 @dataclass(frozen=True)
@@ -185,11 +200,11 @@ def _invert(
     q = q or ContourQuadrature()
     if not (_is_finite(t) and t > 0):
         raise ValidationError("t must be a positive finite time")
-    f = evaluate(_S_UNIT / t)
-    # Multiply and sum along the node axis, so that each component of a
-    # stacked evaluation is summed exactly as a lone one would be.
-    coarse = np.real(f[..., :_NODES] * _W_COARSE).sum(axis=-1) / t
-    fine = np.real(f[..., _NODES:] * _W_FINE).sum(axis=-1) / t
+    terms = (evaluate(_S_UNIT / t) * _W_UNIT).real
+    # Sum along the node axis, so that each component of a stacked
+    # evaluation is summed exactly as a lone one would be.
+    coarse = terms[..., :_NODES].sum(axis=-1) / t
+    fine = terms[..., _NODES:].sum(axis=-1) / t
     scale = max(float(np.abs(fine).max()), _SCALE_FLOOR)
     err = float(np.abs(fine - coarse).max()) / scale
     if not err <= q.tolerance:  # a NaN estimate fails too
@@ -212,7 +227,7 @@ def invert_with_error(
     closed form on all 48 nodes.
     """
     validate_params(p)
-    value, err = _invert(lambda nodes: np.array(laplace_profile(x, nodes, p)), t, q)
+    value, err = _invert(lambda nodes: _closed_form(_position(x), _off_cut(nodes), p), t, q)
     return float(value[0]), float(value[1]), err
 
 

@@ -23,6 +23,11 @@ functions is a genuine two-route check:
   factors of the oracle matrix (it shares only the scheme constants with
   the package), against the package's march, which
   applies a precomputed inverse;
+* the closed-form transform profile written out plainly: b(s), the
+  roots and the boundary fit each on their own, every fractional power
+  through numpy's ``**``, and a fresh array for every operation.  The
+  package's in-place evaluation from one complex log must give its
+  bits;
 * the CSV writer and reader one cell at a time (``str.format`` and
   ``float`` per cell), and the per-cell rows of the solution file, as
   the byte-for-byte and message-for-message reference of the block
@@ -302,6 +307,54 @@ def getrs_march(p, grid, inlet=1.0):
     u1[m, 1:] = u1[m - 1, 1:]
     u2[m, 1:] = u2[m - 1, 1:]
     return u1, u2
+
+
+def coeff_b(s, p, denom):
+    """Zeroth-order coefficient b(s) of the transformed mobile equation.
+
+    ``denom`` is :func:`immobile_denom` at ``s``.  Principal branches of
+    the fractional powers; Re b < 0 on Re s > 0.
+    """
+    return -p.beta * p.R1 * s**p.alpha - p.omega - p.lam + p.omega**2 / denom
+
+
+def immobile_denom(s, p):
+    """(1-beta) R2 s^gamma + omega + mu: u2_hat = omega u1_hat / this."""
+    return (1.0 - p.beta) * p.R2 * s**p.gamma + p.omega + p.mu
+
+
+def roots_and_fit(s, p, denom):
+    """b, eta1, eta2, c1 and c2 at an array of frequencies off the cut.
+
+    ``denom`` is :func:`immobile_denom` at ``s``.  a*eta^2 - eta + b = 0
+    (a = 1/P) with Re(eta1) >= Re(eta2); c1 + c2 = 1/s (inlet) and
+    c1*eta1*e^eta1 + c2*eta2*e^eta2 = 0 (outflow), both divided through
+    by e^eta1 so that no exponential can overflow.
+    """
+    a = 1.0 / p.P
+    b = coeff_b(s, p, denom)
+    root = np.sqrt(1.0 - 4.0 * a * b)
+    eta1 = (1.0 + root) / (2.0 * a)
+    eta2 = (1.0 - root) / (2.0 * a)
+    g = np.exp(eta2 - eta1)
+    fit = s * (eta1 - eta2 * g)
+    return b, eta1, eta2, -eta2 * g / fit, eta1 / fit
+
+
+def plain_profile(x, s, p):
+    """(u1_hat, u2_hat) at x for an array of frequencies off the cut.
+
+    u1_hat(0) = 1/s by ``np.reciprocal``; elsewhere u1_hat = c2 (e^{eta2 x}
+    - (eta2/eta1) e^{eta1 (x-1) + eta2}), the fit with c1 = -c2 (eta2/eta1)
+    e^{eta2 - eta1} substituted.
+    """
+    denom = immobile_denom(s, p)
+    if x == 0.0:
+        u1 = np.reciprocal(s)
+    else:
+        _, eta1, eta2, _, c2 = roots_and_fit(s, p, denom)
+        u1 = c2 * (np.exp(eta2 * x) - eta2 / eta1 * np.exp(eta1 * (x - 1.0) + eta2))
+    return u1, p.omega * u1 / denom
 
 
 def percell_write_csv(path, header, rows):

@@ -21,16 +21,13 @@ from fracmim import (
     solve_forward,
 )
 from fracmim.experiments import DEFAULT_GRID
-from fracmim.laplace import (
-    _frequencies,
-    _immobile_denom,
-    _invert,
-    _roots_and_fit,
-    laplace_profile,
-)
+from fracmim.laplace import _frequencies, _invert, laplace_profile
 from fracmim.solver import assemble_block_system, scheme_constants
 from conftest import admissible_draw, real_s_profile
-from oracles import backward_euler_classical, l1_bracket, mittag_leffler, psi_weight
+from oracles import (
+    backward_euler_classical, immobile_denom, l1_bracket, mittag_leffler, psi_weight,
+    roots_and_fit,
+)
 
 NOISY_LEVELS = (0.05, 0.01, 0.001, 0.0001)
 
@@ -147,7 +144,7 @@ def test_criterion_05_transform_property_suite():
             s = complex(rng.uniform(0.1, 10.0), rng.uniform(-1e3, 1e3))
 
         z = _frequencies(s)
-        b, eta1, eta2, c1, c2 = (v[0] for v in _roots_and_fit(z, p, _immobile_denom(z, p)))
+        b, eta1, eta2, c1, c2 = (v[0] for v in roots_and_fit(z, p, immobile_denom(z, p)))
         a = 1.0 / p.P
         assert eta1.real > 0.0 > eta2.real
         scale = abs(eta1) + abs(eta2)

@@ -679,6 +679,29 @@ def test_replicates_validates_count(tiny_grid, monkeypatch):
     assert marches == []
 
 
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        (math.nan, "noise level delta must be finite and nonnegative"),
+        (-0.5, "noise level delta must be finite and nonnegative"),
+        (math.inf, "noise level delta must be finite and nonnegative"),
+        ("x", "noise level delta must be finite and nonnegative"),
+        (True, "noise level delta must be finite and nonnegative"),
+        (1e300, "noise level 1e+300 is too large to key a seed stream"),
+    ],
+    ids=["nan", "negative", "inf", "text", "bool", "huge"],
+)
+def test_replicates_validate_level(tiny_grid, monkeypatch, delta, message):
+    # A level that add_noise or the seed key would refuse is refused before
+    # its seeds are drawn and before the clean march, as a ValidationError.
+    marches = []
+    monkeypatch.setattr(inversion, "solve_forward", lambda *args: marches.append(args))
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_replicates(spec, 2, delta)
+    assert marches == []
+
+
 def test_replicate_seeds_vary_with_level():
     a = _replicate_seeds(1234, 0.05, 5)
     b = _replicate_seeds(1234, 0.01, 5)

@@ -27,14 +27,13 @@ from fracmim import (
 from fracmim import laplace
 from fracmim.laplace import (
     _S_UNIT,
-    _coeff_b,
+    _closed_form,
     _frequencies,
-    _immobile_denom,
     _invert,
-    _roots_and_fit,
     laplace_profile,
 )
 from conftest import BENCH_PARAMS, admissible_draw, bound_constant, real_s_profile
+from oracles import coeff_b, immobile_denom, plain_profile, roots_and_fit
 
 
 def _frequency_draw(rng: np.random.Generator) -> complex:
@@ -47,10 +46,22 @@ def _frequency_draw(rng: np.random.Generator) -> complex:
     return complex(rng.uniform(0.1, 10.0), rng.uniform(-1e3, 1e3))
 
 
+def _off_cut_draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Frequencies in every quadrant with |s| in [1e-3, 1e4], an eighth of
+    them on the positive real ray."""
+    s = 10.0 ** rng.uniform(-3, 4, size) * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+    s[: size // 8] = np.abs(s[: size // 8])
+    return s
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=complex).tobytes()
+
+
 def b_at(s, p: ModelParams) -> complex:
-    """b(s) at one frequency, through the path the closed form runs."""
+    """b(s) at one frequency checked off the cut, by the plain formula."""
     z = _frequencies(s)
-    return complex(_coeff_b(z, p, _immobile_denom(z, p))[0])
+    return complex(coeff_b(z, p, immobile_denom(z, p))[0])
 
 
 def invert_array(fbar, t: float) -> float:
@@ -102,7 +113,7 @@ def test_root_and_fit_identities_over_draws():
         p = admissible_draw(rng)
         s = _frequency_draw(rng)
         z = _frequencies(s)
-        b, eta1, eta2, c1, c2 = (v[0] for v in _roots_and_fit(z, p, _immobile_denom(z, p)))
+        b, eta1, eta2, c1, c2 = (v[0] for v in roots_and_fit(z, p, immobile_denom(z, p)))
         a = 1.0 / p.P
         assert eta1.real > 0.0 > eta2.real
         scale = abs(eta1) + abs(eta2)
@@ -188,6 +199,32 @@ def test_profile_takes_arrays(bench_params):
     for x in (0.0, 0.5, 1.0):
         u1, u2 = laplace_profile(x, ray, bench_params)
         assert np.all(u1.imag == 0.0) and np.all(u2.imag == 0.0)
+
+
+def test_scalar_call_is_bit_equal_to_its_array_node(bench_params):
+    # A complex product that writes into one of its operands takes another
+    # numpy loop, which moves a scalar call off its array node by an ulp.
+    rng = np.random.default_rng(28)
+    s = _off_cut_draw(rng, 400)
+    for x in (0.0, 0.3, 1.0):
+        u1, u2 = laplace_profile(x, s, bench_params)
+        for k, z in enumerate(s.tolist()):
+            v1, v2 = laplace_profile(x, complex(z), bench_params)
+            assert _bits(v1) == _bits(u1[k]) and _bits(v2) == _bits(u2[k]), (x, z)
+
+
+def test_closed_form_keeps_the_plain_formula_bits():
+    # The in-place evaluation from one complex log gives the bits of the
+    # plain formula, whose powers are numpy's **, with an order of exactly
+    # 0.5 (where numpy takes a square root) in two thirds of the draws.
+    rng = np.random.default_rng(29)
+    for draw in range(60):
+        p = admissible_draw(rng)
+        p = (p, p.with_orders(0.5, p.gamma), p.with_orders(p.alpha, 0.5))[draw % 3]
+        s = _off_cut_draw(rng, 64)
+        for x in (0.0, float(rng.uniform()), 1.0):
+            got, want = laplace_profile(x, s, p), plain_profile(x, s, p)
+            assert all(_bits(g) == _bits(w) for g, w in zip(got, want)), (draw, x)
 
 
 def test_array_on_branch_cut_rejected(bench_params):
@@ -306,21 +343,44 @@ def test_invert_with_error_consistency(bench_params):
 
 
 def test_a_contour_point_is_one_evaluation_of_the_closed_form(bench_params, monkeypatch):
-    # Both components and both node counts come from one array evaluation
-    # on the 48 contour nodes at t, and perfbench's laplace.profile_calls
-    # counts on it.
+    # Both components and both node counts come from one evaluation of the
+    # closed form on the 48 contour nodes at t, the one laplace_profile runs.
     calls = []
 
     def counted(x, s, p):
         calls.append((x, np.array(s), p))
-        return laplace_profile(x, s, p)
+        return _closed_form(x, s, p)
 
-    monkeypatch.setattr(laplace, "laplace_profile", counted)
+    monkeypatch.setattr(laplace, "_closed_form", counted)
     invert_with_error(0.5, 50.0, bench_params)
     assert len(calls) == 1
     x, nodes, p = calls[0]
     assert (x, p) == (0.5, bench_params)
     assert nodes.shape == (48,) and np.array_equal(nodes, _S_UNIT / 50.0)
+    laplace_profile(0.5, nodes, bench_params)
+    assert len(calls) == 2 and np.array_equal(calls[1][1], nodes)
+
+
+# Times far outside any experiment: t = 5e-324 and 1.7e308 fail at every
+# x, and 1e-300 away from the inlet, all with a NaN estimate; every other
+# case gives a finite triple.  A rewrite of the closed form can move where
+# overflow starts, so the outcomes are pinned.
+_EXTREME_TIMES = (5e-324, 1e-300, 1e-100, 1e-30, 1e-8, 1e30, 1e100, 1e300, 1.7e308)
+
+
+@pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+def test_extreme_times_keep_their_outcome(name, x):
+    p = builtin_experiment(name).params
+    fails = {5e-324, 1.7e308} | ({1e-300} if x > 0.0 else set())
+    for t in _EXTREME_TIMES:
+        # the nodes _S_UNIT / t overflow or underflow here, and numpy says so
+        with np.errstate(all="ignore"):
+            if t in fails:
+                with pytest.raises(QuadratureError, match="disagree by nan"):
+                    invert_with_error(x, t, p)
+            else:
+                assert all(map(math.isfinite, invert_with_error(x, t, p))), t
 
 
 def test_invert_with_error_matches_scalar_callable(bench_params):
