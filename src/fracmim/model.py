@@ -116,21 +116,6 @@ def _is_pair(v) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
 
 
-# Admissibility checks, in reporting order.  Each entry is
-# (predicate on ModelParams, message for the first violated bound).
-_ADMISSIBILITY = [
-    (lambda p: 0.0 < p.alpha < 1.0, "alpha must lie in (0,1)"),
-    (lambda p: 0.0 < p.gamma < 1.0, "gamma must lie in (0,1)"),
-    (lambda p: 0.0 < p.beta < 1.0, "beta must lie in (0,1)"),
-    (lambda p: p.R1 >= 1.0, "R1 must be at least 1"),
-    (lambda p: p.R2 >= 1.0, "R2 must be at least 1"),
-    (lambda p: p.P > 0.0, "P must be positive"),
-    (lambda p: p.omega > 0.0, "omega must be positive"),
-    (lambda p: p.lam > 0.0, "lam must be positive"),
-    (lambda p: p.mu > 0.0, "mu must be positive"),
-]
-
-
 def validate_params(p: ModelParams) -> ModelParams:
     """Check the natural admissibility condition on all parameters.
 
@@ -146,14 +131,26 @@ def validate_params(p: ModelParams) -> ModelParams:
     Raises
     ------
     ParameterError
-        Naming the first violated bound.
+        Naming the first field, in field order, that is not a finite
+        number, else the first violated bound.
     """
-    for field in dataclasses.fields(p):
-        v = getattr(p, field.name)
-        if not _is_finite(v):
-            raise ParameterError(f"{field.name} must be a finite number")
-    for check, message in _ADMISSIBILITY:
-        if not check(p):
+    # a frozen dataclass's __dict__ holds its fields in declaration order
+    for name, v in vars(p).items():
+        # a plain float is finite when v - v is 0; anything else takes the general test
+        if not (type(v) is float and v - v == 0.0 or _is_finite(v)):
+            raise ParameterError(f"{name} must be a finite number")
+    for holds, message in (
+        (0.0 < p.alpha < 1.0, "alpha must lie in (0,1)"),
+        (0.0 < p.gamma < 1.0, "gamma must lie in (0,1)"),
+        (0.0 < p.beta < 1.0, "beta must lie in (0,1)"),
+        (p.R1 >= 1.0, "R1 must be at least 1"),
+        (p.R2 >= 1.0, "R2 must be at least 1"),
+        (p.P > 0.0, "P must be positive"),
+        (p.omega > 0.0, "omega must be positive"),
+        (p.lam > 0.0, "lam must be positive"),
+        (p.mu > 0.0, "mu must be positive"),
+    ):
+        if not holds:
             raise ParameterError(message)
     return p
 

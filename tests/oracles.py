@@ -28,6 +28,10 @@ functions is a genuine two-route check:
   through numpy's ``**``, and a fresh array for every operation.  The
   package's in-place evaluation from one complex log must give its
   bits;
+* a contour inversion point on numpy arrays throughout: the Talbot
+  nodes and weights built here, the plain profile on all 48 nodes, and
+  numpy's sums, divides, ``abs`` and ``max`` for the value and the error
+  estimate, against the package's point, which finishes on Python floats;
 * the CSV writer and reader one cell at a time (``str.format`` and
   ``float`` per cell), and the per-cell rows of the solution file, as
   the byte-for-byte and message-for-message reference of the block
@@ -355,6 +359,38 @@ def plain_profile(x, s, p):
         _, eta1, eta2, _, c2 = roots_and_fit(s, p, denom)
         u1 = c2 * (np.exp(eta2 * x) - eta2 / eta1 * np.exp(eta1 * (x - 1.0) + eta2))
     return u1, p.omega * u1 / denom
+
+
+def talbot_contour(nodes):
+    """Nodes and weights at t = 1 on the upper half of the Talbot contour.
+
+    s(theta) = r theta (cot theta + i), theta = k pi / nodes (k = 0..nodes-1),
+    r = 2 nodes / 5; weights e^s (1 + i sigma) r / nodes, halved on the
+    real node, with sigma = theta + (theta cot theta - 1) cot theta.
+    """
+    r = 2.0 * nodes / 5.0
+    theta = np.arange(1, nodes) * (np.pi / nodes)
+    cot = np.cos(theta) / np.sin(theta)
+    sigma = theta + (theta * cot - 1.0) * cot
+    s = np.concatenate(([r], r * theta * (cot + 1j)))
+    return s, np.exp(s) * np.concatenate(([0.5], 1.0 + 1j * sigma)) * (r / nodes)
+
+
+def plain_invert(x, t, p):
+    """(u1, u2, est_rel_err) at (x, t) from the 16- and 32-node contours.
+
+    The plain profile on the 48 nodes s / t of both contours, coarse
+    first; f(t) = Re(sum w f(s/t)) / t per contour, and the estimate is
+    the largest move of the 32-node values from the 16-node ones against
+    the largest 32-node value, floored at 1e-3.  No tolerance check.
+    """
+    (s16, w16), (s32, w32) = talbot_contour(16), talbot_contour(32)
+    s, w = np.concatenate((s16, s32)), np.concatenate((w16, w32))
+    terms = (np.array(plain_profile(x, s / t, p)) * w).real
+    coarse = terms[:, :16].sum(axis=-1) / t
+    fine = terms[:, 16:].sum(axis=-1) / t
+    scale = max(float(np.abs(fine).max()), 1e-3)
+    return float(fine[0]), float(fine[1]), float(np.abs(fine - coarse).max()) / scale
 
 
 def percell_write_csv(path, header, rows):

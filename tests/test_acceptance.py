@@ -195,7 +195,7 @@ def test_criterion_07_inversion_reference_pairs():
     # the shipped contour (16- and 32-node sums, tolerance check) applied
     # to textbook transforms written on numpy arrays of nodes
     def invert(fbar, t):
-        return float(_invert(fbar, t, None)[0])
+        return _invert(fbar, t, None)[0][0]
 
     ts = (0.5, 1.0, 5.0)
     err_const = max(abs(invert(lambda s: 1.0 / s, t) - 1.0) for t in ts)

@@ -9,6 +9,7 @@ suite.
 """
 
 import cmath
+import dataclasses
 import math
 import re
 
@@ -18,6 +19,7 @@ import pytest
 from fracmim import (
     ContourQuadrature,
     ModelParams,
+    ParameterError,
     QuadratureError,
     ValidationError,
     builtin_experiment,
@@ -33,7 +35,7 @@ from fracmim.laplace import (
     laplace_profile,
 )
 from conftest import BENCH_PARAMS, admissible_draw, bound_constant, real_s_profile
-from oracles import coeff_b, immobile_denom, plain_profile, roots_and_fit
+from oracles import coeff_b, immobile_denom, plain_invert, plain_profile, roots_and_fit
 
 
 def _frequency_draw(rng: np.random.Generator) -> complex:
@@ -66,7 +68,7 @@ def b_at(s, p: ModelParams) -> complex:
 
 def invert_array(fbar, t: float) -> float:
     """The contour inversion of an array transform at time t."""
-    return float(_invert(fbar, t, None)[0])
+    return _invert(fbar, t, None)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +320,14 @@ def test_invert_rejects_bad_time(bench_params):
     [
         lambda s: np.full(s.shape, np.nan),
         lambda s: np.where(s.imag > 0, complex(math.nan, 0.0), 1.0 / s),
+        lambda s: np.stack([1.0 / s, np.full(s.shape, np.nan)]),
     ],
-    ids=["every-node", "upper-half-nodes"],
+    ids=["every-node", "upper-half-nodes", "second-component"],
 )
 def test_invert_rejects_nan_transform(fbar):
     # a NaN sum makes the error estimate NaN, which must not pass the
-    # tolerance test
-    with pytest.raises(QuadratureError, match="did not converge"):
+    # tolerance test, in whichever component it is
+    with pytest.raises(QuadratureError, match="disagree by nan"):
         invert_array(fbar, 1.0)
 
 
@@ -340,6 +343,26 @@ def test_invert_with_error_consistency(bench_params):
     assert 0.0 <= err <= ContourQuadrature().tolerance
     assert invert_at(0.5, 50.0, bench_params) == (u1, u2)
     assert 0.0 < u2 < u1 < 1.0
+
+
+@pytest.mark.parametrize("bad_t", [0.0, -1.0, math.nan, math.inf, True, "1", None])
+@pytest.mark.parametrize("bad_x", [2.0, -0.1, math.nan, None])
+def test_a_point_checks_params_then_time_then_position(bench_params, bad_t, bad_x):
+    bad_p = dataclasses.replace(bench_params, alpha=1.5)
+    with pytest.raises(ParameterError, match=re.escape("alpha must lie in (0,1)")):
+        invert_with_error(bad_x, bad_t, bad_p)
+    with pytest.raises(ValidationError, match="^t must be a positive finite time$"):
+        invert_with_error(bad_x, bad_t, bench_params)
+    with pytest.raises(ValidationError, match=re.escape("x must lie in [0,1]")):
+        invert_with_error(bad_x, 1.0, bench_params)
+
+
+def test_default_quadrature_is_built_once(bench_params, monkeypatch):
+    # a call that passes no settings uses the defaults built at import
+    want = invert_with_error(0.5, 50.0, bench_params, ContourQuadrature())
+    monkeypatch.setattr(laplace, "ContourQuadrature", None)
+    assert invert_with_error(0.5, 50.0, bench_params) == want
+    assert invert_at(0.5, 50.0, bench_params) == want[:2]
 
 
 def test_a_contour_point_is_one_evaluation_of_the_closed_form(bench_params, monkeypatch):
@@ -359,6 +382,38 @@ def test_a_contour_point_is_one_evaluation_of_the_closed_form(bench_params, monk
     assert nodes.shape == (48,) and np.array_equal(nodes, _S_UNIT / 50.0)
     laplace_profile(0.5, nodes, bench_params)
     assert len(calls) == 2 and np.array_equal(calls[1][1], nodes)
+
+
+def _hex(values) -> list[str]:
+    return [float.hex(v) for v in values]
+
+
+def test_a_contour_point_keeps_the_plain_numpy_bits():
+    # The point finishes on Python floats; numpy throughout gives the same
+    # triple, value and estimate, bit for bit.
+    for name in ("ex51", "ex52", "ex53"):
+        p = builtin_experiment(name).params
+        for x in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for t in (0.5 * k for k in range(1, 201)):
+                assert _hex(invert_with_error(x, t, p)) == _hex(plain_invert(x, t, p)), (name, x, t)
+    rng = np.random.default_rng(2029)
+    for draw in range(50):
+        p = admissible_draw(rng)
+        x, t = float(rng.uniform()), float(10.0 ** rng.uniform(-0.3, 2.0))
+        assert _hex(invert_with_error(x, t, p)) == _hex(plain_invert(x, t, p)), (draw, x, t)
+
+
+def test_contour_nodes_never_touch_the_cut():
+    # Why a point skips the cut test: the real nodes 6.4 / t and 12.8 / t
+    # are positive and every other node has Im >= 1.26 / t, still 7e-309 at
+    # the largest double; for subnormal t the nodes overflow to infinities,
+    # with a NaN imaginary part on the real nodes, none of them on the cut.
+    rng = np.random.default_rng(30)
+    draws = np.ldexp(rng.uniform(1.0, 2.0, 10**5), rng.integers(-1074, 1024, 10**5))
+    edges = [5e-324, 2.2e-308, 1e-300, 1.0, 1e300, 1.7976931348623157e308, 2**1023]
+    with np.errstate(all="ignore"):
+        for t in edges + draws.tolist():
+            _frequencies(_S_UNIT / t)  # the check laplace_profile runs: raises on the cut
 
 
 # Times far outside any experiment: t = 5e-324 and 1.7e308 fail at every

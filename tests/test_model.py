@@ -73,6 +73,47 @@ def test_validate_params_rejects_non_finite():
         validate_params(bad)
 
 
+# One violation of each bound, in reporting order.
+_VIOLATIONS = {
+    "alpha": (1.0, "alpha must lie in (0,1)"),
+    "gamma": (0.0, "gamma must lie in (0,1)"),
+    "beta": (1.0, "beta must lie in (0,1)"),
+    "R1": (0.5, "R1 must be at least 1"),
+    "R2": (0.5, "R2 must be at least 1"),
+    "P": (0.0, "P must be positive"),
+    "omega": (0.0, "omega must be positive"),
+    "lam": (0.0, "lam must be positive"),
+    "mu": (0.0, "mu must be positive"),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelParams)])
+def test_validate_params_reports_finiteness_before_any_bound(field):
+    # every other bound is violated too, those reported before this field's included
+    others = {g: v for g, (v, _) in _VIOLATIONS.items() if g != field}
+    for bad in (math.nan, -math.inf, 10**400, "1", None, True):
+        p = dataclasses.replace(BENCH_PARAMS, **others, **{field: bad})
+        with pytest.raises(ParameterError, match=f"^{field} must be a finite number$"):
+            validate_params(p)
+
+
+def test_validate_params_reports_the_first_of_two_faults():
+    names = [f.name for f in dataclasses.fields(ModelParams)]
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            p = dataclasses.replace(BENCH_PARAMS, **{first: math.nan, second: math.nan})
+            with pytest.raises(ParameterError, match=f"^{first} must be a finite number$"):
+                validate_params(p)
+    order = list(_VIOLATIONS)
+    for i, first in enumerate(order):
+        for second in order[i + 1:]:
+            p = dataclasses.replace(
+                BENCH_PARAMS, **{first: _VIOLATIONS[first][0], second: _VIOLATIONS[second][0]}
+            )
+            with pytest.raises(ParameterError, match=f"^{re.escape(_VIOLATIONS[first][1])}$"):
+                validate_params(p)
+
+
 _HUGE = 10**400  # an int beyond a double: math.isfinite raises OverflowError on it
 _SERIES = ObservationSeries(x0=0.5, times=[1.0], values=[0.0])
 
