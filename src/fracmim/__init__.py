@@ -52,7 +52,7 @@ from .inversion import (
     invert_orders,
     run_replicates,
 )
-from .laplace import ContourQuadrature, invert_at, invert_with_error
+from .laplace import ContourQuadrature, invert_with_error
 from .model import GridSpec, ModelParams, ObservationSeries, SolutionGrid
 from .solver import extract_observation, solve_forward
 
@@ -75,7 +75,6 @@ __all__ = [
     "solve_forward",
     "extract_observation",
     "ContourQuadrature",
-    "invert_at",
     "invert_with_error",
     "InversionConfig",
     "InversionResult",

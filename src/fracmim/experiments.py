@@ -1,10 +1,11 @@
 """Synthetic order-recovery experiments and their result tables.
 
-An experiment fixes one transport problem with known orders, generates
-the clean observation series once, then sweeps a list of noise levels,
-running repeated noisy inversions at each level.  Three builtin
-descriptors cover the standard benchmark configurations; arbitrary ones
-come from JSON configs via :mod:`fracmim.io`.
+An experiment fixes one transport problem with known orders and sweeps
+a list of noise levels; each level is one table row, which generates
+the clean observation series once and runs repeated noisy inversions
+of it.  Three builtin descriptors cover the standard benchmark
+configurations; arbitrary ones come from JSON configs via
+:mod:`fracmim.io`.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import ConfigError, ValidationError
-from .inversion import InversionConfig, ReplicateSummary, _noise_key, run_replicates
+from .inversion import STOP_REASONS, InversionConfig, ReplicateSummary, _noise_key, run_replicates
 from .laplace import ContourQuadrature
 from .model import (
     GridSpec, ModelParams, _check_count, _is_finite, _is_number, _is_pair,
     validate_params,
 )
-from .solver import extract_observation, solve_forward
 
 __all__ = [
     "ExperimentSpec",
@@ -162,7 +162,7 @@ class ExperimentTable:
             f"true (alpha, gamma) = ({self.z_exact[0]:.8f}, {self.z_exact[1]:.8f})",
             "",
             "| noise level | recovered orders (mean) | relative error (mean) | iterations (mean) "
-            "| stops (step_tol / residual_rise / max_iter) |",
+            f"| stops ({' / '.join(STOP_REASONS)}) |",
             "|---|---|---|---|---|",
         ]
         for r in self.rows:
@@ -173,7 +173,7 @@ class ExperimentTable:
                 if r.failures:
                     z += f" [{r.failures}/{r.replicates} failed]"
                 cells = [z, f"{r.rel_error_mean:.2e}", f"{r.iterations_mean:.1f}"]
-            stops = f"{r.step_tol} / {r.residual_rise} / {r.max_iter}"
+            stops = " / ".join(str(r.stops[reason]) for reason in STOP_REASONS)
             lines.append(f"| {r.delta:g} | {cells[0]} | {cells[1]} | {cells[2]} | {stops} |")
         return "\n".join(lines) + "\n"
 
@@ -184,18 +184,16 @@ def run_experiment(
 ) -> ExperimentTable:
     """Run the full noise sweep for one experiment descriptor.
 
-    The clean series is computed once and shared across noise levels; a
-    zero noise level runs a single replicate (noise-free replicates are
-    identical by determinism).  Cell failures are recorded in the table
-    rather than raised, so one unstable level cannot abort the sweep.
+    Each noise level is one :func:`run_replicates` row, which computes the
+    clean series once per row and runs a single replicate at a zero
+    level.  Cell failures are recorded in the table rather than raised,
+    so one unstable level cannot abort the sweep.
     """
-    clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
     table = ExperimentTable(
         name=spec.name, z_exact=(spec.params.alpha, spec.params.gamma)
     )
     for delta in spec.noise_levels:
-        reps = 1 if delta == 0 else spec.replicates
-        row = run_replicates(spec, reps, delta, clean=clean)
+        row = run_replicates(spec, delta)
         table.rows.append(row)
         if progress is not None:
             err = "--" if row.rel_error_mean is None else f"{row.rel_error_mean:.2e}"

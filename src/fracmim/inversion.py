@@ -8,23 +8,24 @@ plain Gauss-Newton as the iteration count grows.  Each iteration runs one
 tangent-linear march, which gives the forward series and its exact
 sensitivities to both orders at once, and iterates are clamped to a closed
 sub-square of the admissible set because the forward problem degenerates
-on its boundary.  The inversions of one table all start at the same
-iterate, so they share its march: the last one is kept.
+on its boundary.  A table row, :func:`run_replicates`, computes its
+clean series once and inverts noisy copies of it.  The inversions of
+one table all start at the same iterate, so they share its march: the
+last one is kept.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, InversionError, NumericalError, ValidationError
 from .model import (
-    GridSpec, ModelParams, ObservationSeries, _check_count, _fits_double, _is_finite, _is_integer,
-    _is_number, _is_pair, _numbers,
+    GridSpec, ModelParams, ObservationSeries, _check_count, _check_params_type, _fits_double,
+    _is_finite, _is_integer, _is_number, _is_pair, _numbers,
 )
 from .solver import _tangent_march, _validate_for_solve, extract_observation, solve_forward
 
@@ -33,6 +34,7 @@ __all__ = [
     "IterationRecord",
     "InversionResult",
     "ReplicateSummary",
+    "STOP_REASONS",
     "add_noise",
     "homotopy_kappa",
     "sensitivity_jacobian",
@@ -268,6 +270,8 @@ def invert_orders(
     ------
     ValidationError
         Before any march, unless ``z_exact`` is None or a finite pair of nonzero norm.
+    TypeError
+        Before any march, when ``p_base`` is not a ModelParams.
     ParameterError, GridError
         Before any march, for inadmissible parameters, or an observation
         point or times off the grid.
@@ -282,6 +286,7 @@ def invert_orders(
     z = np.clip(np.asarray(cfg.z0, dtype=float), lo, hi)
     # Every iterate lies in [lo, hi]^2, inside the order set: the checks
     # of the first iteration hold for all.
+    _check_params_type(p_base)
     first = p_base.with_orders(*z)
     _validate_for_solve(first)
     i, idx = g.interior_node(obs.x0), g.time_indices(obs.times)
@@ -332,6 +337,10 @@ def invert_orders(
     )
 
 
+# The stop reasons of invert_orders, in the order a table counts them.
+STOP_REASONS = ("step_tol", "residual_rise", "max_iter")
+
+
 @dataclass
 class ReplicateSummary:
     """Noise-level aggregate over repeated inversions of one problem.
@@ -339,8 +348,9 @@ class ReplicateSummary:
     Means are taken over the successful replicates only; ``failures``
     counts replicates that aborted with a numerical error.  ``z_mean``
     and the other means are None when every replicate failed.
-    ``step_tol``, ``residual_rise`` and ``max_iter`` count the successful
-    replicates by :attr:`InversionResult.stop_reason`.
+    ``stops`` counts the successful replicates by
+    :attr:`InversionResult.stop_reason`, one entry per reason in
+    :data:`STOP_REASONS` order.
     """
 
     delta: float
@@ -349,9 +359,7 @@ class ReplicateSummary:
     z_mean: tuple[float, float] | None
     rel_error_mean: float | None
     iterations_mean: float | None
-    step_tol: int = 0
-    residual_rise: int = 0
-    max_iter: int = 0
+    stops: dict[str, int] = field(default_factory=lambda: dict.fromkeys(STOP_REASONS, 0))
 
 
 def _noise_key(delta: float, error=ValidationError) -> int:
@@ -371,29 +379,25 @@ def _replicate_seeds(base_seed: int, delta: float, replicates: int) -> list[int]
         raise ValidationError(f"replicates={replicates} is too many seeds for numpy") from None
 
 
-def run_replicates(
-    spec,
-    replicates: int,
-    delta: float = 0.0,
-    clean: ObservationSeries | None = None,
-) -> ReplicateSummary:
-    """Average repeated noisy inversions of one synthetic problem.
+def run_replicates(spec, delta: float = 0.0) -> ReplicateSummary:
+    """Average repeated noisy inversions of one synthetic problem: one table row.
 
     ``spec`` is any object with the experiment-descriptor attributes
-    ``params`` (true orders included), ``grid``, ``x0``, ``inversion``,
-    and ``seed``.  Each replicate perturbs the same clean series with an
-    independent seed, inverts, and the recovered orders, relative errors
-    and iteration counts are averaged over the replicates that finish;
-    numerical failures are counted, not raised.
-
-    Pass ``clean`` to reuse an already-computed noise-free series (it
-    must match the spec's grid and observation point).
+    ``params`` (true orders included), ``grid``, ``x0``, ``replicates``,
+    ``inversion`` and ``seed``.  The row marches its own clean series and
+    runs ``spec.replicates`` replicates, or one at a noise-free level
+    (noise-free replicates are identical by determinism).  Each replicate
+    perturbs the clean series with an independent seed and inverts it;
+    the recovered orders, relative errors and iteration counts are
+    averaged over the replicates that finish, and numerical failures are
+    counted, not raised.  The level and the count are checked, and the
+    seeds drawn, before the clean march.
     """
-    _check_count(replicates, "replicates", 1, ValidationError)
     _check_noise_level(delta)
+    replicates = 1 if delta == 0 else spec.replicates
+    _check_count(replicates, "replicates", 1, ValidationError)
     seeds = _replicate_seeds(spec.seed, delta, replicates)
-    if clean is None:
-        clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
+    clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
     z_exact = (spec.params.alpha, spec.params.gamma)
 
     good: list[InversionResult] = []
@@ -416,5 +420,5 @@ def run_replicates(
         z_mean=z_mean,
         rel_error_mean=rel_error_mean,
         iterations_mean=iterations_mean,
-        **Counter(r.stop_reason for r in good),
+        stops={reason: sum(r.stop_reason == reason for r in good) for reason in STOP_REASONS},
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .experiments import DEFAULT_GRID, ExperimentSpec, ExperimentTable
-from .inversion import InversionConfig, InversionResult
+from .inversion import STOP_REASONS, InversionConfig, InversionResult
 from .laplace import ContourQuadrature
 from .model import (
     ModelParams, ObservationSeries, SolutionGrid, _fits_double, _is_integer, _is_number, _is_pair,
@@ -505,7 +505,8 @@ def write_experiment_table(
 ) -> None:
     """Emit one experiment table as CSV (nan for failed cells) and markdown.
 
-    The last three columns count the successful replicates by stop reason.
+    The last columns count the successful replicates by stop reason, in
+    ``STOP_REASONS`` order.
     """
 
     def rows():
@@ -514,23 +515,10 @@ def write_experiment_table(
                 means = (math.nan,) * 4
             else:
                 means = (*r.z_mean, r.rel_error_mean, r.iterations_mean)
-            stops = (r.step_tol, r.residual_rise, r.max_iter)
+            stops = (r.stops[reason] for reason in STOP_REASONS)
             yield (r.delta, *means, r.failures, r.replicates, *stops)
 
-    write_csv(
-        csv_path,
-        [
-            "delta",
-            "alpha_mean",
-            "gamma_mean",
-            "rel_error_mean",
-            "iterations_mean",
-            "failures",
-            "replicates",
-            "step_tol",
-            "residual_rise",
-            "max_iter",
-        ],
-        rows(),
-    )
+    header = ["delta", "alpha_mean", "gamma_mean", "rel_error_mean", "iterations_mean",
+              "failures", "replicates", *STOP_REASONS]
+    write_csv(csv_path, header, rows())
     Path(md_path).write_text(table.to_markdown(), encoding="utf-8")

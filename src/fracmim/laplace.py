@@ -33,7 +33,6 @@ from .model import ModelParams, _is_finite, _is_number, _numbers, validate_param
 __all__ = [
     "ContourQuadrature",
     "laplace_profile",
-    "invert_at",
     "invert_with_error",
 ]
 
@@ -232,11 +231,3 @@ def invert_with_error(
     # positive, the rest have Im >= 1.26 / t > 0, and subnormal t overflows them off it.
     (u1, u2), err = _invert(lambda nodes: _closed_form(_position(x), nodes, p), t, q)
     return float(u1), float(u2), err
-
-
-def invert_at(
-    x: float, t: float, p: ModelParams, q: ContourQuadrature | None = None
-) -> tuple[float, float]:
-    """Time-domain concentrations (u1, u2) at (x, t) from the closed form."""
-    u1, u2, _ = invert_with_error(x, t, p, q)
-    return u1, u2

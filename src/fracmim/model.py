@@ -116,6 +116,12 @@ def _is_pair(v) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
 
 
+def _check_params_type(p) -> None:
+    # An object that merely carries the nine fields is refused too: the march replaces its orders.
+    if not isinstance(p, ModelParams):
+        raise TypeError(f"params must be a ModelParams, not {type(p).__name__}")
+
+
 def validate_params(p: ModelParams) -> ModelParams:
     """Check the natural admissibility condition on all parameters.
 
@@ -130,10 +136,13 @@ def validate_params(p: ModelParams) -> ModelParams:
 
     Raises
     ------
+    TypeError
+        When ``p`` is not a ModelParams.
     ParameterError
         Naming the first field, in field order, that is not a finite
         number, else the first violated bound.
     """
+    _check_params_type(p)
     # a frozen dataclass's __dict__ holds its fields in declaration order
     for name, v in vars(p).items():
         # a plain float is finite when v - v is 0; anything else takes the general test

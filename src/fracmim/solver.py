@@ -66,6 +66,7 @@ from .model import (
     ObservationSeries,
     SolutionGrid,
     _check_count,
+    _check_params_type,
     _is_finite,
     _is_number,
     validate_params,
@@ -193,6 +194,7 @@ def assemble_block_system(c: SchemeConstants, m: int) -> tuple[np.ndarray, np.nd
 def _validate_for_solve(params: ModelParams) -> None:
     # The march extends continuously to order 1 (classical limit used by
     # the cross-checks), so the order bounds are relaxed to (0, 1] here.
+    _check_params_type(params)
     for name in ("alpha", "gamma"):
         v = getattr(params, name)
         if not (_is_number(v) and 0.0 < v <= 1.0):
@@ -215,6 +217,8 @@ def solve_forward(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> So
 
     Raises
     ------
+    TypeError
+        When ``params`` is not a ModelParams.
     ParameterError, GridError
         For inadmissible parameters or grids.
     SolverError

@@ -35,7 +35,12 @@ functions is a genuine two-route check:
 * the CSV writer and reader one cell at a time (``str.format`` and
   ``float`` per cell), and the per-cell rows of the solution file, as
   the byte-for-byte and message-for-message reference of the block
-  CSV layer.
+  CSV layer;
+* the rows of a noise-sweep table by hand: one clean series for the
+  whole spec, one replicate at a noise-free level, one package
+  inversion per seed and plain numpy means.  It runs the package's own
+  seeds and inversions: it checks how a table is put together, not
+  the inversion.
 """
 
 from __future__ import annotations
@@ -47,7 +52,11 @@ import scipy.linalg
 from scipy.special import gamma as gamma_fn
 from scipy.special import rgamma
 
-from fracmim import ValidationError, extract_observation, solve_forward
+from fracmim import (
+    ReplicateSummary, ValidationError, add_noise, extract_observation, invert_orders,
+    solve_forward,
+)
+from fracmim.inversion import _replicate_seeds
 from fracmim.solver import scheme_constants
 
 
@@ -441,3 +450,32 @@ def percell_read_csv(path):
                     f"in column {header[cidx]!r}"
                 ) from None
     return header, data
+
+
+def table_rows_by_hand(spec):
+    """The ReplicateSummary rows of ``spec``'s noise sweep, one per level.
+
+    The clean series is computed once and shared by every level; a level
+    of 0 runs one replicate, any other ``spec.replicates``.  No replicate
+    may fail.
+    """
+    clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
+    z_exact = (spec.params.alpha, spec.params.gamma)
+    rows = []
+    for delta in spec.noise_levels:
+        count = 1 if delta == 0 else spec.replicates
+        results = [
+            invert_orders(add_noise(clean, delta, seed), spec.params, spec.grid,
+                          spec.inversion, z_exact)
+            for seed in _replicate_seeds(spec.seed, delta, count)
+        ]
+        z = np.mean([r.z_inv for r in results], axis=0)
+        rows.append(ReplicateSummary(
+            delta=float(delta), replicates=count, failures=0,
+            z_mean=(float(z[0]), float(z[1])),
+            rel_error_mean=float(np.mean([r.rel_error for r in results])),
+            iterations_mean=float(np.mean([r.iterations for r in results])),
+            stops={reason: [r.stop_reason for r in results].count(reason)
+                   for reason in ("step_tol", "residual_rise", "max_iter")},
+        ))
+    return rows

@@ -15,7 +15,6 @@ from fracmim import (
     GridSpec,
     builtin_experiment,
     extract_observation,
-    invert_at,
     invert_with_error,
     run_experiment,
     solve_forward,
@@ -77,7 +76,7 @@ def test_criterion_02_noisy_recovery_trend():
 def test_criterion_03_cross_route_agreement():
     params = builtin_experiment("ex51").params
     x0, times = 0.5, np.array([10.0, 50.0, 100.0])
-    refs = np.array([invert_at(x0, float(t), params)[0] for t in times])
+    refs = np.array([invert_with_error(x0, float(t), params)[0] for t in times])
 
     ladder = {}
     for m, n in [(20, 100), (40, 200), (80, 400), (160, 800)]:

@@ -17,7 +17,7 @@ PUBLIC_API = {
     "ModelParams", "GridSpec", "SolutionGrid", "ObservationSeries",
     "solve_forward", "extract_observation",
     # closed-form reference
-    "ContourQuadrature", "invert_at", "invert_with_error",
+    "ContourQuadrature", "invert_with_error",
     # order recovery
     "InversionConfig", "InversionResult", "ReplicateSummary", "add_noise",
     "invert_orders", "run_replicates",
@@ -52,7 +52,8 @@ def test_removed_helpers_stay_unlisted():
     # The closed form and the march run on private functions; these
     # wrappers had no caller outside the tests and are gone.
     for module, removed in (
-        ("laplace", {"coeff_b", "laplace_coefficients", "LaplaceCoefficients", "invert_transform"}),
+        ("laplace", {"coeff_b", "laplace_coefficients", "LaplaceCoefficients", "invert_transform",
+                     "invert_at"}),
         ("solver", {"BlockSystem"}),
     ):
         mod = importlib.import_module(f"fracmim.{module}")

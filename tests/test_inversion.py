@@ -10,6 +10,7 @@ wrong linearization.
 import dataclasses
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -33,18 +34,20 @@ from fracmim import (
     extract_observation,
     invert_orders,
     parse_config,
+    run_experiment,
     run_replicates,
     solve_forward,
 )
 from fracmim import inversion, solver
 from fracmim.inversion import (
+    STOP_REASONS,
     IterationRecord,
     _replicate_seeds,
     homotopy_kappa,
     lm_step,
     sensitivity_jacobian,
 )
-from oracles import central_difference_jacobian, complex_step_jacobian
+from oracles import central_difference_jacobian, complex_step_jacobian, table_rows_by_hand
 
 
 def _clean_series(params, grid, x0=0.5):
@@ -490,8 +493,8 @@ def test_shared_first_march_leaves_every_result_of_a_row_unchanged():
 
 
 def test_a_row_of_replicates_shares_one_first_march(tiny_grid, monkeypatch):
-    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
     replicates, delta = 4, 0.01
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid, replicates=replicates)
     march = inversion._tangent_march
     marches = []
 
@@ -509,7 +512,8 @@ def test_a_row_of_replicates_shares_one_first_march(tiny_grid, monkeypatch):
     cold = len(marches)
     marches.clear()
     inversion._first_march.cache_clear()
-    run_replicates(spec, replicates, delta, clean=clean)
+    # the row's own clean march is solve_forward's, not counted here
+    run_replicates(spec, delta)
     assert len(marches) == cold - (replicates - 1)
 
 
@@ -607,17 +611,18 @@ def test_unstable_start_completes_off_target():
 
 
 def test_replicates_deterministic(tiny_grid):
-    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
-    s1 = run_replicates(spec, 3, delta=0.01)
-    s2 = run_replicates(spec, 3, delta=0.01)
-    assert s1.z_mean == s2.z_mean
-    assert s1.rel_error_mean == s2.rel_error_mean
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid, replicates=3)
+    s1 = run_replicates(spec, delta=0.01)
+    s2 = run_replicates(spec, delta=0.01)
+    assert s1 == s2
     assert s1.replicates == 3 and s1.failures == 0
 
 
 def test_replicates_noise_free_matches_single_run(tiny_grid):
-    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
-    summary = run_replicates(spec, 1, delta=0.0)
+    # a noise-free row runs one replicate, whatever the spec's count
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid, replicates=2**62)
+    summary = run_replicates(spec, delta=0.0)
+    assert summary.replicates == 1 and summary.failures == 0
     obs = _clean_series(spec.params, tiny_grid, spec.x0)
     single = invert_orders(
         obs, spec.params, tiny_grid, spec.inversion,
@@ -625,10 +630,12 @@ def test_replicates_noise_free_matches_single_run(tiny_grid):
     )
     assert summary.z_mean == single.z_inv
     assert summary.rel_error_mean == single.rel_error
+    assert summary.iterations_mean == single.iterations
+    assert summary.stops == {reason: int(reason == single.stop_reason) for reason in STOP_REASONS}
 
 
 def test_replicates_count_a_failure_and_average_the_rest(tiny_grid, monkeypatch):
-    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid, replicates=3)
     real = inversion.invert_orders
     calls, finished = [], []
 
@@ -640,7 +647,7 @@ def test_replicates_count_a_failure_and_average_the_rest(tiny_grid, monkeypatch)
         return finished[-1]
 
     monkeypatch.setattr(inversion, "invert_orders", second_one_fails)
-    summary = run_replicates(spec, 3, delta=0.01)
+    summary = run_replicates(spec, delta=0.01)
     assert summary.replicates == 3 and summary.failures == 1
     assert len(finished) == 2
     # The kept replicates are the first and third seeds' inversions.
@@ -654,28 +661,38 @@ def test_replicates_count_a_failure_and_average_the_rest(tiny_grid, monkeypatch)
     assert summary.z_mean == (z[0], z[1])
     assert summary.rel_error_mean == np.mean([r.rel_error for r in finished])
     assert summary.iterations_mean == np.mean([r.iterations for r in finished])
+    assert sum(summary.stops.values()) == 2  # a failed replicate has no stop
 
 
 def test_replicates_count_stop_reasons():
-    # Every ex51 replicate at delta = 0.001 ends on the step test.
-    summary = run_replicates(builtin_experiment("ex51"), 10, delta=0.001)
+    # Every ex51 replicate at delta = 0.001 ends on the step test; the
+    # counts hold every reason, in table order.
+    spec = builtin_experiment("ex51")
+    assert spec.replicates == 10
+    summary = run_replicates(spec, delta=0.001)
     assert summary.failures == 0
-    assert (summary.step_tol, summary.residual_rise, summary.max_iter) == (10, 0, 0)
+    assert list(summary.stops.items()) == [("step_tol", 10), ("residual_rise", 0), ("max_iter", 0)]
+    assert STOP_REASONS == ("step_tol", "residual_rise", "max_iter")
 
 
 def test_replicates_validates_count(tiny_grid, monkeypatch):
     # Every count is refused before the clean march, including one whose
-    # seeds numpy will not draw.
+    # seeds numpy will not draw.  ExperimentSpec refuses the others when it
+    # is built, so they come on an object that only carries its attributes.
     marches = []
     monkeypatch.setattr(inversion, "solve_forward", lambda *args: marches.append(args))
     spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
+
+    def carrying(count):
+        return types.SimpleNamespace(**{**vars(spec), "replicates": count})
+
     for count in (0, 2.5, True, "3"):
-        with pytest.raises(ValidationError, match=re.escape("integer >= 1")):
-            run_replicates(spec, count)
+        with pytest.raises(ValidationError, match=re.escape("replicates must be an integer >= 1")):
+            run_replicates(carrying(count), 0.01)
     with pytest.raises(ValidationError, match="replicates is too large for a float"):
-        run_replicates(spec, 10**400)
+        run_replicates(carrying(10**400), 0.01)
     with pytest.raises(ValidationError, match=f"replicates={2**62} is too many seeds for numpy"):
-        run_replicates(spec, 2**62)
+        run_replicates(dataclasses.replace(spec, replicates=2**62), 0.01)
     assert marches == []
 
 
@@ -696,10 +713,20 @@ def test_replicates_validate_level(tiny_grid, monkeypatch, delta, message):
     # its seeds are drawn and before the clean march, as a ValidationError.
     marches = []
     monkeypatch.setattr(inversion, "solve_forward", lambda *args: marches.append(args))
-    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid)
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid, replicates=2)
     with pytest.raises(ValidationError, match=re.escape(message)):
-        run_replicates(spec, 2, delta)
+        run_replicates(spec, delta)
     assert marches == []
+
+
+def test_a_table_is_its_rows_by_hand(tiny_grid):
+    # One clean series for the whole spec and one replicate at delta = 0,
+    # whatever the spec's count: run_experiment's rows, field for field.
+    spec = dataclasses.replace(builtin_experiment("ex51"), grid=tiny_grid,
+                               noise_levels=(0.01, 0.0), replicates=3)
+    rows = run_experiment(spec).rows
+    assert [r.replicates for r in rows] == [3, 1]
+    assert rows == table_rows_by_hand(spec)
 
 
 def test_replicate_seeds_vary_with_level():

@@ -653,7 +653,8 @@ def test_artifact_csvs_match_percell_writer(tmp_path, monkeypatch):
         name="demo", z_exact=(0.8, 0.25),
         rows=[
             ReplicateSummary(delta=0.05, replicates=10, failures=1, z_mean=(0.81, 1 / 3),
-                             rel_error_mean=0.03, iterations_mean=14.5),
+                             rel_error_mean=0.03, iterations_mean=14.5,
+                             stops={"step_tol": 6, "residual_rise": 2, "max_iter": 1}),
             ReplicateSummary(delta=0.01, replicates=10, failures=10, z_mean=None,
                              rel_error_mean=None, iterations_mean=None),
         ],
@@ -797,7 +798,8 @@ def test_experiment_table_files(tmp_path):
         rows=[
             ReplicateSummary(delta=0.05, replicates=10, failures=1,
                              z_mean=(0.81, 0.24), rel_error_mean=0.03,
-                             iterations_mean=14.5, step_tol=6, residual_rise=2, max_iter=1),
+                             iterations_mean=14.5,
+                             stops={"step_tol": 6, "residual_rise": 2, "max_iter": 1}),
             ReplicateSummary(delta=0.01, replicates=10, failures=10,
                              z_mean=None, rel_error_mean=None, iterations_mean=None),
         ],

@@ -23,7 +23,6 @@ from fracmim import (
     QuadratureError,
     ValidationError,
     builtin_experiment,
-    invert_at,
     invert_with_error,
 )
 from fracmim import laplace
@@ -312,7 +311,7 @@ def test_invert_rejects_bad_time(bench_params):
     with pytest.raises(ValidationError, match="positive finite time"):
         invert_array(lambda s: 1.0 / s, True)
     with pytest.raises(ValidationError, match="positive finite time"):
-        invert_at(0.5, True, bench_params)
+        invert_with_error(0.5, True, bench_params)
 
 
 @pytest.mark.parametrize(
@@ -341,7 +340,6 @@ def test_invert_reports_non_convergence():
 def test_invert_with_error_consistency(bench_params):
     u1, u2, err = invert_with_error(0.5, 50.0, bench_params)
     assert 0.0 <= err <= ContourQuadrature().tolerance
-    assert invert_at(0.5, 50.0, bench_params) == (u1, u2)
     assert 0.0 < u2 < u1 < 1.0
 
 
@@ -362,7 +360,6 @@ def test_default_quadrature_is_built_once(bench_params, monkeypatch):
     want = invert_with_error(0.5, 50.0, bench_params, ContourQuadrature())
     monkeypatch.setattr(laplace, "ContourQuadrature", None)
     assert invert_with_error(0.5, 50.0, bench_params) == want
-    assert invert_at(0.5, 50.0, bench_params) == want[:2]
 
 
 def test_a_contour_point_is_one_evaluation_of_the_closed_form(bench_params, monkeypatch):
@@ -500,9 +497,9 @@ def test_invert_matches_forty_digit_values():
                 assert est <= 1e-10, (name, x, t, est)
 
 
-def test_invert_at_monotone_in_time(bench_params):
+def test_invert_with_error_monotone_in_time(bench_params):
     # continuous injection: the mobile breakthrough at a fixed point rises
-    values = [invert_at(0.5, t, bench_params)[0] for t in (5.0, 10.0, 50.0, 100.0)]
+    values = [invert_with_error(0.5, t, bench_params)[0] for t in (5.0, 10.0, 50.0, 100.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 

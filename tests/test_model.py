@@ -10,6 +10,7 @@ cover both the fractional and the classical system.
 import dataclasses
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -27,7 +28,8 @@ from fracmim import (
     ValidationError,
     GridError,
     add_noise,
-    invert_at,
+    invert_orders,
+    invert_with_error,
     solve_forward,
 )
 from fracmim.model import validate_params
@@ -114,6 +116,31 @@ def test_validate_params_reports_the_first_of_two_faults():
                 validate_params(p)
 
 
+_CARRIER = types.SimpleNamespace(**vars(BENCH_PARAMS))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [_CARRIER, types.SimpleNamespace(**{**vars(BENCH_PARAMS), "alpha": 2.0}), None,
+     dataclasses.asdict(BENCH_PARAMS), "ModelParams"],
+    ids=["carrier", "carrier-bad-order", "None", "dict", "str"],
+)
+def test_only_a_model_params_is_a_parameter_set(p):
+    # An object that only carries the nine fields is refused by every
+    # entry point, before any other check, as None, a dict and a str are.
+    grid = GridSpec(m=4, n=4, T=1.0)
+    message = f"^params must be a ModelParams, not {type(p).__name__}$"
+    for call in (
+        lambda: validate_params(p),
+        lambda: invert_with_error(0.5, 1.0, p),
+        lambda: solve_forward(p, grid),
+        lambda: invert_orders(_SERIES, p, grid),
+        lambda: ExperimentSpec(params=p),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
 _HUGE = 10**400  # an int beyond a double: math.isfinite raises OverflowError on it
 _SERIES = ObservationSeries(x0=0.5, times=[1.0], values=[0.0])
 
@@ -137,13 +164,13 @@ _SERIES = ObservationSeries(x0=0.5, times=[1.0], values=[0.0])
          "noise_levels must be finite and nonnegative"),
         (lambda: ExperimentSpec(params=BENCH_PARAMS, reference_points=((0.5, _HUGE),)),
          ConfigError, "needs x in [0,1] and a positive finite t"),
-        (lambda: invert_at(0.5, _HUGE, BENCH_PARAMS), ValidationError,
+        (lambda: invert_with_error(0.5, _HUGE, BENCH_PARAMS), ValidationError,
          "t must be a positive finite time"),
         (lambda: solve_forward(BENCH_PARAMS, GridSpec(m=4, n=4, T=1.0), inlet=_HUGE),
          ParameterError, "inlet must be a finite number"),
     ],
     ids=["T", "P", "noise_level", "sigma", "step_tol", "z0", "delta", "noise_levels",
-         "reference_points", "invert_at", "inlet"],
+         "reference_points", "invert_with_error", "inlet"],
 )
 def test_scalar_checks_reject_ints_beyond_a_double(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

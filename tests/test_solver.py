@@ -35,7 +35,7 @@ from fracmim import (
     SolverError,
     builtin_experiment,
     extract_observation,
-    invert_at,
+    invert_with_error,
     solve_forward,
 )
 from fracmim.inversion import sensitivity_jacobian
@@ -595,7 +595,7 @@ def test_grid_refinement_moves_toward_reference(bench_params):
     # Doubling (m,n) from (20,100) must land closer to the independent
     # closed-form value at (x0=0.5, t=T), and the grid-to-grid move must
     # stay below the coarse grid's distance from that reference.
-    ref, _ = invert_at(0.5, 100.0, bench_params, ContourQuadrature())
+    ref = invert_with_error(0.5, 100.0, bench_params, ContourQuadrature())[0]
     coarse = solve_forward(bench_params, GridSpec(20, 100, 100.0)).u1[10, -1]
     fine = solve_forward(bench_params, GridSpec(40, 200, 100.0)).u1[20, -1]
     assert abs(fine - ref) < abs(coarse - ref)
