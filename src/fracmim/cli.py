@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -170,15 +169,31 @@ def cmd_invert(args, spec: ExperimentSpec, out: Path) -> int:
     return 0
 
 
+def _table_base(name: str) -> str:
+    """``table_<name>``, the stem of a table's files in one directory.
+
+    A name that cannot be part of such a file name is refused, so that a
+    table is not run only to fail when it is written.
+    """
+    if any(c and c in name for c in (os.sep, os.altsep, "\0")):
+        raise ValidationError(f"table name {name!r} holds a path separator or a NUL")
+    base = f"table_{name}"
+    try:
+        size = len(os.fsencode(f"{base}.json"))  # the longest of its three file names
+    except UnicodeEncodeError:
+        raise ValidationError(f"table name {name!r} cannot be encoded as a file name") from None
+    if size > 255:  # NAME_MAX of common file systems
+        raise ValidationError(
+            f"a table name of {len(name)} characters makes table_<name>.json longer than 255 bytes"
+        )
+    return base
+
+
 def cmd_experiment(args, spec: ExperimentSpec, out: Path) -> int:
+    base = _table_base(spec.name)
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     table = run_experiment(spec, progress=progress)
-
-    base = f"table_{spec.name}"
-    fio.write_experiment_table(out / f"{base}.csv", out / f"{base}.md", table)
-    (out / f"{base}.json").write_text(
-        json.dumps(fio.config_document(spec), indent=2) + "\n", encoding="utf-8"
-    )
+    fio.write_experiment_table(out / f"{base}.csv", table)
     if not args.quiet:
         print(table.to_markdown(), end="")
         print(f"wrote {out / (base + '.csv')} and {out / (base + '.md')}")

@@ -5,7 +5,8 @@ a list of noise levels; each level is one table row, which generates
 the clean observation series once and runs repeated noisy inversions
 of it.  Three builtin descriptors cover the standard benchmark
 configurations; arbitrary ones come from JSON configs via
-:mod:`fracmim.io`.
+:mod:`fracmim.io`, which also writes a table's files.  A table holds its
+spec, so the config sidecar written beside it reruns it.
 """
 
 from __future__ import annotations
@@ -149,17 +150,21 @@ def builtin_experiment(name: str) -> ExperimentSpec:
 class ExperimentTable:
     """Noise-sweep results for one experiment, printable as markdown.
 
-    Each row is the :class:`ReplicateSummary` of one noise level.
+    Each row is the :class:`ReplicateSummary` of one noise level of ``spec``.
     """
 
-    name: str
-    z_exact: tuple[float, float]
+    spec: ExperimentSpec
     rows: list[ReplicateSummary] = field(default_factory=list)
 
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
     def to_markdown(self) -> str:
+        p = self.spec.params
         lines = [
             f"Recovered orders for {self.name}: "
-            f"true (alpha, gamma) = ({self.z_exact[0]:.8f}, {self.z_exact[1]:.8f})",
+            f"true (alpha, gamma) = ({p.alpha:.8f}, {p.gamma:.8f})",
             "",
             "| noise level | recovered orders (mean) | relative error (mean) | iterations (mean) "
             f"| stops ({' / '.join(STOP_REASONS)}) |",
@@ -189,9 +194,7 @@ def run_experiment(
     level.  Cell failures are recorded in the table rather than raised,
     so one unstable level cannot abort the sweep.
     """
-    table = ExperimentTable(
-        name=spec.name, z_exact=(spec.params.alpha, spec.params.gamma)
-    )
+    table = ExperimentTable(spec)
     for delta in spec.noise_levels:
         row = run_replicates(spec, delta)
         table.rows.append(row)

@@ -12,6 +12,9 @@ emitted files round-trip through :func:`read_csv` bit for bit.  The
 writers format blocks of rows, not single cells; the reader hands the
 data lines to numpy's C ``loadtxt`` and parses cell by cell only the
 files that it rejects.
+
+The JSON files (observation sidecar, inversion report, table sidecar)
+are indented by two spaces and end in a newline.
 """
 
 from __future__ import annotations
@@ -199,8 +202,8 @@ def config_document(spec: ExperimentSpec) -> dict:
 
     The inverse of :func:`parse_config`, with the same keys, sections
     and "lambda" spelling: ``parse_config(config_document(spec)) == spec``.
-    The ``table_<name>.json`` sidecar of ``fracmim experiment`` is this
-    document, so it reloads with ``fracmim experiment --config``.
+    :func:`write_experiment_table` writes this document of the table's
+    spec beside the table, so it reloads with ``fracmim experiment --config``.
     """
     return {
         "name": spec.name,
@@ -392,6 +395,10 @@ _SIDECAR_FIELDS = {
 }
 
 
+def _write_json(path: str | Path, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def write_observation(path: str | Path, obs: ObservationSeries) -> None:
     """Observation CSV (t, u1) plus a JSON sidecar with x0/noise/seed.
 
@@ -400,10 +407,7 @@ def write_observation(path: str | Path, obs: ObservationSeries) -> None:
     """
     path = Path(path)
     write_csv(path, ["t", "u1"], zip(obs.times, obs.values))
-    sidecar = {key: getattr(obs, key) for key in _SIDECAR_FIELDS}
-    path.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(path.with_suffix(".json"), {key: getattr(obs, key) for key in _SIDECAR_FIELDS})
 
 
 def read_observation(path: str | Path, x0: float | None = None) -> ObservationSeries:
@@ -470,9 +474,9 @@ _HISTORY_FIELDS = {
 
 
 def write_inversion_report(
-    path: str | Path, result: InversionResult, trace_path: str | Path | None = None
+    path: str | Path, result: InversionResult, trace_path: str | Path
 ) -> None:
-    """JSON report of one inversion, plus an optional CSV convergence trace.
+    """JSON report of one inversion, plus its CSV convergence trace.
 
     The rel_error key is present only when the true orders were known.
     """
@@ -488,24 +492,23 @@ def write_inversion_report(
     }
     if result.rel_error is not None:
         report["rel_error"] = result.rel_error
-    Path(path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    if trace_path is not None:
-        write_csv(
-            trace_path,
-            ["iteration", *_HISTORY_FIELDS],
-            (
-                (j, *(value(rec) for value in _HISTORY_FIELDS.values()))
-                for j, rec in enumerate(result.history)
-            ),
-        )
+    _write_json(path, report)
+    write_csv(
+        trace_path,
+        ["iteration", *_HISTORY_FIELDS],
+        (
+            (j, *(value(rec) for value in _HISTORY_FIELDS.values()))
+            for j, rec in enumerate(result.history)
+        ),
+    )
 
 
-def write_experiment_table(
-    csv_path: str | Path, md_path: str | Path, table: ExperimentTable
-) -> None:
-    """Emit one experiment table as CSV (nan for failed cells) and markdown.
+def write_experiment_table(csv_path: str | Path, table: ExperimentTable) -> None:
+    """Emit one experiment table as CSV (nan for failed cells), markdown and config.
 
-    The last columns count the successful replicates by stop reason, in
+    The markdown and the :func:`config_document` of ``table.spec`` take
+    the CSV's path with the suffixes ".md" and ".json".  The last CSV
+    columns count the successful replicates by stop reason, in
     ``STOP_REASONS`` order.
     """
 
@@ -520,5 +523,7 @@ def write_experiment_table(
 
     header = ["delta", "alpha_mean", "gamma_mean", "rel_error_mean", "iterations_mean",
               "failures", "replicates", *STOP_REASONS]
+    csv_path = Path(csv_path)
     write_csv(csv_path, header, rows())
-    Path(md_path).write_text(table.to_markdown(), encoding="utf-8")
+    csv_path.with_suffix(".md").write_text(table.to_markdown(), encoding="utf-8")
+    _write_json(csv_path.with_suffix(".json"), config_document(table.spec))

@@ -376,7 +376,7 @@ def test_experiment_builtin_id_takes_the_seed_override(tmp_path, monkeypatch):
 
     def fake_run(spec, progress=None):
         seen.append(spec)
-        return ExperimentTable(name=spec.name, z_exact=(spec.params.alpha, spec.params.gamma))
+        return ExperimentTable(spec)
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     assert BUILTIN_EXPERIMENTS["ex51"].seed != 7
@@ -386,6 +386,43 @@ def test_experiment_builtin_id_takes_the_seed_override(tmp_path, monkeypatch):
     assert spec.params == BUILTIN_EXPERIMENTS["ex51"].params
     sidecar = json.loads((tmp_path / "table_ex51.json").read_text(encoding="utf-8"))
     assert sidecar["name"] == "ex51" and sidecar["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "name, msg",
+    [
+        ("run/one", "holds a path separator or a NUL"),
+        ("a\0b", "holds a path separator or a NUL"),
+        ("x" * 250, "a table name of 250 characters makes table_<name>.json longer than 255"),
+        ("x" * 243 + "\u00e9", "a table name of 244 characters"),  # a file name of 256 bytes
+        ("\ud800", "cannot be encoded as a file name"),
+    ],
+    ids=["separator", "nul", "too-long", "too-long-in-bytes", "unencodable"],
+)
+def test_experiment_refuses_a_name_that_cannot_name_its_files(
+    tmp_path, monkeypatch, capsys, name, msg
+):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, progress=None: calls.append(spec))
+    cfg = tmp_path / "named.json"
+    cfg.write_text(json.dumps(dict(CONFIG, name=name)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run("experiment", "--config", cfg, "--out", out) == 1
+    assert calls == []
+    assert list(out.rglob("*")) == []
+    assert msg in capsys.readouterr().err
+
+
+def test_experiment_takes_the_longest_name(tmp_path, monkeypatch):
+    # table_<name>.json of 255 bytes, two of them in one character
+    name = "x" * 242 + "\u00e9"
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, progress=None: ExperimentTable(spec))
+    cfg = tmp_path / "named.json"
+    cfg.write_text(json.dumps(dict(CONFIG, name=name)), encoding="utf-8")
+    assert _run("experiment", "--config", cfg, "--out", tmp_path / "out", "--quiet") == 0
+    sidecar = tmp_path / "out" / f"table_{name}.json"
+    assert len(os.fsencode(sidecar.name)) == 255
+    assert json.loads(sidecar.read_text(encoding="utf-8"))["name"] == name
 
 
 def test_experiment_help_lists_the_builtin_ids(capsys):

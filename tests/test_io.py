@@ -29,6 +29,7 @@ from fracmim import (
     parse_config,
     read_csv,
     read_observation,
+    run_experiment,
     solve_forward,
     write_observation,
 )
@@ -642,7 +643,7 @@ def test_solution_csv_bytes_and_read_back(tmp_path, bench_params, make):
     assert data.view(np.int64).tolist() == np.array(rows).view(np.int64).tolist()
 
 
-def test_artifact_csvs_match_percell_writer(tmp_path, monkeypatch):
+def test_artifact_csvs_match_percell_writer(tmp_path, monkeypatch, bench_params):
     rng = np.random.default_rng(11)
     obs = ObservationSeries(
         x0=0.5, times=np.cumsum(rng.uniform(1e-3, 1.0, 300)),
@@ -650,7 +651,7 @@ def test_artifact_csvs_match_percell_writer(tmp_path, monkeypatch):
     )
     reference = [(0.5, 10.0, 0.03, 0.02, 1e-8), (1.0, 0.5, math.nan, math.nan, math.nan)]
     table = ExperimentTable(
-        name="demo", z_exact=(0.8, 0.25),
+        spec=ExperimentSpec(params=bench_params, name="demo"),
         rows=[
             ReplicateSummary(delta=0.05, replicates=10, failures=1, z_mean=(0.81, 1 / 3),
                              rel_error_mean=0.03, iterations_mean=14.5,
@@ -663,7 +664,7 @@ def test_artifact_csvs_match_percell_writer(tmp_path, monkeypatch):
         (write_observation, obs),
         (write_reference_csv, reference),
         (lambda path, res: write_inversion_report(tmp_path / "r.json", res, path), _result(1e-6)),
-        (lambda path, t: write_experiment_table(path, tmp_path / "t.md", t), table),
+        (write_experiment_table, table),
     ]
     for k, (write, arg) in enumerate(writers):
         write(tmp_path / "new.csv", arg)
@@ -786,15 +787,15 @@ def test_inversion_report_keys(tmp_path):
 
 def test_inversion_report_omits_unknown_error(tmp_path):
     report_path = tmp_path / "report.json"
-    write_inversion_report(report_path, _result(None))
+    write_inversion_report(report_path, _result(None), tmp_path / "trace.csv")
     doc = json.loads(report_path.read_text(encoding="utf-8"))
     assert "rel_error" not in doc
 
 
-def test_experiment_table_files(tmp_path):
+def test_experiment_table_files(tmp_path, bench_params):
+    spec = ExperimentSpec(params=bench_params, name="demo", seed=7)
     table = ExperimentTable(
-        name="demo",
-        z_exact=(0.8, 0.25),
+        spec=spec,
         rows=[
             ReplicateSummary(delta=0.05, replicates=10, failures=1,
                              z_mean=(0.81, 0.24), rel_error_mean=0.03,
@@ -805,8 +806,8 @@ def test_experiment_table_files(tmp_path):
         ],
     )
     csv_path = tmp_path / "table.csv"
-    md_path = tmp_path / "table.md"
-    write_experiment_table(csv_path, md_path, table)
+    write_experiment_table(csv_path, table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "table.json", "table.md"]
     header, data = read_csv(csv_path)
     assert header == ["delta", "alpha_mean", "gamma_mean", "rel_error_mean",
                       "iterations_mean", "failures", "replicates",
@@ -814,9 +815,32 @@ def test_experiment_table_files(tmp_path):
     assert data[0, 1] == 0.81 and data[0, 5] == 1.0
     assert np.all(np.isnan(data[1, 1:5]))
     assert data[:, 7:].tolist() == [[6.0, 2.0, 1.0], [0.0, 0.0, 0.0]]
-    md = md_path.read_text(encoding="utf-8")
+    md = (tmp_path / "table.md").read_text(encoding="utf-8")
+    assert md.startswith(
+        "Recovered orders for demo: true (alpha, gamma) = (0.80000000, 0.25000000)\n"
+    )
     assert "| noise level | recovered orders (mean) |" in md
     assert "| stops (step_tol / residual_rise / max_iter) |" in md
     assert "| 14.5 | 6 / 2 / 1 |" in md
     assert "[1/10 failed]" in md
     assert "FAILED (10/10)" in md
+    sidecar = (tmp_path / "table.json").read_text(encoding="utf-8")
+    assert sidecar == json.dumps(config_document(spec), indent=2) + "\n"
+    assert load_config(tmp_path / "table.json") == spec
+
+
+def test_a_written_table_reruns_from_its_sidecar(tmp_path, bench_params, tiny_grid):
+    spec = ExperimentSpec(params=bench_params, name="tiny", grid=tiny_grid,
+                          noise_levels=(0.01, 0.0), replicates=2,
+                          inversion=InversionConfig(z0=(0.5, 0.5)))
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    write_experiment_table(first / "table_tiny.csv", run_experiment(spec))
+    files = ["table_tiny.csv", "table_tiny.json", "table_tiny.md"]
+    assert sorted(p.name for p in first.iterdir()) == files
+    rerun = load_config(first / "table_tiny.json")
+    assert rerun == spec
+    write_experiment_table(second / "table_tiny.csv", run_experiment(rerun))
+    for name in files:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
