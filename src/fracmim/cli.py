@@ -94,9 +94,18 @@ def _load_spec(args) -> ExperimentSpec:
 
 
 def _out_dir(args, spec: ExperimentSpec) -> Path:
+    """The output directory, checked but not made.
+
+    A command makes it just before it writes its first file, so a refused
+    run leaves none behind.  One that could not be made or written to is
+    refused up front, judged on its nearest existing ancestor, so that a
+    long run does not fail only when it writes.
+    """
     out = Path(args.out or spec.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output directory {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
         raise PermissionError(f"output directory {out} is not writable")
     return out
 
@@ -104,6 +113,7 @@ def _out_dir(args, spec: ExperimentSpec) -> Path:
 def cmd_forward(args, spec: ExperimentSpec, out: Path) -> int:
     sol = solve_forward(spec.params, spec.grid)
     obs = extract_observation(sol, spec.x0)
+    out.mkdir(parents=True, exist_ok=True)
     fio.write_solution_csv(out / "solution.csv", sol)
     fio.write_observation(out / "observation.csv", obs)
     if not args.quiet:
@@ -130,6 +140,7 @@ def cmd_reference(args, spec: ExperimentSpec, out: Path) -> int:
         except QuadratureError as e:
             print(f"warning: ({x:g}, {t:g}): {e}", file=sys.stderr)
             rows.append((x, t, float("nan"), float("nan"), float("nan")))
+    out.mkdir(parents=True, exist_ok=True)
     fio.write_reference_csv(out / "reference.csv", rows)
     if not args.quiet:
         print(f"wrote {len(rows)} reference value(s) to {out / 'reference.csv'}")
@@ -138,6 +149,7 @@ def cmd_reference(args, spec: ExperimentSpec, out: Path) -> int:
 
 def cmd_make_obs(args, spec: ExperimentSpec, out: Path) -> int:
     clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
+    out.mkdir(parents=True, exist_ok=True)
     fio.write_observation(out / "obs_clean.csv", clean)
     written = [out / "obs_clean.csv"]
     for delta in spec.noise_levels:
@@ -154,6 +166,7 @@ def cmd_make_obs(args, spec: ExperimentSpec, out: Path) -> int:
 def cmd_invert(args, spec: ExperimentSpec, out: Path) -> int:
     obs = fio.read_observation(args.obs, x0=spec.x0)
     result = invert_orders(obs, spec.params, spec.grid, spec.inversion, spec.exact_orders)
+    out.mkdir(parents=True, exist_ok=True)
     fio.write_inversion_report(
         out / "inversion_report.json", result, out / "convergence_trace.csv"
     )
@@ -193,10 +206,12 @@ def cmd_experiment(args, spec: ExperimentSpec, out: Path) -> int:
     base = _table_base(spec.name)
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     table = run_experiment(spec, progress=progress)
+    out.mkdir(parents=True, exist_ok=True)
     fio.write_experiment_table(out / f"{base}.csv", table)
     if not args.quiet:
         print(table.to_markdown(), end="")
-        print(f"wrote {out / (base + '.csv')} and {out / (base + '.md')}")
+        stem = out / base
+        print(f"wrote {stem}.csv, {stem}.md and {stem}.json")
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import ConfigError, ValidationError
 from .inversion import STOP_REASONS, InversionConfig, ReplicateSummary, _noise_key, run_replicates
-from .laplace import ContourQuadrature
+from .laplace import _TIMES, ContourQuadrature, _time_in_range
 from .model import (
     GridSpec, ModelParams, _check_count, _is_finite, _is_number, _is_pair,
     validate_params,
@@ -102,9 +102,10 @@ class ExperimentSpec:
         if exact and not all(0.0 < v <= 1.0 for v in self.exact_orders):
             raise ConfigError(f"exact_orders {self.exact_orders!r} must be orders in (0, 1]")
         for x, t in self.reference_points:
-            if not (0.0 <= x <= 1.0 and _is_finite(t) and t > 0):
+            if not (0.0 <= x <= 1.0 and _time_in_range(t)):
                 raise ConfigError(
                     f"reference point ({x!r}, {t!r}) needs x in [0,1] and a positive finite t"
+                    f" in [{_TIMES[0]:g}, {_TIMES[1]:g}]"
                 )
 
     def with_seed(self, seed: int) -> "ExperimentSpec":

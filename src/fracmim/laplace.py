@@ -64,6 +64,23 @@ def _unit_contour(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # Both contours at t = 1 as one node and one weight array, coarse first.
 _S_UNIT, _W_UNIT = map(np.concatenate, zip(_unit_contour(_NODES), _unit_contour(2 * _NODES)))
 
+# The times a contour point is evaluated at.  Its nodes are _S_UNIT / t,
+# and |_S_UNIT| runs from 6.4 to about 397.4.  At small t the largest
+# intermediate of the closed form is the boundary fit s (eta1 - eta2
+# e^{eta2 - eta1}), about sqrt(P beta R1) |s|^(1 + alpha/2), and |s|^1.5
+# stays below 8e303 for t >= 1e-200.  At large t the transform is about
+# 1/s, up to t / 6.4, and a term multiplies it by a weight of up to 1.4e5,
+# which stays below 2.2e304 for t <= 1e300.  Both ends leave a factor of
+# 1e4 below the largest double.  Beyond them points overflow (on the
+# builtin problems t = 1e-250 away from the inlet for alpha = 0.8 and 0.75,
+# t = 1e307 everywhere), so they are refused before any evaluation.
+_TIMES = (1e-200, 1e300)
+
+
+def _time_in_range(t) -> bool:
+    return _is_finite(t) and _TIMES[0] <= t <= _TIMES[1]
+
+
 # Relative-error floor: concentrations are normalized to an O(1) inlet
 # value, so differences are measured against at least this scale to keep
 # near-zero samples (early times far from the inlet) from tripping the
@@ -196,8 +213,12 @@ def _invert(
     nodes on the last axis; the sums come back as one Python float per
     component, in C order.
     """
-    if not (_is_finite(t) and t > 0):
-        raise ValidationError("t must be a positive finite time")
+    if not _time_in_range(t):
+        if not (_is_finite(t) and t > 0):
+            raise ValidationError("t must be a positive finite time")
+        raise ValidationError(
+            f"t={t!r} lies outside the contour's time range [{_TIMES[0]:g}, {_TIMES[1]:g}]"
+        )
     terms = (evaluate(_S_UNIT / t) * _W_UNIT).real.reshape(-1, _S_UNIT.size)
     # numpy sums along the node axis, as it would a lone component; the
     # rest are single IEEE operations, the same on Python floats.
@@ -228,6 +249,6 @@ def invert_with_error(
     """
     validate_params(p)
     # No node _S_UNIT / t is tested for the cut: the real ones, 6.4 / t and 12.8 / t, are
-    # positive, the rest have Im >= 1.26 / t > 0, and subnormal t overflows them off it.
+    # positive, and the rest have Im >= 1.26 / t > 0.
     (u1, u2), err = _invert(lambda nodes: _closed_form(_position(x), nodes, p), t, q)
     return float(u1), float(u2), err

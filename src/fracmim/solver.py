@@ -67,7 +67,6 @@ from .model import (
     SolutionGrid,
     _check_count,
     _check_params_type,
-    _is_finite,
     _is_number,
     validate_params,
 )
@@ -202,13 +201,13 @@ def _validate_for_solve(params: ModelParams) -> None:
     validate_params(params.with_orders(0.5, 0.5))
 
 
-def solve_forward(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> SolutionGrid:
+def solve_forward(params: ModelParams, grid: GridSpec) -> SolutionGrid:
     """March the implicit scheme from zero initial data to time T.
 
     Side conditions: both zones start at zero, the mobile inlet value
-    jumps to ``inlet`` for every positive time, the immobile inlet value
-    stays zero, and the outflow boundary reflects (zero gradient) in
-    both zones.
+    jumps to 1 for every positive time (the dimensionless model's unit
+    inlet), the immobile inlet value stays zero, and the outflow
+    boundary reflects (zero gradient) in both zones.
 
     Returns
     -------
@@ -226,16 +225,14 @@ def solve_forward(params: ModelParams, grid: GridSpec, inlet: float = 1.0) -> So
         offending time step.
     """
     _validate_for_solve(params)
-    if not _is_finite(inlet):
-        raise ParameterError("inlet must be a finite number")
     m = grid.m
-    state = _tangent_march(params, grid, inlet, tangents=False)
+    state = _tangent_march(params, grid, tangents=False)
     u1 = np.zeros((m + 1, grid.n + 1))
     u2 = np.zeros((m + 1, grid.n + 1))
     u1[1:m] = state[:, 0, :m - 1].T
     u2[1:m] = state[:, 0, m - 1:].T
     # Inlet value and reflecting outflow (ghost node equals its neighbour).
-    u1[0, 1:] = inlet
+    u1[0, 1:] = 1.0
     u1[m, 1:] = u1[m - 1, 1:]
     u2[m, 1:] = u2[m - 1, 1:]
     return SolutionGrid(u1=u1, u2=u2, grid=grid)
@@ -299,13 +296,11 @@ def _digamma(x: float) -> float:
 _HISTORY_BLOCK = 32
 
 
-def _tangent_march(
-    params: ModelParams, grid: GridSpec, inlet: float = 1.0, tangents: bool = True
-) -> np.ndarray:
+def _tangent_march(params: ModelParams, grid: GridSpec, tangents: bool = True) -> np.ndarray:
     """March of the interior state and, with ``tangents``, its order derivatives.
 
     Returns S of shape (n+1, 3, 2(m-1)), ordered like U: S[k, 0] is the
-    state U^k for the inlet value ``inlet``, S[k, 1] = dU^k/d alpha and
+    state U^k for the unit inlet, S[k, 1] = dU^k/d alpha and
     S[k, 2] = dU^k/d gamma, exact derivatives of the discrete march up
     to roundoff.  Without ``tangents`` S has shape (n+1, 1, 2(m-1)): the
     march carries the state alone, for :func:`solve_forward`.
@@ -414,7 +409,6 @@ def _tangent_march(
         far_g = np.empty((b, 2, q))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = inlet * forcing
         for k0 in range(0, steps, b):
             size = min(b, steps - k0)
             slots = T[k0 + 1:k0 + 1 + size]  # the rows the block's steps fill, all 0

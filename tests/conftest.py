@@ -2,11 +2,24 @@
 memo for every test, random draws, and probes of the transform built on
 :func:`fracmim.laplace.laplace_profile`."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fracmim import GridSpec, ModelParams, ValidationError, inversion
 from fracmim.laplace import laplace_profile
+
+# Hypothesis imports this module to report a failing property.  Its
+# libcst dependency can raise a DeprecationWarning on import, which the
+# suite's filters turn into an INTERNALERROR that stops the whole run,
+# so it is imported once here, with that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(autouse=True)

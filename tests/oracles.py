@@ -60,7 +60,7 @@ from fracmim.inversion import _replicate_seeds
 from fracmim.solver import scheme_constants
 
 
-def backward_euler_classical(p, grid, inlet=1.0):
+def backward_euler_classical(p, grid):
     """Classical degrading two-zone system, fully implicit first-order march.
 
     Spatial treatment mirrors the production scheme (upwind advection,
@@ -68,7 +68,7 @@ def backward_euler_classical(p, grid, inlet=1.0):
     outflow) but the equations are written in raw PDE scaling and the
     matrix is assembled with plain loops, one equation at a time.
 
-    Returns (u1, u2) arrays of shape (m+1, n+1), indexed [space, time].
+    Returns the unit-inlet (u1, u2) arrays of shape (m+1, n+1), indexed [space, time].
     """
     m, n = grid.m, grid.n
     h, tau = grid.h, grid.tau
@@ -88,7 +88,7 @@ def backward_euler_classical(p, grid, inlet=1.0):
         if i - 1 >= 1:
             M[r, r - 1] += -1.0 / h - 1.0 / (p.P * h * h)
         else:
-            rhs_bc[r] += (1.0 / h + 1.0 / (p.P * h * h)) * inlet
+            rhs_bc[r] += 1.0 / h + 1.0 / (p.P * h * h)  # unit inlet
         if i + 1 <= m - 1:
             M[r, r + 1] += -1.0 / (p.P * h * h)
         else:  # reflecting ghost v_m = v_{m-1}
@@ -105,7 +105,7 @@ def backward_euler_classical(p, grid, inlet=1.0):
         if i - 1 >= 1:
             M[s, r - 1] += -p.omega / 2.0
         else:
-            rhs_bc[s] += (p.omega / 2.0) * inlet
+            rhs_bc[s] += p.omega / 2.0
         if i + 1 <= m - 1:
             M[s, r + 1] += -p.omega / 2.0
         else:
@@ -117,7 +117,7 @@ def backward_euler_classical(p, grid, inlet=1.0):
         rhs = np.concatenate([br1 / tau * u1[1:m, k], br2 / tau * u2[1:m, k]])
         rhs += rhs_bc
         v = np.linalg.solve(M, rhs)
-        u1[0, k + 1] = inlet
+        u1[0, k + 1] = 1.0
         u1[1:m, k + 1] = v[:q]
         u1[m, k + 1] = v[q - 1]
         u2[1:m, k + 1] = v[q:]
@@ -285,8 +285,8 @@ def l1_power_table(order: float, n: int) -> np.ndarray:
     return table
 
 
-def getrs_march(p, grid, inlet=1.0):
-    """Fields (u1, u2) of the L1 march, each step solved with ``getrs``.
+def getrs_march(p, grid):
+    """Fields (u1, u2) of the unit-inlet L1 march, each step solved with ``getrs``.
 
     The set-up is its own: the matrix of :func:`dense_block_matrix` with
     ``lu_factor``, and history weights differenced from the power table.
@@ -301,7 +301,7 @@ def getrs_march(p, grid, inlet=1.0):
     d1 = np.diff(l1_power_table(p.alpha, n))
     d2 = np.diff(l1_power_table(p.gamma, n))
     forcing = np.zeros(2 * q)
-    forcing[0], forcing[q] = inlet * c.A, inlet * c.E
+    forcing[0], forcing[q] = c.A, c.E
     u1 = np.zeros((m + 1, n + 1))
     u2 = np.zeros((m + 1, n + 1))
     du1 = np.zeros((q, n))  # increments u^{j+1} - u^j per interior node
@@ -316,7 +316,7 @@ def getrs_march(p, grid, inlet=1.0):
         du1[:, k] = u1[1:m, k + 1] - u1[1:m, k]
         du2[:, k] = u2[1:m, k + 1] - u2[1:m, k]
     # Inlet value and reflecting outflow (ghost node equals its neighbour).
-    u1[0, 1:] = inlet
+    u1[0, 1:] = 1.0
     u1[m, 1:] = u1[m - 1, 1:]
     u2[m, 1:] = u2[m - 1, 1:]
     return u1, u2

@@ -358,6 +358,8 @@ def test_experiment_from_config(tmp_path, config_path, capsys):
     captured = capsys.readouterr()
     assert "delta=0.01 done" in captured.err
     assert "| noise level |" in captured.out
+    stem = out / "table_demo"
+    assert captured.out.endswith(f"wrote {stem}.csv, {stem}.md and {stem}.json\n")
 
 
 def test_experiment_sidecar_reruns_the_table(tmp_path, config_path):
@@ -475,6 +477,54 @@ def test_out_dir_collision_exits_three(tmp_path, config_path, capsys):
     blocker.write_text("file, not a directory", encoding="utf-8")
     assert _run("forward", "--config", config_path, "--out", blocker) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_out_dir_under_a_file_exits_three_before_running(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    # judged on the nearest existing ancestor, before the table runs
+    def no_run(spec, progress=None):
+        raise AssertionError("ran the table")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("file, not a directory", encoding="utf-8")
+    out = blocker / "a" / "b"
+    assert _run("experiment", "--config", config_path, "--out", out, "--quiet") == 3
+    assert capsys.readouterr().err == (
+        f"i/o error: output directory {out}: {blocker} is not a directory\n"
+    )
+
+
+def _refusals(tmp_path, config_path):
+    slash = tmp_path / "slash.json"
+    slash.write_text(json.dumps(dict(CONFIG, name="run/one")), encoding="utf-8")
+    early = tmp_path / "early.json"
+    early.write_text(json.dumps(dict(CONFIG, reference_points=[[0.5, 1e-250]])), encoding="utf-8")
+    bad_obs = tmp_path / "bad.csv"
+    bad_obs.write_text("t,u1\n", encoding="utf-8")
+    overflow = json.loads(json.dumps(CONFIG))
+    overflow["params"]["alpha"] = 0.99
+    overflow["grid"] = {"m": 1000, "n": 1, "T": 1e307}
+    huge = tmp_path / "overflow.json"
+    huge.write_text(json.dumps(overflow), encoding="utf-8")
+    return {
+        "table-name": (["experiment", "--config", slash], 1, "holds a path separator"),
+        "reference-time": (["reference", "--config", early], 1,
+                           "needs x in [0,1] and a positive finite t in [1e-200, 1e+300]"),
+        "observation-file": (["invert", "--config", config_path, "--obs", bad_obs], 1,
+                             "an observation series needs at least one sample"),
+        "numerical": (["forward", "--config", huge], 2, "scheme constants overflow"),
+    }
+
+
+@pytest.mark.parametrize("case", ["table-name", "reference-time", "observation-file", "numerical"])
+def test_a_refused_run_leaves_no_output_directory(tmp_path, config_path, capsys, case):
+    argv, code, message = _refusals(tmp_path, config_path)[case]
+    out = tmp_path / "a" / "b"
+    assert _run(*argv, "--out", out, "--quiet") == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_unwritable_out_dir_exits_three(tmp_path, config_path, capsys, monkeypatch):

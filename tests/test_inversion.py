@@ -449,10 +449,10 @@ def test_each_iteration_runs_one_tangent_march(bench_params, tiny_grid, monkeypa
     def forbidden(*args, **kwargs):
         raise AssertionError("invert_orders ran a real forward march")
 
-    def state_only_forbidden(params, grid, inlet=1.0, tangents=True):
+    def state_only_forbidden(params, grid, tangents=True):
         if not tangents:
             forbidden()
-        return march(params, grid, inlet, tangents)
+        return march(params, grid, tangents)
 
     monkeypatch.setattr(inversion, "_tangent_march", counted)
     monkeypatch.setattr(inversion, "solve_forward", forbidden)

@@ -190,6 +190,12 @@ def test_config_document_round_trips(spec):
          'reference point \\(0.5, 0.0\\) needs .* a positive finite t'),
         (lambda d: d.update(reference_points=[[0.5, math.inf]]),
          'reference point \\(0.5, inf\\) needs .* a positive finite t'),
+        (lambda d: d.update(reference_points=[[0.5, 1e-250]]),
+         'reference point \\(0.5, 1e-250\\) needs .* a positive finite t in '
+         '\\[1e-200, 1e\\+300\\]'),
+        (lambda d: d.update(reference_points=[[0.5, 1e307]]),
+         'reference point \\(0.5, 1e\\+307\\) needs .* a positive finite t in '
+         '\\[1e-200, 1e\\+300\\]'),
         (lambda d: d["params"].update(alpha=10**400),
          'field "alpha" in "params" is too large for a float'),
         (lambda d: d.update(grid={"T": 10**400}),
@@ -230,6 +236,12 @@ def test_parse_config_diagnostics(mutate, msg):
     mutate(doc)
     with pytest.raises(ConfigError, match=msg):
         parse_config(doc)
+
+
+def test_reference_points_take_the_ends_of_the_contour_time_range():
+    # the rule invert_with_error applies: both ends are kept, beyond them refused above
+    doc = {"params": PARAMS_DOC, "reference_points": [[0.0, 1e-200], [1.0, 1e300]]}
+    assert parse_config(doc).reference_points == ((0.0, 1e-200), (1.0, 1e300))
 
 
 # A valid document with every optional field written out; the property

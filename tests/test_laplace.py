@@ -413,10 +413,9 @@ def test_contour_nodes_never_touch_the_cut():
             _frequencies(_S_UNIT / t)  # the check laplace_profile runs: raises on the cut
 
 
-# Times far outside any experiment: t = 5e-324 and 1.7e308 fail at every
-# x, and 1e-300 away from the inlet, all with a NaN estimate; every other
-# case gives a finite triple.  A rewrite of the closed form can move where
-# overflow starts, so the outcomes are pinned.
+# Times far outside any experiment.  t = 5e-324, 1e-300 and 1.7e308 lie
+# outside the contour's time range, where points overflow, and are refused
+# before any evaluation; every other one gives a finite triple.
 _EXTREME_TIMES = (5e-324, 1e-300, 1e-100, 1e-30, 1e-8, 1e30, 1e100, 1e300, 1.7e308)
 
 
@@ -424,15 +423,45 @@ _EXTREME_TIMES = (5e-324, 1e-300, 1e-100, 1e-30, 1e-8, 1e30, 1e100, 1e300, 1.7e3
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
 def test_extreme_times_keep_their_outcome(name, x):
     p = builtin_experiment(name).params
-    fails = {5e-324, 1.7e308} | ({1e-300} if x > 0.0 else set())
     for t in _EXTREME_TIMES:
-        # the nodes _S_UNIT / t overflow or underflow here, and numpy says so
-        with np.errstate(all="ignore"):
-            if t in fails:
-                with pytest.raises(QuadratureError, match="disagree by nan"):
-                    invert_with_error(x, t, p)
-            else:
-                assert all(map(math.isfinite, invert_with_error(x, t, p))), t
+        if t in (5e-324, 1e-300, 1.7e308):
+            with pytest.raises(ValidationError, match="outside the contour's time range"):
+                invert_with_error(x, t, p)
+        else:
+            assert all(map(math.isfinite, invert_with_error(x, t, p))), t
+
+
+# The ends of the contour's time range, and the doubles just beyond them.
+_T_MIN, _T_MAX = 1e-200, 1e300
+_BEYOND = (math.nextafter(_T_MIN, 0.0), 1e-250, 1e-300, math.nextafter(_T_MAX, math.inf), 1e307)
+
+
+def _time_range_cases():
+    rng = np.random.default_rng(33)
+    cases = [pytest.param(builtin_experiment(name).params, x, id=f"{name}-{x}")
+             for name in ("ex51", "ex52", "ex53") for x in (0.0, 0.25, 0.5, 1.0)]
+    cases += [pytest.param(admissible_draw(rng), float(rng.uniform()), id=f"draw{i}")
+              for i in range(20)]
+    return cases
+
+
+@pytest.mark.parametrize("p, x", _time_range_cases())
+def test_contour_time_range_ends(p, x, monkeypatch):
+    # Inside, a finite triple, with no RuntimeWarning (the suite makes one an
+    # error); outside, the refusal, before the closed form is evaluated.
+    assert laplace._TIMES == (_T_MIN, _T_MAX)
+    for t in (_T_MIN, _T_MAX):
+        assert all(map(math.isfinite, invert_with_error(x, t, p))), t
+
+    def forbidden(*args):
+        raise AssertionError("the closed form ran for a time outside the range")
+
+    monkeypatch.setattr(laplace, "_closed_form", forbidden)
+    for t in _BEYOND:
+        with pytest.raises(ValidationError, match=re.escape(
+            f"t={t!r} lies outside the contour's time range [1e-200, 1e+300]"
+        )):
+            invert_with_error(x, t, p)
 
 
 def test_invert_with_error_matches_scalar_callable(bench_params):

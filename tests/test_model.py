@@ -166,11 +166,9 @@ _SERIES = ObservationSeries(x0=0.5, times=[1.0], values=[0.0])
          ConfigError, "needs x in [0,1] and a positive finite t"),
         (lambda: invert_with_error(0.5, _HUGE, BENCH_PARAMS), ValidationError,
          "t must be a positive finite time"),
-        (lambda: solve_forward(BENCH_PARAMS, GridSpec(m=4, n=4, T=1.0), inlet=_HUGE),
-         ParameterError, "inlet must be a finite number"),
     ],
     ids=["T", "P", "noise_level", "sigma", "step_tol", "z0", "delta", "noise_levels",
-         "reference_points", "invert_with_error", "inlet"],
+         "reference_points", "invert_with_error"],
 )
 def test_scalar_checks_reject_ints_beyond_a_double(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -3,9 +3,9 @@
 Three kinds of check bind the solver to its discrete definition: frozen
 constant values on a hand-sized grid, structural equality of the
 assembled matrix against a loop-built oracle, and post-hoc identities on
-marched solutions (boundary conditions, linearity, the equivalence of
-the two algebraic forms of the L1 history, and the order-1 degeneration
-to a classical backward-Euler solve).
+marched solutions (boundary conditions, bounds by the unit inlet, the
+equivalence of the two algebraic forms of the L1 history, and the
+order-1 degeneration to a classical backward-Euler solve).
 """
 
 import dataclasses
@@ -32,6 +32,7 @@ from fracmim import (
     GridSpec,
     ModelParams,
     ParameterError,
+    SolutionGrid,
     SolverError,
     builtin_experiment,
     extract_observation,
@@ -196,13 +197,6 @@ def test_solution_values_physical(bench_params, default_grid):
     assert sol.u1[default_grid.m // 2, -1] > 0.5
 
 
-def test_scheme_linearity(bench_params, tiny_grid):
-    base = solve_forward(bench_params, tiny_grid)
-    scaled = solve_forward(bench_params, tiny_grid, inlet=2.0)
-    assert np.allclose(scaled.u1, 2.0 * base.u1, atol=1e-12, rtol=0)
-    assert np.allclose(scaled.u2, 2.0 * base.u2, atol=1e-12, rtol=0)
-
-
 # Properties over the admissible parameter space on tiny grids, with the
 # tolerances of the fixed-parameter checks above.
 _draws = st.integers(0, 2**32 - 1).map(lambda s: admissible_draw(np.random.default_rng(s)))
@@ -227,15 +221,6 @@ def test_solution_between_zero_and_inlet_property(p, grid):
         assert u.min() >= -1e-10 and u.max() <= 1.0 + 1e-6
 
 
-@settings(deadline=None)
-@given(_draws, _grids, st.floats(-2.0, 2.0))
-def test_scheme_linearity_property(p, grid, inlet):
-    base = solve_forward(p, grid)
-    scaled = solve_forward(p, grid, inlet=inlet)
-    assert np.allclose(scaled.u1, inlet * base.u1, atol=1e-12, rtol=0)
-    assert np.allclose(scaled.u2, inlet * base.u2, atol=1e-12, rtol=0)
-
-
 @given(_draws, _tiny_grids)
 def test_dominance_margins_property(p, grid):
     m1, m2 = scheme_constants(p, grid).dominance_margins()
@@ -255,11 +240,6 @@ def test_inverse_norm_within_varah_bound_property(p, grid):
     assert np.abs(minv_t).sum(axis=0).max() <= bound * (1.0 + 1e-12)
 
 
-def test_zero_inlet_gives_zero_solution(bench_params, tiny_grid):
-    sol = solve_forward(bench_params, tiny_grid, inlet=0.0)
-    assert np.all(sol.u1 == 0.0) and np.all(sol.u2 == 0.0)
-
-
 def test_order_bounds_relaxed_to_closed_one(bench_params, tiny_grid):
     solve_forward(bench_params.with_orders(1.0, 1.0), tiny_grid)  # allowed
     for alpha, gamma, message in [
@@ -272,19 +252,24 @@ def test_order_bounds_relaxed_to_closed_one(bench_params, tiny_grid):
             solve_forward(bad, tiny_grid)
 
 
-def test_inlet_must_be_finite(bench_params, tiny_grid):
-    with pytest.raises(ParameterError, match="inlet"):
-        solve_forward(bench_params, tiny_grid, inlet=math.inf)
-    with pytest.raises(ParameterError, match="inlet"):
-        solve_forward(bench_params, tiny_grid, inlet=True)
-
-
 @pytest.mark.parametrize("inlet", [1e308, -1.7e308])
-def test_overflowing_inlet_names_first_step(bench_params, default_grid, inlet):
-    # inlet * A overflows, so the first step's solution is not finite.
-    # The tangent march makes the tangents of step k one step later than
-    # the state, and must still name the step of the state.  Every block
+def test_overflowing_inlet_names_first_step(bench_params, default_grid, inlet, monkeypatch):
+    # The unit inlet keeps every march finite, so the fault is set up: an
+    # assembly whose forcing is scaled by ``inlet`` holds an infinite
+    # inlet * A, and the first step's solution is not finite.  The
+    # tangent march makes the tangents of step k one step later than the
+    # state, and must still name the step of the state.  Every block
     # after the first starts from non-finite states.
+    assemble = fracmim.solver.assemble_block_system
+
+    def overflowing(c, m):
+        matrix, forcing = assemble(c, m)
+        with np.errstate(over="ignore"):
+            forcing = inlet * forcing
+        assert np.isinf(forcing).any()
+        return matrix, forcing
+
+    monkeypatch.setattr(fracmim.solver, "assemble_block_system", overflowing)
     for grid in (default_grid, GridSpec(8, 700, 100.0)):
         for march in (solve_forward, _tangent_march):
             with warnings.catch_warnings():
@@ -292,7 +277,7 @@ def test_overflowing_inlet_names_first_step(bench_params, default_grid, inlet):
                 with pytest.raises(
                     SolverError, match="non-finite solution values at time step 1$"
                 ):
-                    march(bench_params, grid, inlet=inlet)
+                    march(bench_params, grid)
 
 
 def test_order_one_degeneration_matches_backward_euler(bench_params):
@@ -646,7 +631,8 @@ def test_observation_rejects_misaligned_times(bench_params, tiny_grid):
             extract_observation(sol, 0.5, times=[t])
 
 
-def test_observation_zero_solution_is_zero_series(bench_params, tiny_grid):
-    sol = solve_forward(bench_params, tiny_grid, inlet=0.0)
+def test_observation_zero_solution_is_zero_series(tiny_grid):
+    shape = (tiny_grid.m + 1, tiny_grid.n + 1)
+    sol = SolutionGrid(u1=np.zeros(shape), u2=np.zeros(shape), grid=tiny_grid)
     obs = extract_observation(sol, 0.5)
     assert np.all(obs.values == 0.0)
