@@ -49,6 +49,12 @@ class ExperimentSpec:
     ``exact_orders`` is the ground truth that ``fracmim invert`` reports
     its error against on externally supplied observations; with None it
     reports no error, not one against the orders in ``params``.
+
+    A spec holds one representation of each value, the one
+    :func:`fracmim.io.parse_config` builds: the sequences
+    ``noise_levels``, ``reference_points`` (and each point) and
+    ``exact_orders`` are stored as tuples, whatever sequence they were
+    given as, so a spec is hashable and its sidecar reloads to an equal spec.
     """
 
     params: ModelParams
@@ -65,6 +71,10 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError('field "name" must be a string')
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError('field "out_dir" must be a string path')
         validate_params(self.params)
         if not (_is_number(self.x0) and 0.0 < self.x0 < 1.0):
             raise ConfigError("x0 must lie strictly inside (0,1)")
@@ -107,6 +117,10 @@ class ExperimentSpec:
                     f"reference point ({x!r}, {t!r}) needs x in [0,1] and a positive finite t"
                     f" in [{_TIMES[0]:g}, {_TIMES[1]:g}]"
                 )
+        object.__setattr__(self, "noise_levels", tuple(self.noise_levels))
+        object.__setattr__(self, "reference_points", tuple(map(tuple, self.reference_points)))
+        if exact:
+            object.__setattr__(self, "exact_orders", tuple(self.exact_orders))
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
         return replace(self, seed=seed)

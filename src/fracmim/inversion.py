@@ -51,7 +51,8 @@ class InversionConfig:
     Attributes
     ----------
     z0 : tuple
-        Initial iterate (alpha0, gamma0); values outside the clamped
+        Initial iterate (alpha0, gamma0), stored as a tuple whatever
+        sequence it was given as; values outside the clamped
         admissible square are moved onto it before the first step, so
         the conventional corner starts (0,0) and (1,1) are legal.
     j0, sigma : int, float
@@ -84,6 +85,7 @@ class InversionConfig:
             raise ConfigError("clamp_margin must lie in (0, 0.2)")
         if not (_is_pair(self.z0) and all(map(_is_finite, self.z0))):
             raise ConfigError("z0 must be a finite pair (alpha0, gamma0)")
+        object.__setattr__(self, "z0", tuple(self.z0))
 
 
 @dataclass(frozen=True)

@@ -167,11 +167,7 @@ def parse_config(doc: dict, name: str = "custom") -> ExperimentSpec:
         if key in doc:
             kwargs[key] = _take(doc, "config", key, int)
     out_dir = doc.pop("out_dir", None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError('field "out_dir" must be a string path')
     spec_name = doc.pop("name", name)
-    if not isinstance(spec_name, str):
-        raise ConfigError('field "name" must be a string')
 
     points = doc.pop("reference_points", [])
     if not isinstance(points, list):
@@ -270,39 +266,32 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[float
 def _read_csv_percell(path: Path) -> tuple[list[str], np.ndarray]:
     """:func:`read_csv` one cell at a time, for header-only files and those ``np.loadtxt`` rejects.
 
-    Every cell is parsed by ``float`` in row order, so the first wrong
-    width or non-numeric cell raises with its row; the rest of the file
-    is still decoded, so that a bad byte anywhere wins.
+    The whole file is decoded before any line is parsed, so a bad byte
+    anywhere wins; then every cell is parsed by ``float`` in row order,
+    so the first wrong width or non-numeric cell raises with its row.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = (ln for ln in f if not ln.isspace())
-            first = next(lines, None)
-            if first is None:
-                raise ValidationError(f"{path}: empty file, expected a CSV header")
-            header = first.rstrip("\n").split(",")
-            rows = []
-            try:
-                for r, line in enumerate(lines, start=1):
-                    cells = line.rstrip("\n").split(",")
-                    if len(cells) != len(header):
-                        raise ValidationError(
-                            f"{path}: row {r} has {len(cells)} fields, expected {len(header)}"
-                        )
-                    for cell, name in zip(cells, header):
-                        try:
-                            rows.append(float(cell))
-                        except ValueError:
-                            raise ValidationError(
-                                f"{path}: row {r}: non-numeric value {cell!r} in column {name!r}"
-                            ) from None
-            except ValidationError:
-                for _ in f:  # decode the rest, so that a bad byte anywhere wins
-                    pass
-                raise
+            lines = [ln.rstrip("\n").split(",") for ln in f if not ln.isspace()]
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path}: not a UTF-8 text file: {e}") from None
-    return header, np.array(rows, dtype=float).reshape(-1, len(header))
+    if not lines:
+        raise ValidationError(f"{path}: empty file, expected a CSV header")
+    header, *rows = lines
+    values = []
+    for r, cells in enumerate(rows, start=1):
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{path}: row {r} has {len(cells)} fields, expected {len(header)}"
+            )
+        for cell, name in zip(cells, header):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: row {r}: non-numeric value {cell!r} in column {name!r}"
+                ) from None
+    return header, np.array(values, dtype=float).reshape(-1, len(header))
 
 
 # ASCII separator controls: numpy's C parser strips them around a number

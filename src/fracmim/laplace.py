@@ -81,6 +81,12 @@ def _time_in_range(t) -> bool:
     return _is_finite(t) and _TIMES[0] <= t <= _TIMES[1]
 
 
+# The moduli of the frequencies a contour point evaluates at: its nodes at
+# the two ends of _TIMES.  Outside this range the closed form overflows
+# (NaN near |s| = 1e-310, inf at x = 0 there, 0 for x > 0 at 1e300).
+_S_MODULI = (np.abs(_S_UNIT / _TIMES[1]).min(), np.abs(_S_UNIT / _TIMES[0]).max())
+
+
 # Relative-error floor: concentrations are normalized to an O(1) inlet
 # value, so differences are measured against at least this scale to keep
 # near-zero samples (early times far from the inlet) from tripping the
@@ -89,15 +95,22 @@ _SCALE_FLOOR = 1e-3
 
 
 def _frequencies(s) -> np.ndarray:
-    """`s` as a complex array of at least one dimension, checked off the cut.
+    """`s` as a complex array of at least one dimension, checked off the cut and in range.
 
-    A scalar becomes a one-element array: numpy's complex scalars
-    multiply with other roundoff than its array loops, and working on
-    arrays keeps a scalar call bit-equal to the same node in an array.
+    Off the cut, |s| must lie in ``_S_MODULI``, the range that the
+    contour's nodes span.  A scalar becomes a one-element array: numpy's
+    complex scalars multiply with other roundoff than its array loops,
+    and working on arrays keeps a scalar call bit-equal to the same node
+    in an array.
     """
     s = np.atleast_1d(_numbers(s, "s must be a number or an array of numbers", dtype=complex))
     if np.count_nonzero((s.imag == 0.0) & (s.real <= 0.0)):
         raise ValidationError("s must lie off the branch cut (the closed negative real axis)")
+    modulus = np.abs(s)
+    if not np.all((_S_MODULI[0] <= modulus) & (modulus <= _S_MODULI[1])):  # NaN fails too
+        raise ValidationError(
+            f"|s| must lie in the contour's frequency range [{_S_MODULI[0]:g}, {_S_MODULI[1]:g}]"
+        )
     return s
 
 
@@ -178,8 +191,11 @@ def laplace_profile(x: float, s, p: ModelParams) -> tuple:
     fitted combination reproduces it only to roundoff) and the reflecting
     condition d/dx u1_hat(1) = 0 analytically.  The two-exponential
     combination is evaluated in a factored form whose exponents all have
-    real part bounded by a parameter-dependent constant, so no
-    intermediate can overflow for any |s|.
+    real part bounded by a parameter-dependent constant.  Its other
+    intermediates grow as powers of |s| and 1/|s|, so ``s`` must lie in
+    the range the contour evaluates, |s| in [6.4e-300, 3.97e202] (the
+    nodes at t = 1e300 and t = 1e-200); a frequency outside it, where the
+    evaluation overflows, raises ValidationError before any evaluation.
     """
     u1, u2 = _closed_form(_position(x), _frequencies(s), p)
     return (u1[0], u2[0]) if np.ndim(s) == 0 else (u1, u2)

@@ -23,6 +23,11 @@ functions is a genuine two-route check:
   factors of the oracle matrix (it shares only the scheme constants with
   the package), against the package's march, which
   applies a precomputed inverse;
+* the state and order tangents of the L1 march in an extended precision
+  (``np.longdouble`` or ``decimal``), in the plain increment form with an
+  inverse by Gauss-Jordan.  It takes the march's own double inputs (the
+  step matrix, the L1 weight tables and l_a, l_g), so it shares their
+  discretisation and measures the package march's roundoff alone;
 * the closed-form transform profile written out plainly: b(s), the
   roots and the boundary fit each on their own, every fractional power
   through numpy's ``**``, and a fresh array for every operation.  The
@@ -45,6 +50,7 @@ functions is a genuine two-route check:
 
 from __future__ import annotations
 
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +63,7 @@ from fracmim import (
     solve_forward,
 )
 from fracmim.inversion import _replicate_seeds
-from fracmim.solver import scheme_constants
+from fracmim.solver import _digamma, _march_setup, assemble_block_system, scheme_constants
 
 
 def backward_euler_classical(p, grid):
@@ -320,6 +326,79 @@ def getrs_march(p, grid):
     u1[m, 1:] = u1[m - 1, 1:]
     u2[m, 1:] = u2[m - 1, 1:]
     return u1, u2
+
+
+def as_extended(a, kind):
+    # The doubles of a in kind, exactly: np.longdouble, or Decimal in an object array.
+    a = np.asarray(a, dtype=float)
+    return a.astype(kind) if kind is np.longdouble else np.frompyfunc(Decimal, 1, 1)(a).astype(object)
+
+
+def gauss_jordan_inverse(M):
+    """The inverse of the square array M in its own element type, by Gauss-Jordan.
+
+    No pivoting: the step matrix is strictly diagonally dominant by rows,
+    so every pivot is nonzero and the elimination is stable.
+    """
+    n = len(M)
+    A = np.concatenate([M, M * 0], axis=1)
+    for i in range(n):
+        A[i, n + i] = 1
+    for i in range(n):
+        A[i] = A[i] / A[i, i]
+        factor = A[:, i].copy()
+        factor[i] = 0
+        A = A - factor[:, None] * A[i][None, :]
+    return A[:, n:]
+
+
+def extended_tangent_march(p, grid, kind):
+    """S[k] = (U^k, dU^k/d alpha, dU^k/d gamma) of the L1 march, in ``kind``.
+
+    ``kind`` is ``np.longdouble`` or ``Decimal`` (in the caller's decimal
+    context).  The inputs are the package march's doubles, converted
+    exactly: the step matrix and forcing of ``assemble_block_system``, the
+    L1 weight tables of ``_march_setup`` and l = ln(tau) - digamma(2 -
+    order).  Each step is written as the scheme states it, on increments:
+
+        M U^{k+1} = U^k - H^k + f,   H^k = sum_{j<k} w[k-j] (U^{j+1} - U^j),
+        M V^{k+1} = V^k - H[V]^k - H_a[U]^k + l_a (U^{k+1} - U^k + H^k),
+
+    the last two terms on the mobile rows only (for gamma, the immobile
+    rows), with M applied by its Gauss-Jordan inverse in ``kind``.
+    Returns an array of ``kind`` laid out like ``_tangent_march``'s.
+    """
+    m, n = grid.m, grid.n
+    q = m - 1
+    matrix, _ = assemble_block_system(scheme_constants(p, grid), m)
+    forcing, _, weights = _march_setup(p, grid)
+    log_tau = np.log(grid.tau)
+    ell = [log_tau - _digamma(2.0 - p.alpha), log_tau - _digamma(2.0 - p.gamma)]
+    minv = gauss_jordan_inverse(as_extended(matrix, kind))
+    f = as_extended(forcing, kind)
+    zones = [slice(0, q), slice(q, 2 * q)]
+    w = as_extended(np.repeat(weights[:, 0].T, q, axis=1), kind)  # w[d, row] of the row's zone
+    dw = as_extended(weights[:, 1].T, kind)  # dw[d, zone]: order derivative of the zone's w[d]
+    ell = as_extended(ell, kind)
+    S = as_extended(np.zeros((n + 1, 3, 2 * q)), kind)
+    for k in range(n):
+        d = k - np.arange(k)  # k - j for the increments j = 0..k-1
+        inc = S[1:k + 1] - S[:k]  # [j, quantity, row]
+        history = (w[d][:, None, :] * inc).sum(axis=0)  # H^k, H[V_a]^k, H[V_g]^k
+        U = minv @ (S[k, 0] - history[0] + f)
+        S[k + 1, 0] = U
+        for z, rows in enumerate(zones):
+            rhs = S[k, 1 + z] - history[1 + z]
+            rhs[rows] = rhs[rows] - (dw[d, z][:, None] * inc[:, 0, rows]).sum(axis=0)
+            rhs[rows] = rhs[rows] + ell[z] * (U - S[k, 0] + history[0])[rows]
+            S[k + 1, 1 + z] = minv @ rhs
+    return S
+
+
+def relative_roundoff(values, oracle):
+    """max |values - oracle| / max |oracle|, evaluated in the oracle's precision."""
+    exact = as_extended(values, np.longdouble if oracle.dtype == np.longdouble else Decimal)
+    return float(np.abs(exact - oracle).max() / np.abs(oracle).max())
 
 
 def coeff_b(s, p, denom):

@@ -1,6 +1,7 @@
 """Config parsing and file artifacts: round trips and failure diagnostics."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -25,6 +26,7 @@ from fracmim import (
     ReplicateSummary,
     SolutionGrid,
     ValidationError,
+    builtin_experiment,
     load_config,
     parse_config,
     read_csv,
@@ -153,6 +155,39 @@ def test_config_document_round_trips(spec):
     doc = config_document(spec)
     assert json.loads(json.dumps(doc)) == doc  # plain JSON values only
     assert parse_config(doc) == spec
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"noise_levels": [0.01, 0.0]},
+        {"reference_points": [[0.5, 10.0], (0.25, 50.0)]},
+        {"reference_points": ((0.5, 10.0), [0.25, 50.0])},
+        {"exact_orders": [0.8, 0.25]},
+        {"inversion": InversionConfig(z0=[0.5, 0.5])},
+    ],
+    ids=["noise_levels", "reference_points", "reference_point", "exact_orders", "z0"],
+)
+def test_a_spec_given_lists_holds_tuples(fields):
+    # A spec stores the one representation parse_config builds, so a list
+    # neither makes it unhashable nor keeps its sidecar from reloading.
+    spec = dataclasses.replace(builtin_experiment("ex51"), **fields)
+    hash(spec)
+    assert parse_config(config_document(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "fields, msg",
+    [
+        ({"name": 7}, 'field "name" must be a string'),
+        ({"name": None}, 'field "name" must be a string'),
+        ({"out_dir": 7}, 'field "out_dir" must be a string path'),
+        ({"out_dir": b"results"}, 'field "out_dir" must be a string path'),
+    ],
+)
+def test_spec_refuses_a_name_or_out_dir_its_sidecar_cannot_reload(fields, msg):
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        dataclasses.replace(builtin_experiment("ex51"), **fields)
 
 
 @pytest.mark.parametrize(

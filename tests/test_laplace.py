@@ -405,12 +405,18 @@ def test_contour_nodes_never_touch_the_cut():
     # are positive and every other node has Im >= 1.26 / t, still 7e-309 at
     # the largest double; for subnormal t the nodes overflow to infinities,
     # with a NaN imaginary part on the real nodes, none of them on the cut.
+    # The check laplace_profile runs tests the cut first, then the modulus:
+    # nodes at a time outside the contour's range fail only the modulus.
     rng = np.random.default_rng(30)
     draws = np.ldexp(rng.uniform(1.0, 2.0, 10**5), rng.integers(-1074, 1024, 10**5))
     edges = [5e-324, 2.2e-308, 1e-300, 1.0, 1e300, 1.7976931348623157e308, 2**1023]
     with np.errstate(all="ignore"):
         for t in edges + draws.tolist():
-            _frequencies(_S_UNIT / t)  # the check laplace_profile runs: raises on the cut
+            if laplace._time_in_range(t):
+                _frequencies(_S_UNIT / t)
+            else:
+                with pytest.raises(ValidationError, match="frequency range"):
+                    _frequencies(_S_UNIT / t)
 
 
 # Times far outside any experiment.  t = 5e-324, 1e-300 and 1.7e308 lie
@@ -462,6 +468,37 @@ def test_contour_time_range_ends(p, x, monkeypatch):
             f"t={t!r} lies outside the contour's time range [1e-200, 1e+300]"
         )):
             invert_with_error(x, t, p)
+
+
+# The moduli of the nodes at the ends of the contour's time range, and
+# frequencies just beyond them.
+_S_LO, _S_HI = float(np.abs(_S_UNIT / _T_MAX).min()), float(np.abs(_S_UNIT / _T_MIN).max())
+_S_BEYOND = (
+    math.nextafter(_S_LO, 0.0), 1e-310, complex(math.nan, 1.0),
+    math.nextafter(_S_HI, math.inf), 1e300, complex(0.0, math.nextafter(_S_HI, math.inf)),
+)
+
+
+@pytest.mark.parametrize("p, x", _time_range_cases())
+def test_profile_frequency_range_ends(p, x, monkeypatch):
+    # At both ends of the range, the nodes themselves and the real and
+    # imaginary frequencies give finite values with no RuntimeWarning (the
+    # suite makes one an error); the frequencies beyond are refused, alone
+    # or in an array, before the closed form is evaluated.
+    lo, hi = _S_LO, _S_HI
+    for s in (_S_UNIT / _T_MAX, _S_UNIT / _T_MIN, np.array([lo, hi, 1j * lo, -1j * hi])):
+        u1, u2 = laplace_profile(x, s, p)
+        assert np.isfinite(u1).all() and np.isfinite(u2).all(), s
+
+    def forbidden(*args):
+        raise AssertionError("the closed form ran for a frequency outside the range")
+
+    monkeypatch.setattr(laplace, "_closed_form", forbidden)
+    msg = re.escape(f"|s| must lie in the contour's frequency range [{lo:g}, {hi:g}]")
+    for s in _S_BEYOND:
+        for call in (s, np.array([1.0, s, 2.0])):
+            with pytest.raises(ValidationError, match=msg):
+                laplace_profile(x, call, p)
 
 
 def test_invert_with_error_matches_scalar_callable(bench_params):

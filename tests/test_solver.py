@@ -9,6 +9,7 @@ order-1 degeneration to a classical backward-Euler solve).
 """
 
 import dataclasses
+import decimal
 import math
 import os
 import platform
@@ -53,10 +54,12 @@ from oracles import (
     backward_euler_classical,
     complex_step_jacobian,
     dense_block_matrix,
+    extended_tangent_march,
     getrs_march,
     l1_bracket,
     l1_power_table,
     psi_weight,
+    relative_roundoff,
 )
 
 # Hand-sized grid: h = 0.1, tau = 0.5.
@@ -360,6 +363,72 @@ def test_tangent_march_state_matches_march_at_every_node(name, m, n):
     q = m - 1
     assert np.max(np.abs(state[:, :q] - u1[1:m].T)) <= 1e-12
     assert np.max(np.abs(state[:, q:] - u2[1:m].T)) <= 1e-12
+
+
+# The march's roundoff is measured against an oracle march in a precision
+# far beyond double: np.longdouble where it is wider than double (x87
+# 80-bit, eps 1.08e-19), and a 40-digit decimal march on a tiny grid
+# everywhere.  Where np.longdouble is double it could not tell roundoff
+# from agreement, so those cases are skipped, never run in double.
+_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+_LONGDOUBLE = pytest.mark.skipif(
+    _LONGDOUBLE_EPS >= np.finfo(float).eps / 1000,
+    reason=f"np.longdouble has eps {_LONGDOUBLE_EPS:.3g} here; the decimal march stands in",
+)
+_DECIMAL_DIGITS = 40
+_PRECISIONS = {"longdouble": np.longdouble, "decimal": decimal.Decimal}
+
+
+@pytest.mark.parametrize("name", ["ex51", "ex52", "ex53"])
+@pytest.mark.parametrize(
+    "precision, m, n, bound",
+    [
+        # Each bound is 10x the largest error measured over ex51-ex53 and the
+        # four fields (numpy 2.4, OpenBLAS): 2.5e-15, 1.35e-14 and 6.4e-16.
+        pytest.param("longdouble", 10, 50, 2.5e-14, marks=_LONGDOUBLE,
+                     id=f"longdouble(eps={_LONGDOUBLE_EPS:.3g})-10x50"),
+        pytest.param("longdouble", 40, 200, 1.4e-13, marks=_LONGDOUBLE,
+                     id=f"longdouble(eps={_LONGDOUBLE_EPS:.3g})-40x200"),
+        pytest.param("decimal", 6, 20, 6.5e-15, id=f"decimal({_DECIMAL_DIGITS} digits)-6x20"),
+    ],
+)
+def test_march_roundoff_against_extended_precision(name, precision, m, n, bound):
+    # The oracle takes the march's own doubles (matrix, L1 weight tables,
+    # l_a and l_g), so the difference is the double march's roundoff, not
+    # its discretisation.  Each field's largest error is measured against
+    # its largest value: the forward solve, and the state and both order
+    # tangents of the tangent march.
+    p = builtin_experiment(name).params
+    g = GridSpec(m=m, n=n, T=100.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        oracle = extended_tangent_march(p, g, _PRECISIONS[precision])
+        sol = solve_forward(p, g)
+        S = _tangent_march(p, g)
+        fields = {  # field: (march values, oracle quantity)
+            "solve_forward": (np.concatenate([sol.u1[1:m].T, sol.u2[1:m].T], axis=1), 0),
+            "state": (S[:, 0], 0), "d/d alpha": (S[:, 1], 1), "d/d gamma": (S[:, 2], 2),
+        }
+        errors = {key: relative_roundoff(v, oracle[:, r]) for key, (v, r) in fields.items()}
+    assert max(errors.values()) <= bound, (precision, errors)
+
+
+@_LONGDOUBLE
+def test_longdouble_oracle_is_extended():
+    # The longdouble march agrees with the 40-digit one to a few of its own
+    # eps (measured at most 6.0e-19 on 8x40), so it is no double march in
+    # disguise.  The bound is 10x that.
+    for name in ("ex51", "ex52", "ex53"):
+        p = builtin_experiment(name).params
+        g = GridSpec(m=8, n=40, T=100.0)
+        wide = extended_tangent_march(p, g, np.longdouble)
+        with decimal.localcontext() as ctx:
+            ctx.prec = _DECIMAL_DIGITS
+            exact = extended_tangent_march(p, g, decimal.Decimal)
+            wide = np.frompyfunc(lambda v: decimal.Decimal(str(v)), 1, 1)(wide)
+            for r in range(3):
+                err = float(np.abs(wide[:, r] - exact[:, r]).max() / np.abs(exact[:, r]).max())
+                assert err <= 6e-18, (name, r, err)
 
 
 @pytest.mark.parametrize(
