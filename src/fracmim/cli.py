@@ -4,7 +4,8 @@ Subcommands: ``forward`` (march the scheme and dump the fields),
 ``reference`` (closed-form values at chosen points), ``make-obs``
 (synthetic clean + noisy observation files), ``invert`` (recover the
 orders from an observation file), ``experiment`` (the full noise-sweep
-table for a builtin or configured problem).
+table for a builtin or configured problem).  Each command returns its
+report, which :func:`main` prints unless ``--quiet``.
 
 Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
 3 I/O error.
@@ -110,28 +111,24 @@ def _out_dir(args, spec: ExperimentSpec) -> Path:
     return out
 
 
-def cmd_forward(args, spec: ExperimentSpec, out: Path) -> int:
+def cmd_forward(args, spec: ExperimentSpec, out: Path) -> str:
     sol = solve_forward(spec.params, spec.grid)
     obs = extract_observation(sol, spec.x0)
     out.mkdir(parents=True, exist_ok=True)
     fio.write_solution_csv(out / "solution.csv", sol)
     fio.write_observation(out / "observation.csv", obs)
-    if not args.quiet:
-        mobile, immobile = scheme_constants(spec.params, spec.grid).dominance_margins()
-        print(
-            f"grid {spec.grid.m}x{spec.grid.n}, T={spec.grid.T:g}: "
-            f"u1 in [{sol.u1.min():.6g}, {sol.u1.max():.6g}], "
-            f"u2 in [{sol.u2.min():.6g}, {sol.u2.max():.6g}]"
-        )
-        print(
-            f"{spec.grid.n} time steps, dominance margins {mobile:.6g} (mobile) "
-            f"and {immobile:.6g} (immobile)"
-        )
-        print(f"wrote {out / 'solution.csv'} and {out / 'observation.csv'}")
-    return 0
+    mobile, immobile = scheme_constants(spec.params, spec.grid).dominance_margins()
+    return (
+        f"grid {spec.grid.m}x{spec.grid.n}, T={spec.grid.T:g}: "
+        f"u1 in [{sol.u1.min():.6g}, {sol.u1.max():.6g}], "
+        f"u2 in [{sol.u2.min():.6g}, {sol.u2.max():.6g}]\n"
+        f"{spec.grid.n} time steps, dominance margins {mobile:.6g} (mobile) "
+        f"and {immobile:.6g} (immobile)\n"
+        f"wrote {out / 'solution.csv'} and {out / 'observation.csv'}\n"
+    )
 
 
-def cmd_reference(args, spec: ExperimentSpec, out: Path) -> int:
+def cmd_reference(args, spec: ExperimentSpec, out: Path) -> str:
     rows = []
     for x, t in spec.reference_points:
         try:
@@ -142,44 +139,33 @@ def cmd_reference(args, spec: ExperimentSpec, out: Path) -> int:
             rows.append((x, t, float("nan"), float("nan"), float("nan")))
     out.mkdir(parents=True, exist_ok=True)
     fio.write_reference_csv(out / "reference.csv", rows)
-    if not args.quiet:
-        print(f"wrote {len(rows)} reference value(s) to {out / 'reference.csv'}")
-    return 0
+    return f"wrote {len(rows)} reference value(s) to {out / 'reference.csv'}\n"
 
 
-def cmd_make_obs(args, spec: ExperimentSpec, out: Path) -> int:
+def cmd_make_obs(args, spec: ExperimentSpec, out: Path) -> str:
     clean = extract_observation(solve_forward(spec.params, spec.grid), spec.x0)
     out.mkdir(parents=True, exist_ok=True)
     fio.write_observation(out / "obs_clean.csv", clean)
-    written = [out / "obs_clean.csv"]
-    for delta in spec.noise_levels:
-        seed = _replicate_seeds(spec.seed, delta, 1)[0]
-        noisy = add_noise(clean, delta, seed)
-        path = out / f"obs_noise_{delta:g}.csv"
-        fio.write_observation(path, noisy)
-        written.append(path)
-    if not args.quiet:
-        print(f"wrote {len(written)} observation file(s) to {out}")
-    return 0
+    for delta in spec.noise_levels:  # the series of run_replicates' first replicate at delta
+        noisy = add_noise(clean, delta, _replicate_seeds(spec.seed, delta, 1)[0])
+        fio.write_observation(out / f"obs_noise_{delta:g}.csv", noisy)
+    return f"wrote {1 + len(spec.noise_levels)} observation file(s) to {out}\n"
 
 
-def cmd_invert(args, spec: ExperimentSpec, out: Path) -> int:
+def cmd_invert(args, spec: ExperimentSpec, out: Path) -> str:
     obs = fio.read_observation(args.obs, x0=spec.x0)
     result = invert_orders(obs, spec.params, spec.grid, spec.inversion, spec.exact_orders)
     out.mkdir(parents=True, exist_ok=True)
     fio.write_inversion_report(
         out / "inversion_report.json", result, out / "convergence_trace.csv"
     )
-    if not args.quiet:
-        msg = (
-            f"recovered (alpha, gamma) = ({result.z_inv[0]:.8f}, {result.z_inv[1]:.8f}) "
-            f"in {result.iterations} iteration(s), stop: {result.stop_reason}"
-        )
-        if result.rel_error is not None:
-            msg += f", rel error {result.rel_error:.3e}"
-        print(msg)
-        print(f"wrote {out / 'inversion_report.json'} and {out / 'convergence_trace.csv'}")
-    return 0
+    msg = (
+        f"recovered (alpha, gamma) = ({result.z_inv[0]:.8f}, {result.z_inv[1]:.8f}) "
+        f"in {result.iterations} iteration(s), stop: {result.stop_reason}"
+    )
+    if result.rel_error is not None:
+        msg += f", rel error {result.rel_error:.3e}"
+    return f"{msg}\nwrote {out / 'inversion_report.json'} and {out / 'convergence_trace.csv'}\n"
 
 
 def _table_base(name: str) -> str:
@@ -202,24 +188,24 @@ def _table_base(name: str) -> str:
     return base
 
 
-def cmd_experiment(args, spec: ExperimentSpec, out: Path) -> int:
+def cmd_experiment(args, spec: ExperimentSpec, out: Path) -> str:
     base = _table_base(spec.name)
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     table = run_experiment(spec, progress=progress)
     out.mkdir(parents=True, exist_ok=True)
     fio.write_experiment_table(out / f"{base}.csv", table)
-    if not args.quiet:
-        print(table.to_markdown(), end="")
-        stem = out / base
-        print(f"wrote {stem}.csv, {stem}.md and {stem}.json")
-    return 0
+    stem = out / base
+    return f"{table.to_markdown()}wrote {stem}.csv, {stem}.md and {stem}.json\n"
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _load_spec(args)
-        return args.func(args, spec, _out_dir(args, spec))
+        report = args.func(args, spec, _out_dir(args, spec))
+        if not args.quiet:
+            print(report, end="")  # in the try: a closed stdout is an i/o error
+        return 0
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

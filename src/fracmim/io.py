@@ -217,23 +217,40 @@ def config_document(spec: ExperimentSpec) -> dict:
     }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """``object_pairs_hook`` of the JSON files read here: a repeated key is refused.
+
+    ``json.loads`` alone keeps the last of two equal keys, without a word.
+    """
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f'duplicate key "{key}"')
+        doc[key] = value
+    return doc
+
+
+def _read_json(path: Path):
+    """The JSON document in ``path``, each object's keys distinct."""
+    return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+
+
 def load_config(path: str | Path) -> ExperimentSpec:
     """Read and parse a JSON experiment config file.
 
-    Syntax errors surface with line/column diagnostics; semantic errors
-    name the offending field.  File-system problems propagate as OSError.
+    Syntax errors surface with line/column diagnostics; semantic errors,
+    a key repeated in one object among them, name the offending field.
+    File-system problems propagate as OSError.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return parse_config(_read_json(path), name=path.stem)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"config parse error in {path}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not a UTF-8 text file: {e}") from None
-    try:
-        return parse_config(doc, name=path.stem)
     except ValidationError as e:
         raise type(e)(f"{path}: {e}") from None
 
@@ -404,8 +421,9 @@ def read_observation(path: str | Path, x0: float | None = None) -> ObservationSe
 
     The sidecar (same path with a ".json" suffix) is authoritative for
     the observation point; ``x0`` is the fallback when no sidecar
-    exists.  A sidecar that is not a JSON object of the fields
-    :func:`write_observation` writes is rejected, naming the file.
+    exists or the sidecar has no "x0".  A sidecar that is not a JSON
+    object of the fields :func:`write_observation` writes, or that
+    repeats a key or holds any other, is rejected, naming the file.
     Non-finite samples are rejected with their row number, and a file
     with no data rows by name; inversion on such data would be meaningless.
     """
@@ -421,11 +439,16 @@ def read_observation(path: str | Path, x0: float | None = None) -> ObservationSe
     sidecar_path = path.with_suffix(".json")
     if sidecar_path.exists():
         try:
-            doc = json.loads(sidecar_path.read_text(encoding="utf-8"))
+            doc = _read_json(sidecar_path)
+        except ValidationError as e:  # a repeated key
+            raise ValidationError(f"{sidecar_path}: {e}") from None
         except ValueError as e:  # not UTF-8, or not JSON
             raise ValidationError(f"{sidecar_path}: invalid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ValidationError(f"{sidecar_path}: sidecar must be a JSON object")
+        unknown = sorted(set(doc) - set(_SIDECAR_FIELDS))
+        if unknown:
+            raise ValidationError(f"{sidecar_path}: unknown field(s): {', '.join(unknown)}")
         for key, (ok, kind) in _SIDECAR_FIELDS.items():
             if key in doc and not ok(doc[key]):
                 raise ValidationError(f"{sidecar_path}: {key} must be {kind}")

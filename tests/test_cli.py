@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fracmim
-from fracmim import cli, read_csv, read_observation
+from fracmim import cli, inversion, read_csv, read_observation
 from fracmim.cli import main
 from fracmim.experiments import BUILTIN_EXPERIMENTS, ExperimentTable
 from fracmim.solver import scheme_constants
@@ -181,6 +181,31 @@ def test_make_obs_deterministic_and_seed_sensitive(tmp_path, config_path):
     assert (a / name).read_bytes() != (c / name).read_bytes()
 
 
+def test_make_obs_writes_each_rows_first_replicate(tmp_path, config_path, monkeypatch):
+    # obs_noise_<delta>.csv is the series that the first replicate of the
+    # table row at delta inverts, bit for bit.
+    out = tmp_path / "obs"
+    assert _run("make-obs", "--config", config_path, "--out", out, "--quiet") == 0
+    spec = fracmim.load_config(config_path)
+    seen = []
+    real = inversion.invert_orders
+
+    def spy(obs, *args):
+        seen.append(obs)
+        return real(obs, *args)
+
+    monkeypatch.setattr(inversion, "invert_orders", spy)
+    for delta in spec.noise_levels:
+        seen.clear()
+        inversion.run_replicates(spec, delta)
+        first, written = seen[0], read_observation(out / f"obs_noise_{delta:g}.csv")
+        assert written.times.tobytes() == first.times.tobytes()
+        assert written.values.tobytes() == first.values.tobytes()
+        assert (written.x0, written.noise_level, written.seed) == (
+            first.x0, first.noise_level, first.seed
+        )
+
+
 # ---------------------------------------------------------------------------
 # invert
 
@@ -232,6 +257,18 @@ def test_seed_is_a_usage_error_where_no_seed_is_read(tmp_path, config_path, caps
     assert exc.value.code == 1
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_invert_unknown_sidecar_key_exits_one(tmp_path, config_path, capsys):
+    # a misspelt x0 must not let the config's x0 stand in for it
+    out = tmp_path / "inv"
+    _run("make-obs", "--config", config_path, "--out", out, "--quiet")
+    sidecar = out / "obs_noise_0.01.json"
+    sidecar.write_text(sidecar.read_text(encoding="utf-8").replace('"x0"', '"X0"'), encoding="utf-8")
+    assert _run("invert", "--config", config_path, "--out", out,
+                "--obs", out / "obs_noise_0.01.csv", "--quiet") == 1
+    assert capsys.readouterr().err == f"error: {sidecar}: unknown field(s): X0\n"
+    assert not (out / "inversion_report.json").exists()
 
 
 def test_invert_missing_obs_file_is_io_error(tmp_path, config_path, capsys):
@@ -452,6 +489,52 @@ def test_experiment_needs_some_source(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the report on stdout
+
+
+def _reports(tmp_path, config_path):
+    """argv and the last stdout line of each command, writing to ``out``."""
+    obs = tmp_path / "obs"
+    _run("make-obs", "--config", config_path, "--out", obs, "--quiet")
+    out = tmp_path / "out"
+    stem = out / "table_demo"
+    return out, {
+        "forward": (["forward"], f"wrote {out / 'solution.csv'} and {out / 'observation.csv'}"),
+        "reference": (["reference"], f"wrote 2 reference value(s) to {out / 'reference.csv'}"),
+        "make-obs": (["make-obs"], f"wrote 3 observation file(s) to {out}"),
+        "invert": (["invert", "--obs", obs / "obs_noise_0.01.csv"],
+                   f"wrote {out / 'inversion_report.json'} and {out / 'convergence_trace.csv'}"),
+        "experiment": (["experiment"], f"wrote {stem}.csv, {stem}.md and {stem}.json"),
+    }
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["report", "quiet"])
+@pytest.mark.parametrize("command", ["forward", "reference", "make-obs", "invert", "experiment"])
+def test_report_is_printed_unless_quiet(tmp_path, config_path, capsys, command, quiet):
+    out, reports = _reports(tmp_path, config_path)
+    argv, last = reports[command]
+    assert _run(*argv, "--config", config_path, "--out", out, *["--quiet"] * quiet) == 0
+    stdout = capsys.readouterr().out
+    if quiet:
+        assert stdout == ""
+    else:
+        assert stdout.endswith("\n") and stdout.splitlines()[-1] == last
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_is_an_io_error(tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert _run("reference", "--config", config_path, "--out", tmp_path / "ref") == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+# ---------------------------------------------------------------------------
 # failure modes
 
 
@@ -460,6 +543,20 @@ def test_bad_config_json_exits_one(tmp_path, capsys):
     cfg.write_text("{not json", encoding="utf-8")
     assert _run("forward", "--config", cfg) == 1
     assert "config parse error" in capsys.readouterr().err
+
+
+def test_repeated_config_key_exits_one_before_running(tmp_path, capsys, monkeypatch):
+    def no_run(spec, progress=None):
+        raise AssertionError("ran the table")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    text = json.dumps(CONFIG).replace('"replicates": 2', '"replicates": 2, "replicates": 3')
+    cfg = tmp_path / "twice.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run("experiment", "--config", cfg, "--out", out) == 1
+    assert capsys.readouterr().err == f'error: {cfg}: duplicate key "replicates"\n'
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

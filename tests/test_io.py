@@ -355,6 +355,26 @@ def test_load_config_semantic_error_names_file(tmp_path):
         load_config(path)
 
 
+# PARAMS_DOC with its closing brace left off, open for one more key
+_OPEN_PARAMS = json.dumps(PARAMS_DOC)[:-1]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (f'{{"params": {_OPEN_PARAMS}, "alpha": 0.3}}}}', "alpha"),
+        (f'{{"params": {_OPEN_PARAMS}}}, "x0": 0.25, "x0": 0.5}}', "x0"),
+    ],
+    ids=["in-a-section", "at-the-root"],
+)
+def test_load_config_refuses_a_repeated_key(tmp_path, text, key):
+    # json.loads alone would keep the last value, alpha 0.3 or x0 0.5
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f'{path}: duplicate key "{key}"')):
+        load_config(path)
+
+
 def test_parse_config_rejects_off_grid_x0():
     with pytest.raises(GridError, match="x0=0.33 is not a grid node"):
         parse_config({"params": dict(PARAMS_DOC), "x0": 0.33})
@@ -754,6 +774,9 @@ def test_observation_fallback_without_sidecar(tmp_path):
         ('{"x0": "half"}', "x0 must be a number"),
         ('{"x0": 0.5, "noise_level": "low"}', "noise_level must be a number"),
         ('{"x0": 0.5, "seed": 1.5}', "seed must be an integer or null"),
+        ('{"x0": 0.25, "x0": 0.5}', 'duplicate key "x0"'),
+        ('{"X0": 0.25}', "unknown field(s): X0"),
+        ('{"x0": 0.25, "seed": null, "noise": 0.0, "alpha": 0.8}', "unknown field(s): alpha, noise"),
     ],
 )
 def test_observation_rejects_broken_sidecar(tmp_path, sidecar, msg):
@@ -761,6 +784,16 @@ def test_observation_rejects_broken_sidecar(tmp_path, sidecar, msg):
     write_csv(path, ["t", "u1"], [(1.0, 0.1)])
     (tmp_path / "obs.json").write_text(sidecar, encoding="utf-8")
     with pytest.raises(ValidationError, match=re.escape(f"obs.json: {msg}")):
+        read_observation(path)
+
+
+def test_observation_sidecar_without_x0_falls_back(tmp_path):
+    path = tmp_path / "obs.csv"
+    write_csv(path, ["t", "u1"], [(1.0, 0.1)])
+    (tmp_path / "obs.json").write_text('{"noise_level": 0.01, "seed": 3}', encoding="utf-8")
+    back = read_observation(path, x0=0.25)
+    assert back.x0 == 0.25 and back.noise_level == 0.01 and back.seed == 3
+    with pytest.raises(ValidationError, match="supply x0 explicitly"):
         read_observation(path)
 
 
